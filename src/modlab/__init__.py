@@ -4,7 +4,6 @@ and non-signalling unitaries built from truncated shift families."""
 
 from .cuntz import (
     TruncatedCuntz,
-    build_truncated_cuntz,
     certify_no_product_form,
     gap_floor,
     nonsignalling_check,
@@ -53,8 +52,6 @@ from .linalg import (
     matrix_log,
     matrix_sqrt,
     partial_trace,
-    unvec,
-    vec,
 )
 from .modular import (
     AntilinearMap,
@@ -76,7 +73,7 @@ __all__ = [
     "ChiKernel", "DensityMatrix", "DiscreteCutoff", "FockVector", "HermitianEig",
     "InitialData", "ModularData", "PurifiedBipartite", "StandardSubspaceData",
     "TruncatedCuntz", "TruncatedFock", "Wedge",
-    "boundary_term_prediction", "build_truncated_cuntz", "certify_no_product_form",
+    "boundary_term_prediction", "certify_no_product_form",
     "coherent_entropy_check", "dgamma", "energy", "energy_limit", "entropy_bound",
     "eta_st", "exact_entropy", "exact_entropy_cone", "exact_entropy_wedge",
     "gamma", "gap_floor", "hermitian_eig", "kron", "matrix_function", "matrix_log",
@@ -84,5 +81,5 @@ __all__ = [
     "monotonicity_check", "nonsignalling_check", "norm_gap_experiment",
     "partial_trace", "polar_modular", "product_reconstruction", "rel_entropy_dm",
     "rel_tomita", "segal_field", "squeeze_sweep", "tau0", "theorem_entropy_bounds",
-    "unvec", "vec", "weyl",
+    "weyl",
 ]

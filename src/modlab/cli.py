@@ -49,35 +49,32 @@ def _positive(x):
     return x > 0
 
 
+def _point(text: str) -> tuple:
+    return tuple(float(p) for p in text.split(","))
+
+
+FIELD_KEYS = {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
+              "d": (int, lambda v: v in (1, 2, 3), 1),
+              "mass": (float, lambda v: v >= 0, 0.0),
+              "r": (float, _positive, 1.0),
+              "data": (str, lambda v: v in ("interior", "boundary"), "interior")}
+
 SCHEMAS = {
     ("findim", "suite"): {"trials": (int, lambda v: 1 <= v <= 10 ** 6, 1000)},
     ("fock", "suite"): {"modes": (int, lambda v: 1 <= v <= 4, 2),
                         "cutoff": (int, lambda v: 4 <= v <= 20, 12)},
-    ("scalar", "exact"): {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
-                          "d": (int, lambda v: v in (1, 2, 3), 1),
-                          "mass": (float, lambda v: v >= 0, 0.0),
-                          "r": (float, _positive, 1.0),
-                          "data": (str, lambda v: v in ("interior", "boundary"), "interior")},
-    ("scalar", "bound"): {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
-                          "d": (int, lambda v: v in (1, 2, 3), 1),
-                          "mass": (float, lambda v: v >= 0, 0.0),
-                          "r": (float, _positive, 1.0),
-                          "data": (str, lambda v: v in ("interior", "boundary"), "interior"),
+    ("scalar", "exact"): FIELD_KEYS,
+    ("scalar", "bound"): {**FIELD_KEYS,
                           "side": (str, lambda v: v in ("upper", "lower"), "upper"),
                           "s": (float, lambda v: v > 1, 1.5),
                           "t": (float, _positive, 200.0),
                           "epsilon": (float, _positive, 0.01)},
-    ("scalar", "sweep"): {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
-                          "d": (int, lambda v: v in (1, 2, 3), 1),
-                          "mass": (float, lambda v: v >= 0, 0.0),
-                          "r": (float, _positive, 1.0),
-                          "data": (str, lambda v: v in ("interior", "boundary"), "interior"),
+    ("scalar", "sweep"): {**FIELD_KEYS,
                           "schedule": (str, lambda v: True,
                                        "1e-2:1.8:40;3e-3:1.6:100;1e-3:1.5:200")},
-    ("scalar", "flow"): {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
-                         "r": (float, _positive, 1.0),
+    ("scalar", "flow"): {"geometry": FIELD_KEYS["geometry"], "r": FIELD_KEYS["r"],
                          "s": (float, lambda v: True, 1.0),
-                         "point": (str, lambda v: True, "0.0,0.5")},
+                         "point": (_point, lambda v: len(v) >= 2, (0.0, 0.5))},
     ("cutoff", "energy"): {"s": (float, lambda v: v > 1, 1.5),
                            "t": (float, _positive, 200.0)},
     ("cutoff", "limit"): {"s": (float, lambda v: v > 1, 3.0)},
@@ -126,6 +123,8 @@ def resolve_params(group: str, action: str, raw: dict) -> dict:
             parsed = typ(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"parameter {key}={value!r}: {exc}") from exc
+        if typ in (float, _point) and not np.all(np.isfinite(parsed)):
+            raise ConfigError(f"parameter {key}={value!r} is not finite")
         if not check(parsed):
             raise ConfigError(f"parameter {key}={parsed!r} out of range")
         params[key] = parsed
@@ -281,8 +280,6 @@ def cmd_suite(group: str, params: dict, out_dir: str | None) -> suites.SuiteResu
                   "lhs", "rhs", "margin", "pass"]
         _emit(out_dir, rows, summary, header)
         return merged
-    if group != "fock":
-        raise ConfigError(f"no suite for {group}")  # pragma: no cover
     result = suites.run_fock_suite(seed=seed, modes=params["modes"],
                                    cutoff_n=params["cutoff"], tolerance_scale=scale)
     _emit(out_dir, result.rows, result.summary)
@@ -292,7 +289,7 @@ def cmd_suite(group: str, params: dict, out_dir: str | None) -> suites.SuiteResu
 def cmd_scalar(action: str, params: dict, out_dir: str | None) -> dict:
     geometry = params["geometry"]
     if action == "flow":
-        point = np.array([float(p) for p in params["point"].split(",")])
+        point = np.array(params["point"])
         mapped, factor = modular_flow_point(preset_region(geometry, params["r"]),
                                             params["s"], point)
         summary = {"point": point.tolist(), "mapped": mapped.tolist(),
@@ -413,9 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           "signalling"])
     parser.add_argument("action")
     parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="artifact output directory")
-    parser.add_argument("--tolerance-scale", type=float, dest="tolerance_scale")
     return parser
 
 
@@ -428,52 +423,38 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         group, action = ns.group, ns.action
-        valid_actions = {g: [] for g, _ in SCHEMAS}
-        for g, a in SCHEMAS:
-            valid_actions.setdefault(g, []).append(a)
-        if action not in valid_actions.get(group, []):
+        if (group, action) not in SCHEMAS:
             raise ConfigError(
                 f"unknown action {action!r} for {group}; "
-                f"expected one of {sorted(valid_actions.get(group, []))}")
+                f"expected one of {sorted(a for g, a in SCHEMAS if g == group)}")
         raw: dict = {}
         if ns.config:
             raw.update(parse_config_file(ns.config))
-        # leftover tokens: --key value pairs and bare key=value overrides
+        # leftover tokens: --key value, --key=value and bare key=value overrides
         i = 0
         while i < len(leftover):
             token = leftover[i]
-            if token.startswith("--"):
+            if token.startswith("--") and "=" not in token:
                 if i + 1 >= len(leftover):
                     raise ConfigError(f"flag {token} is missing a value")
-                raw[token[2:].replace("-", "_")] = leftover[i + 1]
-                i += 2
-            elif "=" in token:
-                key, value = token.split("=", 1)
-                raw[key.strip()] = value.strip()
                 i += 1
-            else:
+                token = f"{token}={leftover[i]}"
+            if "=" not in token:
                 raise ConfigError(f"unparseable argument {token!r}")
-        if ns.seed is not None:
-            raw["seed"] = ns.seed
-        if ns.tolerance_scale is not None:
-            raw["tolerance_scale"] = ns.tolerance_scale
+            key, value = token.split("=", 1)
+            raw[key.strip().removeprefix("--").replace("-", "_")] = value.strip()
+            i += 1
         params = resolve_params(group, action, raw)
 
-        if group in ("findim", "fock") and action == "suite":
+        if action == "suite":
             result = cmd_suite(group, params, ns.out)
             print(f"{group} suite: {result.summary.get('checks', len(result.rows))} "
                   f"checks, passed={result.passed}")
             return EXIT_OK if result.passed else EXIT_TOLERANCE
-        if group == "scalar":
-            summary = cmd_scalar(action, params, ns.out)
-            return EXIT_OK if summary.get("passed", True) else EXIT_TOLERANCE
-        if group == "cutoff":
-            summary = cmd_cutoff(action, params, ns.out)
-            return EXIT_OK if summary.get("passed", True) else EXIT_TOLERANCE
-        if group == "signalling":
-            summary = cmd_signalling(action, params, ns.out)
-            return EXIT_OK if summary.get("passed", True) else EXIT_TOLERANCE
-        raise ConfigError(f"unknown command {group} {action}")  # pragma: no cover
+        command = {"scalar": cmd_scalar, "cutoff": cmd_cutoff,
+                   "signalling": cmd_signalling}[group]
+        summary = command(action, params, ns.out)
+        return EXIT_OK if summary.get("passed", True) else EXIT_TOLERANCE
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -483,7 +464,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
-    return EXIT_OK  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ product form is restored exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -79,10 +78,6 @@ class TruncatedCuntz:
                 "range_sum_residual": range_residual}
 
 
-def build_truncated_cuntz(n: int, d: int) -> TruncatedCuntz:
-    return TruncatedCuntz(n, d)
-
-
 # --------------------------------------------------------------------------
 # non-signalling scenarios on a two-factor space
 # --------------------------------------------------------------------------
@@ -121,9 +116,9 @@ def cuntz_sum_unitary(fam1: TruncatedCuntz, fam2: TruncatedCuntz) -> np.ndarray:
     return sum(kron(t, s.T) for t, s in zip(fam1.shifts, fam2.shifts))
 
 
-def make_scenario(n: int, d1: int, d2: int, n_generators: int = 3,
-                  seed: int = 0, w: np.ndarray | None = None) -> SignallingScenario:
-    """Random Hermitian generator families on both sides; Charlie's are
+def make_scenario(n: int, d1: int, d2: int, seed: int = 0,
+                  w: np.ndarray | None = None) -> SignallingScenario:
+    """Three random Hermitian generators on each side; Charlie's are
     compressed into the defect-free zone of his factor."""
     fam1 = TruncatedCuntz(n, d1)
     fam2 = TruncatedCuntz(n, d2)
@@ -131,7 +126,7 @@ def make_scenario(n: int, d1: int, d2: int, n_generators: int = 3,
     alice = []
     charlie = []
     p2 = fam2.defect_free_projector()
-    for _ in range(n_generators):
+    for _ in range(3):
         g = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
         alice.append((g + dagger(g)) / 2.0)
         g = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
@@ -170,15 +165,15 @@ def gap_floor(epsilon: float) -> float:
     return (1.0 - epsilon) * math.sqrt(2.0 - math.sqrt(2.0)) - 2.0 * math.sqrt(2.0 * epsilon)
 
 
-def _reference_state(fam: TruncatedCuntz, epsilon: float, i_max: int,
-                     q: float = 0.5) -> tuple[np.ndarray, float]:
+def _reference_state(fam: TruncatedCuntz, epsilon: float,
+                     i_max: int) -> tuple[np.ndarray, float]:
     """Entangled reference matrix Omega = sum_i c_i psi_i' psi_i^T and the
     dropped ideal tail mass.
 
     psi_1 = (S_0 e_0 + S_1 e_1)/sqrt 2; the remaining psi_i complete it to an
     orthonormal family; psi_i' are standard basis vectors inside the
     defect-free zone of the primed factor.  c_1 = 1 - eps and the remaining
-    mass follows a geometric profile c_i ~ q^i truncated at i_max.
+    mass follows a geometric profile c_i ~ q^i (q = 1/2) truncated at i_max.
     """
     d = fam.dim
     n = fam.branching
@@ -202,6 +197,7 @@ def _reference_state(fam: TruncatedCuntz, epsilon: float, i_max: int,
     if len(basis) < i_max:
         raise TruncationBudgetExceeded("factor too small for the requested tail")
     tail_target = 1.0 - (1.0 - epsilon) ** 2
+    q = 0.5
     geo = np.array([q ** i for i in range(2, i_max + 1)])
     infinite_mass = q ** 4 / (1.0 - q * q)  # sum_{i >= 2} q^{2i}
     kept_mass = float(np.sum(geo * geo))
@@ -254,8 +250,7 @@ def align_product(omega: np.ndarray, target: np.ndarray, rng: np.random.Generato
 
 
 def norm_gap_experiment(epsilon: float, samples: int, d_factor: int = 32,
-                        i_max: int = 12, seed: int = 0,
-                        adversarial: bool = True) -> dict:
+                        seed: int = 0, adversarial: bool = True) -> dict:
     """Sample product unitaries against the shift-sum unitary on the reference
     state and verify the gap never falls below the analytic floor.
 
@@ -265,7 +260,7 @@ def norm_gap_experiment(epsilon: float, samples: int, d_factor: int = 32,
     if not 0.0 < epsilon <= 0.05:
         raise ParameterViolation(f"epsilon must lie in (0, 0.05], got {epsilon}")
     fam = TruncatedCuntz(2, d_factor)
-    omega, slack = _reference_state(fam, epsilon, i_max)
+    omega, slack = _reference_state(fam, epsilon, i_max=12)
     target = _apply_w(omega, fam)
     floor = gap_floor(epsilon)
     rng = np.random.default_rng(seed)
@@ -279,10 +274,6 @@ def norm_gap_experiment(epsilon: float, samples: int, d_factor: int = 32,
     return {"epsilon": epsilon, "samples": samples, "floor": floor,
             "min_gap": float(min_gap), "slack": float(slack),
             "pass": bool(min_gap >= floor - slack)}
-
-
-def norm_gap_report_json(report: dict) -> str:
-    return json.dumps(report)
 
 
 # --------------------------------------------------------------------------

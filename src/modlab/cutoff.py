@@ -92,7 +92,7 @@ class AnalyticCutoff:
     then eta(-1) = 0 and eta(1) = 1 exactly by support arithmetic.
     """
 
-    def __init__(self, s: float, t: float, mollifier=None):
+    def __init__(self, s: float, t: float):
         if s <= 1.0:
             raise ParameterViolation(f"s must exceed 1, got {s}")
         if t < s / (s - 1.0):
@@ -101,7 +101,7 @@ class AnalyticCutoff:
         self.s = float(s)
         self.t = float(t)
         self.kernel = ChiKernel(s)
-        self.mollifier = standard_mollifier() if mollifier is None else mollifier
+        self.mollifier = standard_mollifier()
 
     @property
     def support_halfwidth(self) -> float:
@@ -222,9 +222,9 @@ CutoffProfile = Union[AnalyticCutoff, ReflectedCutoff, DiscreteCutoff]
 # the energy functional and its limits
 # --------------------------------------------------------------------------
 
-def eta_st(s: float, t: float, mollifier=None) -> AnalyticCutoff:
+def eta_st(s: float, t: float) -> AnalyticCutoff:
     """The analytic near-minimizing transition with sharpness s and mollifier scale 1/t."""
-    return AnalyticCutoff(s, t, mollifier)
+    return AnalyticCutoff(s, t)
 
 
 def energy(eta: CutoffProfile) -> float:
@@ -249,8 +249,7 @@ def reflected_energy(eta: CutoffProfile) -> float:
     """int (y + 1) eta'(-y)^2 dy, the energy entering lower-side boundary terms."""
     res = integrate_1d(lambda y: (y + 1.0) * eta.eta_prime(-y) ** 2,
                        -1.0, 1.0,
-                       splits=[-p for p in eta.feature_points()]
-                       if hasattr(eta, "feature_points") else [],
+                       splits=[-p for p in eta.feature_points()],
                        order=12, rel_tol=1e-9, max_panels=20000)
     return res.value
 

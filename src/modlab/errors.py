@@ -87,11 +87,3 @@ class DimensionTooSmall(ModlabError):
 
 class ConfigError(ModlabError):
     """Invalid run configuration."""
-
-
-class ComputationError(ModlabError):
-    """A computation failed unexpectedly."""
-
-
-class ToleranceFailure(ModlabError):
-    """A requested check finished but violated its tolerance."""

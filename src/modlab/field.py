@@ -182,13 +182,13 @@ DEFAULT_QUAD = FieldQuad()
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _composite01(order: int, sub: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss rule on [0, 1]: `sub` panels of the given order."""
+def _composite01(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss rule on [0, 1]: 4 panels of the given order."""
     nodes, weights = gauss_rule(order)
     xs, ws = [], []
-    for k in range(sub):
-        xs.append((k + 0.5 * (nodes + 1.0)) / sub)
-        ws.append(0.5 * weights / sub)
+    for k in range(4):
+        xs.append((k + 0.5 * (nodes + 1.0)) / 4)
+        ws.append(0.5 * weights / 4)
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -405,7 +405,7 @@ def exact_entropy(g: InitialData, region: Region,
 # squeezed bounds
 # --------------------------------------------------------------------------
 
-def _cutoff_on_axis(cutoff, side: str, epsilon: float):
+def _cutoff_on_axis(cutoff, side: str):
     """eta and eta' as functions of the transition variable u in [-1, 1] with
     the side-dependent shift; the lower side uses the reflected profile."""
     if side == "upper":
@@ -416,8 +416,7 @@ def _cutoff_on_axis(cutoff, side: str, epsilon: float):
         shift = -1.0
     else:
         raise GeometryViolation(f"side must be 'upper' or 'lower', got {side!r}")
-    features = prof.feature_points() if hasattr(prof, "feature_points") else []
-    return prof, shift, features
+    return prof, shift, prof.feature_points()
 
 
 def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
@@ -433,7 +432,7 @@ def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
         raise GeometryViolation("epsilon must be positive")
     if g.is_zero():
         return QuadResult(0.0, 0.0)
-    prof, shift, features = _cutoff_on_axis(cutoff, side, epsilon)
+    prof, shift, features = _cutoff_on_axis(cutoff, side)
     sign = +1.0 if side == "upper" else -1.0
 
     if isinstance(region, Wedge):
@@ -572,8 +571,8 @@ class BoundSweepRecord:
     def gap(self) -> float:
         return self.h_plus - self.h_minus
 
-    def relative_gap(self, floor: float = 1e-12) -> float:
-        return self.gap / max(self.h_exact, floor)
+    def relative_gap(self) -> float:
+        return self.gap / max(self.h_exact, 1e-12)
 
     def ordering_ok(self) -> bool:
         slack = self.quad_error_estimate

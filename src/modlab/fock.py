@@ -19,6 +19,8 @@ from .linalg import dagger, expi_hermitian, hermitian_eig
 from .modular import AntilinearMap
 
 CHI_MAX_DEFAULT = 0.5
+OCCUPIED_REL = 1e-13  # coefficients below this share of the norm count as empty
+DERIVATIVE_STEP = 1e-4
 
 
 def _basis(modes: int, cutoff: int) -> list[tuple[int, ...]]:
@@ -86,9 +88,9 @@ class TruncatedFock:
         """Indices of the basis states with exactly `total` particles."""
         return np.array([k for k, occ in enumerate(self.basis) if sum(occ) == total])
 
-    def particle_degree(self, psi: np.ndarray, tol: float = 1e-13) -> int:
+    def particle_degree(self, psi: np.ndarray) -> int:
         totals = np.array([sum(occ) for occ in self.basis])
-        occupied = np.abs(psi) > tol * max(np.linalg.norm(psi), 1e-300)
+        occupied = np.abs(psi) > OCCUPIED_REL * max(np.linalg.norm(psi), 1e-300)
         return int(totals[occupied].max()) if occupied.any() else 0
 
     def _guard(self, chi: np.ndarray) -> np.ndarray:
@@ -109,11 +111,11 @@ class FockVector:
     particle_degree: int
 
     @classmethod
-    def from_array(cls, tf: TruncatedFock, psi, tol: float = 1e-13) -> "FockVector":
+    def from_array(cls, tf: TruncatedFock, psi) -> "FockVector":
         psi = np.asarray(psi, dtype=complex)
         if psi.size != tf.dim:
             raise DimensionMismatch("coefficient vector does not match the space")
-        return cls(psi, tf.particle_degree(psi, tol))
+        return cls(psi, tf.particle_degree(psi))
 
     @property
     def norm(self) -> float:
@@ -275,16 +277,15 @@ def number_estimate_check(tf: TruncatedFock, chi, psi: FockVector,
             "pass": bool(lhs <= bound + 1e-12)}
 
 
-def weyl_derivative_check(tf: TruncatedFock, path, dpath0, psi: FockVector,
-                          step: float = 1e-4) -> float:
+def weyl_derivative_check(tf: TruncatedFock, path, dpath0, psi: FockVector) -> float:
     """Central-difference residual of d/dt W(h(t)) psi at t=0 against i phi(h'(0)) psi.
 
     `path` maps t to a mode-amplitude vector with path(0) = 0; `dpath0` is the
     analytic derivative at t = 0.
     """
-    plus = weyl(tf, path(step)) @ psi.coefficients
-    minus = weyl(tf, path(-step)) @ psi.coefficients
-    numeric = (plus - minus) / (2.0 * step)
+    plus = weyl(tf, path(DERIVATIVE_STEP)) @ psi.coefficients
+    minus = weyl(tf, path(-DERIVATIVE_STEP)) @ psi.coefficients
+    numeric = (plus - minus) / (2.0 * DERIVATIVE_STEP)
     analytic = 1j * (segal_field(tf, dpath0) @ psi.coefficients)
     return float(np.linalg.norm(numeric - analytic))
 
@@ -336,8 +337,7 @@ def coherent_entropy_check(tf: TruncatedFock, ssd: StandardSubspaceData,
             "operator_residual": operator_residual}
 
 
-def truncation_tolerance(sectors_remaining: int, chi_norm: float,
-                         prefactor: float = 8.0) -> float:
-    """Documented defect bound c |chi|^k / sqrt(k!) for k unused top sectors."""
+def truncation_tolerance(sectors_remaining: int, chi_norm: float) -> float:
+    """Documented defect bound 8 |chi|^k / sqrt(k!) for k unused top sectors."""
     k = max(sectors_remaining, 0)
-    return prefactor * chi_norm ** k / math.sqrt(math.factorial(k))
+    return 8.0 * chi_norm ** k / math.sqrt(math.factorial(k))

@@ -1,8 +1,8 @@
 """Dense complex linear algebra substrate.
 
-Hermitian eigendecomposition, spectral matrix functions, Kronecker products,
-partial traces and the column-stacking vectorization that identifies operators
-on H with vectors in the Hilbert-Schmidt space H (x) H*.
+Hermitian eigendecomposition, spectral matrix functions, Kronecker products
+and partial traces.  Operators on H become Hilbert-Schmidt vectors through the
+row-major `modular.hs_vec`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DimensionMismatch, DomainViolation, NonConvergence, NonHermitian
 
 TOL_HERM = 1e-10
-TOL_EIG = 1e-10
 SUPPORT_CUT_REL = 1e-12
 
 
@@ -53,19 +52,19 @@ class HermitianEig:
         return (v * f(self.eigenvalues)) @ dagger(v)
 
 
-def hermitian_eig(a, tol_herm: float = TOL_HERM) -> HermitianEig:
+def hermitian_eig(a) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NonHermitian when ||A - A^dag||_F > tol_herm * ||A||_F and
+    Raises NonHermitian when ||A - A^dag||_F > TOL_HERM * ||A||_F and
     NonConvergence when the LAPACK iteration fails.
     """
     a = _as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix is not square: {a.shape}")
     scale = max(frob(a), 1.0)
-    if frob(a - dagger(a)) > tol_herm * scale:
+    if frob(a - dagger(a)) > TOL_HERM * scale:
         raise NonHermitian(
-            f"symmetry residual {frob(a - dagger(a)) / scale:.3e} exceeds {tol_herm:.1e}"
+            f"symmetry residual {frob(a - dagger(a)) / scale:.3e} exceeds {TOL_HERM:.1e}"
         )
     try:
         w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
@@ -75,16 +74,15 @@ def hermitian_eig(a, tol_herm: float = TOL_HERM) -> HermitianEig:
 
 
 def matrix_function(a, f: Callable[[np.ndarray], np.ndarray],
-                    positive_domain: bool = False,
-                    support_cut_rel: float = SUPPORT_CUT_REL) -> np.ndarray:
+                    positive_domain: bool = False) -> np.ndarray:
     """Spectral calculus f(A) = V f(Lambda) V^dag for Hermitian A.
 
     With positive_domain=True (log, inverse, negative powers) eigenvalues must
-    exceed support_cut_rel times the largest eigenvalue, else DomainViolation.
+    exceed SUPPORT_CUT_REL times the largest eigenvalue, else DomainViolation.
     """
     eig = hermitian_eig(a)
     if positive_domain:
-        cut = support_cut_rel * max(float(eig.eigenvalues.max()), 0.0)
+        cut = SUPPORT_CUT_REL * max(float(eig.eigenvalues.max()), 0.0)
         if float(eig.eigenvalues.min()) <= cut:
             raise DomainViolation(
                 f"eigenvalue {eig.eigenvalues.min():.3e} at or below support cut {cut:.3e}"
@@ -139,14 +137,3 @@ def partial_trace(x, which: str, dims: tuple[int, int]) -> np.ndarray:
         return np.einsum("ijil->jl", t)
     raise DimensionMismatch(f"which must be 'A' or 'B', got {which!r}")
 
-
-def vec(x) -> np.ndarray:
-    """Column-stacking vectorization; satisfies vec(AXB) = (B^T (x) A) vec(X)."""
-    return _as_complex_matrix(x).flatten(order="F")
-
-def unvec(v, dims: tuple[int, int]) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    rows, cols = dims
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"vector of size {v.size} cannot fill shape {dims}")
-    return v.reshape((rows, cols), order="F")

@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NonUnitary, RankDeficient, SingularS
-from .linalg import dagger, frob, hermitian_eig, kron, matrix_sqrt, partial_trace
+from .errors import DimensionMismatch, NonHermitian, NonUnitary, RankDeficient, SingularS
+from .linalg import TOL_HERM, dagger, frob, hermitian_eig, kron, matrix_sqrt, partial_trace
 
 FULL_RANK_TOL = 1e-10
 UNITARY_TOL = 1e-10
 SUPPORT_TOL = 1e-11
+WELL_CONDITIONED_EIG = 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -44,8 +45,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        if frob(m - dagger(m)) > 1e-10 * max(frob(m), 1.0):
-            raise RankDeficient("density matrix is not Hermitian within tolerance")
+        if frob(m - dagger(m)) > TOL_HERM * max(frob(m), 1.0):
+            raise NonHermitian("density matrix is not Hermitian within tolerance")
         w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
         if w.min() < -1e-12:
             raise RankDeficient(f"negative eigenvalue {w.min():.3e}")
@@ -142,20 +143,6 @@ def hs_vec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).ravel()
 
 
-def hs_mat(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(dim, dim)
-
-
-def left_mult_op(a: np.ndarray) -> np.ndarray:
-    """Matrix of X -> a X on row-major HS vectors."""
-    return kron(a, np.eye(a.shape[0]))
-
-
-def right_mult_op(b: np.ndarray) -> np.ndarray:
-    """Matrix of X -> X b on row-major HS vectors."""
-    return kron(np.eye(b.shape[0]), b.T)
-
-
 def sandwich_op(u: np.ndarray) -> np.ndarray:
     """Matrix of the induced HS unitary X -> u X u^dag."""
     return kron(u, u.conj())
@@ -170,11 +157,11 @@ def transpose_perm(dim: int) -> np.ndarray:
     return t
 
 
-def _check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     defect = np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0]), 2)
-    if defect > tol:
-        raise NonUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > UNITARY_TOL:
+        raise NonUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL:.1e}")
     return u
 
 
@@ -357,15 +344,14 @@ def monotonicity_check(rho_ab: DensityMatrix, rho_t_ab: DensityMatrix,
 # random ensembles
 # --------------------------------------------------------------------------
 
-def random_density(dim: int, rng: np.random.Generator,
-                   min_eig: float = 1e-8) -> DensityMatrix:
+def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """rho = G G^dag / tr(G G^dag) with complex Gaussian G; redraws the rare
     near-singular samples so Tomita constructions stay well conditioned."""
     for _ in range(64):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         m = g @ dagger(g)
         m = m / np.trace(m).real
-        if np.linalg.eigvalsh(m).min() > min_eig:
+        if np.linalg.eigvalsh(m).min() > WELL_CONDITIONED_EIG:
             return DensityMatrix(m)
     raise RankDeficient("could not draw a well-conditioned state")  # pragma: no cover
 

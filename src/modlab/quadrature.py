@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import QuadratureBudgetExceeded
 
+ABS_TOL = 1e-13
+
 
 class QuadResult(NamedTuple):
     value: float
@@ -37,8 +39,7 @@ def panel_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                  splits: tuple | list = (), order: int = 12,
-                 rel_tol: float = 1e-10, abs_tol: float = 1e-13,
-                 max_panels: int = 4000) -> QuadResult:
+                 rel_tol: float = 1e-10, max_panels: int = 4000) -> QuadResult:
     """Adaptive integral of a vectorized integrand over [a, b].
 
     `splits` lists interior breakpoints (points outside (a, b) are dropped).
@@ -61,7 +62,7 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         err = abs(fine - coarse)
         evaluated += 1
         scale = max(abs(fine), sum(abs(v) for _, v, _ in done))
-        if err <= max(abs_tol, rel_tol * max(scale, 1e-300)) or (hi - lo) < 1e-14 * (b - a):
+        if err <= max(ABS_TOL, rel_tol * max(scale, 1e-300)) or (hi - lo) < 1e-14 * (b - a):
             done.append((lo, fine, err))
         else:
             mid = 0.5 * (lo + hi)
@@ -72,32 +73,3 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     error = float(np.sum(np.array([e for _, _, e in done])))
     return QuadResult(value, error)
 
-
-def graded_splits(center: float, width: float, levels: int = 6) -> list[float]:
-    """Breakpoints geometrically accumulating toward a sharp feature at `center`."""
-    pts = [center]
-    for k in range(levels):
-        h = width * (2.0 ** k)
-        pts.extend((center - h, center + h))
-    return pts
-
-
-def tensor_gauss(f: Callable[..., np.ndarray], box: list[tuple[float, float]],
-                 order: int = 24) -> float:
-    """Fixed-order tensor Gauss-Legendre integral over an axis-aligned box.
-
-    `f` receives one (npts, d) array of points and returns values at them.
-    """
-    nodes, weights = gauss_rule(order)
-    axes, wts = [], []
-    for lo, hi in box:
-        half = 0.5 * (hi - lo)
-        axes.append(lo + half * (nodes + 1.0))
-        wts.append(half * weights)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*wts, indexing="ij")
-    w = np.ones_like(wgrids[0])
-    for wg in wgrids:
-        w = w * wg
-    return float(np.dot(w.ravel(), f(pts)))

@@ -8,7 +8,6 @@ acceptance tests assert on the aggregates.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,11 @@ CANCELLATION_TOL = 1e-8
 POLAR_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-9
 THEOREM_MARGIN_TOL = 1e-8
+WEYL_TOL = 1e-6
+GAMMA_CONJUGATION_TOL = 1e-6
+GENERATOR_SHIFT_TOL = 1e-5
+DERIVATIVE_TOL = 1e-6
+COHERENT_ENTROPY_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -33,11 +37,10 @@ class SuiteResult:
         return bool(self.summary.get("passed", False))
 
 
-def _finish(rows: list, extra: dict, started: float) -> SuiteResult:
+def _finish(rows: list, extra: dict) -> SuiteResult:
     summary = {
         "checks": len(rows),
         "failures": sum(1 for r in rows if not r["pass"]),
-        "elapsed_seconds": time.time() - started,
     }
     summary["passed"] = summary["failures"] == 0
     summary.update(extra)
@@ -53,7 +56,6 @@ def run_findim_suite(seed: int = 0, trials: int = 1000,
     """Klein positivity, joint unitary invariance, commutant cancellation,
     polar reconstruction and the closed-form modular operator, on random
     state pairs of dimension 2 to 4."""
-    started = time.time()
     rows = []
     worst: dict[str, float] = {}
 
@@ -95,7 +97,7 @@ def run_findim_suite(seed: int = 0, trials: int = 1000,
                CLOSED_FORM_TOL)
 
     return _finish(rows, {"suite": "findim", "trials": trials,
-                          "worst_residuals": worst}, started)
+                          "worst_residuals": worst})
 
 
 def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
@@ -103,7 +105,6 @@ def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
                       tolerance_scale: float = 1.0) -> SuiteResult:
     """Nested-algebra entropy inequalities on 2x2 bipartite states and
     monotonicity of the relative entropy under the partial trace."""
-    started = time.time()
     rows = []
     tol = THEOREM_MARGIN_TOL * tolerance_scale
     min_margin = math.inf
@@ -128,7 +129,7 @@ def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
         min_margin = min(min_margin, rep.margin)
     return _finish(rows, {"suite": "theorem", "theorem_trials": theorem_trials,
                           "monotonicity_trials": monotonicity_trials,
-                          "min_margin": min_margin}, started)
+                          "min_margin": min_margin})
 
 
 # --------------------------------------------------------------------------
@@ -139,7 +140,6 @@ def run_fock_suite(seed: int = 0, modes: int = 2, cutoff_n: int = 12,
                    tolerance_scale: float = 1.0) -> SuiteResult:
     """Displacement-relation, conjugation, generator-shift, derivative,
     particle-bound and coherent-entropy checks at |chi| <= 0.5."""
-    started = time.time()
     rows = []
     tf = fock.TruncatedFock(modes, cutoff_n)
     rng = np.random.default_rng(seed)
@@ -158,19 +158,19 @@ def run_fock_suite(seed: int = 0, modes: int = 2, cutoff_n: int = 12,
               np.array([0.5j] + [0.0] * (modes - 1), dtype=complex))]
     pairs += [(rand_amp(0.5), rand_amp(0.5)) for _ in range(6)]
     for k, (chi, xi) in enumerate(pairs):
-        record("weyl_relation", fock.weyl_relation_residual(tf, chi, xi), 1e-6,
+        record("weyl_relation", fock.weyl_relation_residual(tf, chi, xi), WEYL_TOL,
                f"pair_{k}")
 
     for k in range(4):
         u = modular.random_unitary(modes, rng)
         record("gamma_conjugation", fock.gamma_adjoint_check(tf, u, rand_amp(0.5)),
-               1e-6, f"unitary_{k}")
+               GAMMA_CONJUGATION_TOL, f"unitary_{k}")
 
     for k in range(4):
         g = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
         k_one = (g + g.conj().T) / 2.0
         record("generator_shift", fock.wdgamma_identity_check(tf, k_one, rand_amp(0.4)),
-               1e-5, f"generator_{k}")
+               GENERATOR_SHIFT_TOL, f"generator_{k}")
 
     psi_list = [fock.FockVector.from_array(tf, tf.vacuum)]
     for _ in range(3):
@@ -182,7 +182,7 @@ def run_fock_suite(seed: int = 0, modes: int = 2, cutoff_n: int = 12,
     for k, psi in enumerate(psi_list):
         chi = rand_amp(0.4)
         res = fock.weyl_derivative_check(tf, lambda t: t * chi, chi, psi)
-        record("derivative_lemma", res / (1.0 + psi.norm), 1e-6, f"state_{k}")
+        record("derivative_lemma", res / (1.0 + psi.norm), DERIVATIVE_TOL, f"state_{k}")
 
     bound_failures = 0
     for k in range(100):
@@ -196,14 +196,13 @@ def run_fock_suite(seed: int = 0, modes: int = 2, cutoff_n: int = 12,
     ssd = fock.StandardSubspaceData.two_mode(2.0)
     rep = fock.coherent_entropy_check(tf, ssd, np.array([0.0, 0.2]),
                                       np.array([0.3, 0.1j]))
-    record("coherent_entropy_pinned", rep["relative_deviation"], 1e-4,
+    record("coherent_entropy_pinned", rep["relative_deviation"], COHERENT_ENTROPY_TOL,
            f"analytic_{rep['analytic']:.6f}")
     for k in range(3):
         lam = rng.uniform(1.2, 3.0)
         rep = fock.coherent_entropy_check(tf, fock.StandardSubspaceData.two_mode(lam),
                                           rand_amp(0.2), rand_amp(0.3))
-        record("coherent_entropy_random", rep["relative_deviation"], 1e-4,
+        record("coherent_entropy_random", rep["relative_deviation"], COHERENT_ENTROPY_TOL,
                f"lambda_{lam:.3f}")
 
-    return _finish(rows, {"suite": "fock", "modes": modes, "cutoff": cutoff_n},
-                   started)
+    return _finish(rows, {"suite": "fock", "modes": modes, "cutoff": cutoff_n})

@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from modlab.cli import main, parse_config_file, parse_schedule, resolve_params
+from modlab.cli import (
+    COMMON_KEYS,
+    SCHEMAS,
+    main,
+    parse_config_file,
+    parse_schedule,
+    resolve_params,
+)
 from modlab.errors import ConfigError
 
 SCHEDULE = "1e-2:1.8:40;3e-3:1.6:100;1e-3:1.5:200"
@@ -29,7 +36,13 @@ class TestConfigHandling:
         assert run(["cutoff", "explode"]) == 2
 
     def test_out_of_range_rejected(self, capsys):
-        assert run(["cutoff", "limit", "--s", "0.5"]) == 2
+        for argv in (["cutoff", "limit", "--s", "0.5"],
+                     ["cutoff", "limit", "--s", "inf"],
+                     ["scalar", "flow", "s=nan"],
+                     ["scalar", "flow", "point=nan,0.5"],
+                     ["scalar", "flow", "point=a,0.5"]):
+            assert run(argv) == 2, argv
+            assert capsys.readouterr().out == ""
 
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -40,6 +53,8 @@ class TestConfigHandling:
         assert run(["cutoff", "limit", "--config", str(cfg), "s=3"]) == 0
         second = capsys.readouterr().out.strip()
         assert second.startswith("1.442695")
+        assert run(["cutoff", "limit", "--config", str(cfg), "--s=3", "--seed=5"]) == 0
+        assert capsys.readouterr().out.strip() == second
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -55,6 +70,14 @@ class TestConfigHandling:
     def test_resolve_defaults(self):
         params = resolve_params("cutoff", "limit", {})
         assert params["s"] == 3.0 and params["seed"] == 0
+
+    def test_every_schema_default_passes_its_check(self):
+        for group, action in SCHEMAS:
+            params = resolve_params(group, action, {})
+            schema = {**SCHEMAS[(group, action)], **COMMON_KEYS}
+            assert params.keys() == schema.keys()
+            for key, (_, check, default) in schema.items():
+                assert params[key] == default and check(default), (group, action, key)
 
     def test_parse_config_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -83,12 +106,16 @@ class TestSweepArtifacts:
         assert content == "epsilon,s,t,H_minus,H_exact,H_plus,gap,quad_err\n"
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        for out in (out_a, out_b):
-            assert run(["scalar", "sweep", "--out", str(out), "--seed", "3",
-                        f"schedule={SCHEDULE}"]) == 0
-        for name in ("results.csv", "summary.json", "plot.txt"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        for k, argv in enumerate((["scalar", "sweep", "--seed", "3", f"schedule={SCHEDULE}"],
+                                  ["findim", "suite", "trials=5"],
+                                  ["fock", "suite"])):
+            out_a, out_b = tmp_path / f"{k}a", tmp_path / f"{k}b"
+            for out in (out_a, out_b):
+                assert run(argv + ["--out", str(out)]) == 0
+            for name in ("results.csv", "summary.json", "plot.txt"):
+                if (out_a / name).exists() or (out_b / name).exists():
+                    assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), \
+                        (argv, name)
 
     def test_manifest_digests(self, tmp_path):
         out = tmp_path / "m"

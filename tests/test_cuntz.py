@@ -8,7 +8,6 @@ import pytest
 from modlab.cuntz import (
     TruncatedCuntz,
     align_product,
-    build_truncated_cuntz,
     certify_no_product_form,
     cuntz_sum_unitary,
     gap_floor,
@@ -24,20 +23,20 @@ from modlab.modular import random_unitary
 
 class TestTruncatedCuntz:
     def test_disjoint_ranges_exact(self):
-        tc = build_truncated_cuntz(2, 8)
+        tc = TruncatedCuntz(2, 8)
         assert np.linalg.norm(tc.shifts[0].T @ tc.shifts[1]) == 0.0
 
     def test_defect_free_dimension(self):
-        assert build_truncated_cuntz(2, 64).defect_free_dim == 31
+        assert TruncatedCuntz(2, 64).defect_free_dim == 31
 
     def test_relations_on_compression(self):
-        rep = build_truncated_cuntz(3, 81).relation_report()
+        rep = TruncatedCuntz(3, 81).relation_report()
         assert rep["defect_free_residual"] == 0.0
         assert rep["range_sum_residual"] == 0.0
         assert rep["top_sector_defect"] > 0.0  # reported, never asserted small
 
     def test_range_sum_on_reachable_index(self):
-        tc = build_truncated_cuntz(2, 8)
+        tc = TruncatedCuntz(2, 8)
         range_sum = sum(s @ s.T for s in tc.shifts)
         e5 = np.zeros(8)
         e5[5] = 1.0  # 5 = 2*2 + 1
@@ -45,7 +44,7 @@ class TestTruncatedCuntz:
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooSmall):
-            build_truncated_cuntz(3, 8)
+            TruncatedCuntz(3, 8)
 
 
 class TestNonSignalling:
@@ -95,7 +94,7 @@ class TestNormGap:
     def test_tail_must_fit_defect_free_zone(self):
         from modlab.errors import TruncationBudgetExceeded
         with pytest.raises(TruncationBudgetExceeded):
-            norm_gap_experiment(0.01, samples=1, d_factor=8, i_max=12)
+            norm_gap_experiment(0.01, samples=1, d_factor=8)
 
     def test_sampled_gaps_respect_floor(self):
         for eps in (0.001, 0.005, 0.01):

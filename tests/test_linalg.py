@@ -13,8 +13,6 @@ from modlab.linalg import (
     matrix_log,
     matrix_sqrt,
     partial_trace,
-    unvec,
-    vec,
 )
 
 
@@ -148,23 +146,3 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(5), "A", (2, 3))
 
-
-class TestVec:
-    def test_identity(self):
-        assert np.allclose(vec(np.eye(2)), [1.0, 0.0, 0.0, 1.0])
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(2)
-        x = random_matrix(3, rng)
-        assert np.array_equal(unvec(vec(x), (3, 3)), x)
-
-    def test_vec_axb_identity(self):
-        rng = np.random.default_rng(4)
-        a, x, b = (random_matrix(3, rng) for _ in range(3))
-        lhs = vec(a @ x @ b)
-        rhs = kron(b.T, a) @ vec(x)
-        assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
-
-    def test_size_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            unvec(np.zeros(5), (2, 3))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modlab import modular
-from modlab.errors import DimensionMismatch, NonUnitary, RankDeficient
+from modlab.errors import DimensionMismatch, NonHermitian, NonUnitary, RankDeficient
 from modlab.linalg import dagger, kron, matrix_inv_positive
 from modlab.modular import (
     AntilinearMap,
@@ -273,6 +273,8 @@ class TestDomainTypes:
             DensityMatrix(np.diag([1.2, -0.2]))  # negative eigenvalue
         with pytest.raises(DimensionMismatch):
             DensityMatrix(np.zeros((2, 3)))
+        with pytest.raises(NonHermitian):
+            DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]))
 
     def test_full_rank_flag(self):
         assert diag_state(0.5, 0.5).full_rank
@@ -292,6 +294,15 @@ class TestDomainTypes:
 
 
 class TestAntilinearPlumbing:
+    def test_hs_vec_axb_identity(self):
+        # row-major flattening: X -> A X B has matrix kron(A, B^T)
+        rng = np.random.default_rng(4)
+        a, x, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                   for _ in range(3))
+        lhs = hs_vec(a @ x @ b)
+        rhs = kron(a, b.T) @ hs_vec(x)
+        assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
     def test_antilinearity(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
         s = AntilinearMap(m)
