@@ -22,13 +22,14 @@ import numpy as np
 
 from . import suites
 from .cutoff import energy, energy_limit, eta_st, minimize_discrete
-from .errors import ConfigError, ModlabError
+from .errors import ConfigError, ModlabError, ScheduleViolation
 from .field import (
     Ball,
     BumpFunction,
     InitialData,
     Wedge,
     boundary_term_prediction,
+    check_schedule,
     entropy_bound,
     exact_entropy,
     modular_flow_point,
@@ -170,6 +171,10 @@ def parse_schedule(text: str) -> list[tuple[float, float, float]]:
             entries.append(tuple(float(p) for p in parts))
         except ValueError as exc:
             raise ConfigError(f"schedule entry {chunk!r}: {exc}") from exc
+    try:
+        check_schedule(entries)
+    except ScheduleViolation as exc:
+        raise ConfigError(f"schedule {text!r}: {exc}") from exc
     return entries
 
 

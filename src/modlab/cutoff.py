@@ -64,21 +64,23 @@ class ChiKernel:
     def c_s(self) -> float:
         return math.log((self.s + 1.0) / (self.s - 1.0))
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def value_and_antiderivative(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel and its antiderivative at x, from one clip mask."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = np.abs(x) < 1.0 / self.s
-        out[inside] = 1.0 / (self.c_s * (x[inside] + 1.0))
-        return out
+        edge = 1.0 / self.s
+        c_s = self.c_s
+        inside = np.abs(x) < edge
+        x1 = np.where(inside, x + 1.0, 1.0)
+        value = np.where(inside, 1.0 / (c_s * x1), 0.0)
+        anti = np.where(inside, (np.log(x1) - math.log(1.0 - edge)) / c_s,
+                        np.where(x >= edge, 1.0, 0.0))
+        return value, anti
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_antiderivative(x)[0]
 
     def antiderivative(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lo = 1.0 - 1.0 / self.s
-        out = np.zeros_like(x)
-        out[x >= 1.0 / self.s] = 1.0
-        mid = np.abs(x) < 1.0 / self.s
-        out[mid] = (np.log(x[mid] + 1.0) - math.log(lo)) / self.c_s
-        return out
+        return self.value_and_antiderivative(x)[1]
 
 
 # --------------------------------------------------------------------------
@@ -112,49 +114,48 @@ class AnalyticCutoff:
         s, t = self.s, self.t
         return sorted({-1 / s - 1 / t, -1 / s + 1 / t, 1 / s - 1 / t, 1 / s + 1 / t})
 
-    def _convolve(self, x: np.ndarray, kernel_fn) -> np.ndarray:
-        """int kernel(x - y/t) f(y) dy, vectorized over x.
+    def _convolve(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """int K(x - y/t) f(y) dy for K = antiderivative of chi (eta) and
+        K = chi (eta'), vectorized over x, from one set of nodes.
 
         The y-integrand is smooth away from the images of the kernel clip
-        edges, so a fixed high-order rule on the three kink-free subintervals
-        is spectrally accurate.
+        edges, so a fixed high-order rule on the three kink-free pieces is
+        spectrally accurate.  Each piece gets 4 composite panels because the
+        mollifier is only C^inf-flat at its support edge, so one Gauss panel
+        is not enough; all 3 x 4 panels are evaluated as one (n, 192) array.
         """
         t = self.t
         nodes, weights = gauss_rule(16)
-        c1 = np.clip(t * (x - 1.0 / self.s), -1.0, 1.0)
-        c2 = np.clip(t * (x + 1.0 / self.s), -1.0, 1.0)
-        edges = np.stack([np.full_like(x, -1.0), c1, c2, np.full_like(x, 1.0)], axis=-1)
-        f = self.mollifier
-        out = np.zeros_like(x)
-        sub = 4  # composite panels per kink-free piece; the mollifier is only
-        # C^inf-flat at its support edge, so one Gauss panel is not enough
-        for j in range(3):
-            lo, hi = edges[..., j], edges[..., j + 1]
-            for k in range(sub):
-                a = lo + (hi - lo) * (k / sub)
-                b = lo + (hi - lo) * ((k + 1) / sub)
-                half = 0.5 * (b - a)
-                y = a[..., None] + half[..., None] * (nodes + 1.0)
-                out += half * ((kernel_fn(x[..., None] - y / t) * f(y)) @ weights)
-        return out
+        sub = np.arange(5) / 4.0
+        edges = np.stack([np.full_like(x, -1.0),
+                          np.clip(t * (x - 1.0 / self.s), -1.0, 1.0),
+                          np.clip(t * (x + 1.0 / self.s), -1.0, 1.0),
+                          np.full_like(x, 1.0)], axis=-1)
+        lo, width = edges[:, :-1, None], np.diff(edges, axis=-1)[..., None]
+        a = lo + width * sub[:-1]
+        b = lo + width * sub[1:]
+        half = 0.5 * (b - a)
+        y = (a[..., None] + half[..., None] * (nodes + 1.0)).reshape(x.size, -1)
+        fw = self.mollifier(y) * (half[..., None] * weights).reshape(x.size, -1)
+        chi, anti = self.kernel.value_and_antiderivative(x[:, None] - y / t)
+        return np.einsum("ij,ij->i", anti, fw), np.einsum("ij,ij->i", chi, fw)
 
-    def eta(self, x) -> np.ndarray:
+    def eta_and_prime(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """eta(x) and eta'(x) from one convolution pass."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         hw = self.support_halfwidth
-        out = np.zeros_like(x)
-        out[x >= hw] = 1.0
+        eta = np.where(x >= hw, 1.0, 0.0)
+        prime = np.zeros_like(x)
         mid = np.abs(x) < hw
         if np.any(mid):
-            out[mid] = self._convolve(x[mid], self.kernel.antiderivative)
-        return out
+            eta[mid], prime[mid] = self._convolve(x[mid])
+        return eta, prime
+
+    def eta(self, x) -> np.ndarray:
+        return self.eta_and_prime(x)[0]
 
     def eta_prime(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        mid = np.abs(x) < self.support_halfwidth
-        if np.any(mid):
-            out[mid] = self._convolve(x[mid], self.kernel)
-        return out
+        return self.eta_and_prime(x)[1]
 
     def reflected(self) -> "ReflectedCutoff":
         return ReflectedCutoff(self)
@@ -171,11 +172,15 @@ class ReflectedCutoff:
     def feature_points(self) -> list[float]:
         return sorted(-p for p in self.base.feature_points())
 
+    def eta_and_prime(self, x) -> tuple[np.ndarray, np.ndarray]:
+        eta, prime = self.base.eta_and_prime(-np.atleast_1d(np.asarray(x, dtype=float)))
+        return 1.0 - eta, prime
+
     def eta(self, x) -> np.ndarray:
-        return 1.0 - self.base.eta(-np.atleast_1d(np.asarray(x, dtype=float)))
+        return self.eta_and_prime(x)[0]
 
     def eta_prime(self, x) -> np.ndarray:
-        return self.base.eta_prime(-np.atleast_1d(np.asarray(x, dtype=float)))
+        return self.eta_and_prime(x)[1]
 
     def reflected(self):
         return self.base
@@ -199,14 +204,19 @@ class DiscreteCutoff:
     def grid(self) -> np.ndarray:
         return np.linspace(-1.0, 1.0, self.values.size)
 
-    def eta(self, x) -> np.ndarray:
-        return np.interp(np.atleast_1d(np.asarray(x, dtype=float)), self.grid, self.values)
-
-    def eta_prime(self, x) -> np.ndarray:
+    def eta_and_prime(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Linear interpolation and its cell slope."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         h = 2.0 / (self.values.size - 1)
         cell = np.clip(((x + 1.0) / h).astype(int), 0, self.values.size - 2)
-        return (self.values[cell + 1] - self.values[cell]) / h
+        return (np.interp(x, self.grid, self.values),
+                (self.values[cell + 1] - self.values[cell]) / h)
+
+    def eta(self, x) -> np.ndarray:
+        return self.eta_and_prime(x)[0]
+
+    def eta_prime(self, x) -> np.ndarray:
+        return self.eta_and_prime(x)[1]
 
     def feature_points(self) -> list[float]:
         return []

@@ -56,27 +56,24 @@ class BumpFunction:
     def dim(self) -> int:
         return len(self.center)
 
-    def _scaled_radius_sq(self, pts: np.ndarray) -> np.ndarray:
-        z = (pts - np.array(self.center)) / np.array(self.width)
-        return np.sum(z * z, axis=-1)
+    def value_and_gradient(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value (...,) and gradient (..., d) at pts (..., d) from one scaled
+        radius and one exp; both are exactly zero on and outside s^2 = 1."""
+        width = np.array(self.width)
+        z = (pts - np.array(self.center)) / width
+        s2 = np.einsum("...i,...i->...", z, z)
+        inside = s2 < 1.0
+        q = np.where(inside, 1.0 - s2, 1.0)
+        value = self.amplitude * inside * np.exp(1.0 - 1.0 / q)
+        z /= width
+        z *= (-2.0 * value / (q * q))[..., None]
+        return value, z
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        s2 = self._scaled_radius_sq(pts)
-        out = np.zeros(pts.shape[:-1])
-        inside = s2 < 1.0
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-        return out
+        return self.value_and_gradient(pts)[0]
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
-        s2 = self._scaled_radius_sq(pts)
-        out = np.zeros_like(pts)
-        inside = s2 < 1.0
-        if np.any(inside):
-            val = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-            pref = -val / (1.0 - s2[inside]) ** 2
-            z = (pts[inside] - np.array(self.center)) / np.array(self.width) ** 2
-            out[inside] = 2.0 * pref[..., None] * z
-        return out
+        return self.value_and_gradient(pts)[1]
 
     def support_box(self) -> list[tuple[float, float]]:
         return [(c - w, c + w) for c, w in zip(self.center, self.width)]
@@ -113,8 +110,13 @@ class InitialData:
     def g0_value(self, pts):
         return sum((b.value(pts) for b in self.g0), np.zeros(pts.shape[:-1]))
 
-    def g0_gradient(self, pts):
-        return sum((b.gradient(pts) for b in self.g0), np.zeros_like(pts))
+    def g0_value_and_gradient(self, pts):
+        value, grad = np.zeros(pts.shape[:-1]), np.zeros_like(pts)
+        for b in self.g0:
+            v, gr = b.value_and_gradient(pts)
+            value += v
+            grad += gr
+        return value, grad
 
     def g1_value(self, pts):
         return sum((b.value(pts) for b in self.g1), np.zeros(pts.shape[:-1]))
@@ -247,8 +249,8 @@ def _wedge_sections(g: InitialData, x1: np.ndarray, quad: FieldQuad) -> dict:
     n_x = x1.size
     if d == 1:
         pts = x1[:, None]
-        g0 = g.g0_value(pts)
-        d1 = g.g0_gradient(pts)[:, 0]
+        g0, grad = g.g0_value_and_gradient(pts)
+        d1 = grad[:, 0]
         g1 = g.g1_value(pts)
         return {"A": g0 * g0, "B": g0 * d1, "C": d1 * d1,
                 "P": np.zeros_like(g0), "Q": g1 * g1}
@@ -259,10 +261,12 @@ def _wedge_sections(g: InitialData, x1: np.ndarray, quad: FieldQuad) -> dict:
         pts, w = _slice_grid(g.g0, x1, d, quad.cross_order)
         flat = pts.reshape(-1, d)
         n_p = w.shape[1]
-        g0 = g.g0_value(flat).reshape(n_x, n_p)
-        grad = g.g0_gradient(flat).reshape(n_x, n_p, d)
+        g0, grad = g.g0_value_and_gradient(flat)
+        g0 = g0.reshape(n_x, n_p)
+        grad = grad.reshape(n_x, n_p, d)
         d1 = grad[:, :, 0]
-        perp_sq = np.sum(grad[:, :, 1:] ** 2, axis=-1)
+        perp = grad[:, :, 1:]
+        perp_sq = np.einsum("xpi,xpi->xp", perp, perp)
         out["A"] = np.sum(g0 * g0 * w, axis=1)
         out["B"] = np.sum(g0 * d1 * w, axis=1)
         out["C"] = np.sum(d1 * d1 * w, axis=1)
@@ -307,14 +311,15 @@ def _cone_sections(g: InitialData, rho: np.ndarray, quad: FieldQuad) -> dict:
     pts = rho[:, None, None] * dirs[None, :, :]
     flat = pts.reshape(-1, g.dimension)
     n_r, n_s = rho.size, w.size
-    g0 = g.g0_value(flat).reshape(n_r, n_s)
-    grad = g.g0_gradient(flat).reshape(n_r, n_s, g.dimension)
+    g0, grad = g.g0_value_and_gradient(flat)
+    g0 = g0.reshape(n_r, n_s)
+    grad = grad.reshape(n_r, n_s, g.dimension)
     g1 = g.g1_value(flat).reshape(n_r, n_s)
-    radial = np.sum(grad * dirs[None, :, :], axis=-1)
+    radial = np.einsum("rsi,si->rs", grad, dirs)
     return {
         "A": (g0 * g0) @ w,
         "B": (g0 * radial) @ w,
-        "C": np.sum(grad * grad, axis=-1) @ w,
+        "C": np.einsum("rsi,rsi->rs", grad, grad) @ w,
         "Q": (g1 * g1) @ w,
     }
 
@@ -448,8 +453,8 @@ def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
         # transition variable u = x1/eps + 1 (upper) or x1/eps - 1 (lower)
         def integrand(x1):
             u = x1 / epsilon + shift
-            eta = prof.eta(u)
-            etap = prof.eta_prime(u) / epsilon
+            eta, etap = prof.eta_and_prime(u)
+            etap = etap / epsilon
             s = _wedge_sections(g, x1, quad)
             beta = x1 + sign * 2.0 * epsilon
             dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
@@ -481,8 +486,8 @@ def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
 
     def integrand(rho):
         u = (r - rho) / epsilon + shift
-        eta = prof.eta(u)
-        etap = -prof.eta_prime(u) / epsilon  # d/drho of eta((r - rho)/eps + shift)
+        eta, etap = prof.eta_and_prime(u)
+        etap = -etap / epsilon  # d/drho of eta((r - rho)/eps + shift)
         s = _cone_sections(g, rho, quad)
         beta = (r_pm * r_pm - rho * rho) / (2.0 * r_pm)
         dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
@@ -580,18 +585,17 @@ class BoundSweepRecord:
                 and self.h_exact <= self.h_plus + slack)
 
 
-def squeeze_sweep(g: InitialData, region: Region,
-                  schedule: Sequence[tuple[float, float, float]],
-                  quad: FieldQuad = DEFAULT_QUAD) -> list[BoundSweepRecord]:
-    """Evaluate (H-, H_exact, H+) along a schedule of (epsilon, s, t).
-
-    The schedule must squeeze: epsilon non-increasing, s non-increasing toward
-    1, t non-decreasing, and always t >= s/(s-1).
-    """
-    schedule = list(schedule)
-    if not schedule:
-        return []
+def check_schedule(schedule: Sequence[tuple[float, float, float]]) -> None:
+    """Raise ScheduleViolation unless the schedule squeezes: finite entries,
+    epsilon > 0 non-increasing, s > 1 non-increasing toward 1, t
+    non-decreasing, and always t >= s/(s-1)."""
     for eps, s, t in schedule:
+        if not all(math.isfinite(v) for v in (eps, s, t)):
+            raise ScheduleViolation(f"entry ({eps}, {s}, {t}) is not finite")
+        if eps <= 0.0:
+            raise ScheduleViolation(f"epsilon = {eps} must be positive")
+        if s <= 1.0:
+            raise ScheduleViolation(f"s = {s} must exceed 1 at epsilon = {eps}")
         if t < s / (s - 1.0):
             raise ScheduleViolation(
                 f"t = {t} below s/(s-1) = {s / (s - 1.0):.6g} at epsilon = {eps}")
@@ -604,6 +608,17 @@ def squeeze_sweep(g: InitialData, region: Region,
         raise ScheduleViolation("s must be non-increasing")
     if t_seq != sorted(t_seq):
         raise ScheduleViolation("t must be non-decreasing")
+
+
+def squeeze_sweep(g: InitialData, region: Region,
+                  schedule: Sequence[tuple[float, float, float]],
+                  quad: FieldQuad = DEFAULT_QUAD) -> list[BoundSweepRecord]:
+    """Evaluate (H-, H_exact, H+) along a schedule of (epsilon, s, t) that
+    passes `check_schedule`."""
+    schedule = list(schedule)
+    if not schedule:
+        return []
+    check_schedule(schedule)
     h_exact = exact_entropy(g, region, quad)
     records = []
     for eps, s, t in schedule:

@@ -1,9 +1,13 @@
-"""Panel-adaptive Gauss-Legendre quadrature.
+"""Panel-adaptive Gauss-Legendre quadrature, refined in rounds.
 
 Panels are seeded from caller-supplied split points (region edges, support
-boundaries, images of kernel jumps) and subdivided dyadically until the
-difference between orders p and p+4 falls below the target.  Accumulation is
-in fixed panel order so results are bit-stable run to run.
+boundaries, images of kernel jumps).  Each round evaluates every pending panel
+at orders p and p+4 from one concatenated node set, accepts the panels whose
+two estimates agree to the target, and halves the rest for the next round.
+The nodes of a round go to the integrand in calls of at most `MAX_BATCH_NODES`
+points: the field integrands expand each node into a full cross-section grid,
+so the cap bounds their temporaries and with them peak memory.  Accumulation
+is in fixed panel order so results are bit-stable run to run.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ import numpy as np
 from .errors import QuadratureBudgetExceeded
 
 ABS_TOL = 1e-13
+# Two order-12 panels (12 + 16 nodes each). A d=3 cone integrand expands each
+# node into 512 sphere directions, so larger batches raise peak memory.
+MAX_BATCH_NODES = 56
 
 
 class QuadResult(NamedTuple):
@@ -29,12 +36,10 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def panel_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-               order: int) -> float:
-    nodes, weights = gauss_rule(order)
-    half = 0.5 * (b - a)
-    x = a + half * (nodes + 1.0)
-    return float(half * np.dot(weights, f(x)))
+def _evaluate(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """f on the flat node array x, in calls of at most MAX_BATCH_NODES points."""
+    return np.concatenate([np.asarray(f(x[i:i + MAX_BATCH_NODES]), dtype=float)
+                           for i in range(0, x.size, MAX_BATCH_NODES)])
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -43,33 +48,43 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     """Adaptive integral of a vectorized integrand over [a, b].
 
     `splits` lists interior breakpoints (points outside (a, b) are dropped).
-    Raises QuadratureBudgetExceeded when the dyadic subdivision exhausts
-    `max_panels` before all panels meet the target.
+    A panel is accepted when its order-p and order-(p+4) estimates differ by at
+    most max(ABS_TOL, rel_tol * max(|fine|, sum of |accepted values|)), the sum
+    taken over the panels accepted in earlier rounds, or when it is narrower
+    than 1e-14 (b - a).  Raises QuadratureBudgetExceeded before more than
+    `max_panels` + 1 panels would be evaluated.
     """
     if b <= a:
         return QuadResult(0.0, 0.0)
-    edges = [a] + sorted(s for s in set(float(s) for s in splits) if a < s < b) + [b]
-    pending = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    done: list[tuple[float, float, float]] = []  # (left, value, error)
+    edges = np.array([a] + sorted(s for s in set(float(s) for s in splits) if a < s < b) + [b])
+    lo, hi = edges[:-1], edges[1:]
+    x_c, w_c = gauss_rule(order)
+    x_f, w_f = gauss_rule(order + 4)
+    unit = np.concatenate([x_c, x_f]) + 1.0
+    min_width = 1e-14 * (b - a)
+    done_lo, done_val, done_err = [], [], []
+    accepted_abs = 0.0
     evaluated = 0
-    while pending:
-        if evaluated > max_panels:
+    while lo.size:
+        if evaluated + lo.size > max_panels + 1:
             raise QuadratureBudgetExceeded(
                 f"exceeded {max_panels} panels on [{a}, {b}]")
-        lo, hi = pending.pop()
-        coarse = panel_quad(f, lo, hi, order)
-        fine = panel_quad(f, lo, hi, order + 4)
-        err = abs(fine - coarse)
-        evaluated += 1
-        scale = max(abs(fine), sum(abs(v) for _, v, _ in done))
-        if err <= max(ABS_TOL, rel_tol * max(scale, 1e-300)) or (hi - lo) < 1e-14 * (b - a):
-            done.append((lo, fine, err))
-        else:
-            mid = 0.5 * (lo + hi)
-            pending.append((mid, hi))
-            pending.append((lo, mid))
-    done.sort(key=lambda t: t[0])
-    value = float(np.sum(np.array([v for _, v, _ in done])))
-    error = float(np.sum(np.array([e for _, _, e in done])))
+        evaluated += lo.size
+        half = 0.5 * (hi - lo)
+        fx = _evaluate(f, (lo[:, None] + half[:, None] * unit).ravel()).reshape(lo.size, -1)
+        coarse = half * (fx[:, :order] @ w_c)
+        fine = half * (fx[:, order:] @ w_f)
+        err = np.abs(fine - coarse)
+        scale = np.maximum(np.abs(fine), max(accepted_abs, 1e-300))
+        ok = (err <= np.maximum(ABS_TOL, rel_tol * scale)) | (hi - lo < min_width)
+        done_lo.append(lo[ok])
+        done_val.append(fine[ok])
+        done_err.append(err[ok])
+        accepted_abs += float(np.sum(np.abs(fine[ok])))
+        mid = 0.5 * (lo[~ok] + hi[~ok])
+        lo = np.concatenate([lo[~ok], mid])
+        hi = np.concatenate([mid, hi[~ok]])
+    order_of = np.argsort(np.concatenate(done_lo), kind="stable")
+    value = float(np.sum(np.concatenate(done_val)[order_of]))
+    error = float(np.sum(np.concatenate(done_err)[order_of]))
     return QuadResult(value, error)
-

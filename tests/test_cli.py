@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from modlab import cli
 from modlab.cli import (
     COMMON_KEYS,
     SCHEMAS,
@@ -13,7 +14,7 @@ from modlab.cli import (
     parse_schedule,
     resolve_params,
 )
-from modlab.errors import ConfigError
+from modlab.errors import ConfigError, QuadratureBudgetExceeded
 
 SCHEDULE = "1e-2:1.8:40;3e-3:1.6:100;1e-3:1.5:200"
 
@@ -40,7 +41,12 @@ class TestConfigHandling:
                      ["cutoff", "limit", "--s", "inf"],
                      ["scalar", "flow", "s=nan"],
                      ["scalar", "flow", "point=nan,0.5"],
-                     ["scalar", "flow", "point=a,0.5"]):
+                     ["scalar", "flow", "point=a,0.5"],
+                     ["scalar", "sweep", "schedule=1e-2:1.0:40"],
+                     ["scalar", "sweep", "schedule=1e-2:1.8:2"],
+                     ["scalar", "sweep", "schedule=1e-3:1.8:40;1e-2:1.6:100"],
+                     ["scalar", "sweep", "schedule=0:1.8:40"],
+                     ["scalar", "sweep", "schedule=1e-2:1.8:nan"]):
             assert run(argv) == 2, argv
             assert capsys.readouterr().out == ""
 
@@ -150,9 +156,16 @@ class TestOtherCommands:
         lines = (out / "results.csv").read_text().splitlines()
         assert lines[0] == "x,eta"
 
-    def test_computation_error_exit_code(self, capsys):
-        # a schedule violating t >= s/(s-1) is a computation-level failure
-        assert run(["scalar", "sweep", "schedule=1e-2:1.5:2.0"]) == 3
+    def test_computation_error_exit_code(self, capsys, monkeypatch):
+        # a quadrature that exhausts its panel budget is a computation-level
+        # failure; schedules are now checked as configuration (exit 2)
+        def exhausted(*args, **kwargs):
+            raise QuadratureBudgetExceeded("exceeded 20000 panels")
+
+        monkeypatch.setattr(cli, "exact_entropy", exhausted)
+        assert run(["scalar", "exact"]) == 3
+        assert "exceeded 20000 panels" in capsys.readouterr().err
+        assert run(["scalar", "sweep", "schedule=1e-2:1.5:2.0"]) == 2
 
     def test_signalling_gap(self, tmp_path, capsys):
         out = tmp_path / "gap"

@@ -84,6 +84,24 @@ class TestBumpFunction:
             fd = (b.value(pts + shift) - b.value(pts - shift)) / (2 * eps)
             assert np.max(np.abs(fd - grad[:, axis])) <= 1e-6
 
+    def test_fused_value_and_gradient(self):
+        b = BumpFunction((0.5, -0.25, 1.0), (0.5, 1.0, 2.0), amplitude=-1.7)
+        boundary = np.array([[1.0, -0.25, 1.0], [0.5, 0.75, 1.0], [0.5, -0.25, -1.0]])
+        inside = np.array([[0.5, -0.25, 1.0], [0.7, 0.1, 0.2], [0.3, -0.5, 1.5]])
+        outside = np.array([[1.2, -0.25, 1.0], [3.0, 3.0, 3.0]])
+        pts = np.concatenate([boundary, inside, outside])
+        value, grad = b.value_and_gradient(pts)
+        assert np.array_equal(value, b.value(pts))
+        assert np.array_equal(grad, b.gradient(pts))
+        assert np.all(value[[0, 1, 2, 6, 7]] == 0.0) and np.all(grad[[0, 1, 2, 6, 7]] == 0.0)
+        # the written-out formula, per point
+        for p, v, gr in zip(pts[3:6], value[3:6], grad[3:6]):
+            z = (p - np.array(b.center)) / np.array(b.width)
+            q = 1.0 - float(z @ z)
+            ref = -1.7 * math.exp(1.0 - 1.0 / q)
+            assert v == pytest.approx(ref, rel=1e-14)
+            assert gr == pytest.approx(-2.0 * ref / q ** 2 * z / np.array(b.width), rel=1e-13)
+
     def test_invalid_width(self):
         with pytest.raises(DimensionMismatch):
             BumpFunction((0.0,), (0.0,))
@@ -141,7 +159,7 @@ class TestExactCone:
 
         def weighted(x):
             pts = x[:, None]
-            grad = g.g0_gradient(pts)[:, 0]
+            grad = g.g0_value_and_gradient(pts)[1][:, 0]
             return (r * r - x * x) / (2 * r) * grad * grad
 
         ref = integrate_1d(weighted, -0.7, 0.7, splits=[-0.1, 0.3], order=16,
@@ -395,6 +413,9 @@ class TestSqueezeSweep:
             squeeze_sweep(g, Wedge(), [(1e-2, 1.5, 200.0), (1e-3, 1.8, 200.0)])
         with pytest.raises(ScheduleViolation):
             squeeze_sweep(g, Wedge(), [(1e-2, 1.8, 200.0), (1e-3, 1.5, 100.0)])
+        for entry in ((1e-2, 1.0, 40.0), (0.0, 1.8, 40.0), (1e-2, 1.8, math.nan)):
+            with pytest.raises(ScheduleViolation):
+                squeeze_sweep(g, Wedge(), [entry])
 
 
 class TestModularFlow:
