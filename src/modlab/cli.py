@@ -85,7 +85,8 @@ SCHEMAS = {
                               "d2": (int, lambda v: v >= 4, 32)},
     ("signalling", "gap"): {"epsilon": (float, lambda v: 0 < v <= 0.05, 0.01),
                             "samples": (int, lambda v: 1 <= v <= 10 ** 5, 200),
-                            "d_factor": (int, lambda v: v >= 8, 32)},
+                            # the 12-term reference tail needs (d - 2)//2 >= 12
+                            "d_factor": (int, lambda v: v >= 26, 32)},
     ("signalling", "factorize"): {"n": (int, lambda v: v >= 1, 2),
                                   "outer_dim": (int, lambda v: v >= 4, 8),
                                   "middle_dim": (int, lambda v: v >= 4, 16)},
@@ -156,6 +157,13 @@ def preset_data(geometry: str, d: int, mass: float, data: str) -> InitialData:
 
 def preset_region(geometry: str, r: float):
     return Wedge() if geometry == "wedge" else Ball(r)
+
+
+def check_collars(geometry: str, r: float, epsilons) -> None:
+    """A cone's inner ball has radius r - 2 epsilon, so epsilon < r/2."""
+    for eps in epsilons:
+        if geometry == "cone" and not eps < r / 2.0:
+            raise ConfigError(f"cone epsilon {eps!r} must be below r/2 = {r / 2.0!r}")
 
 
 def parse_schedule(text: str) -> list[tuple[float, float, float]]:
@@ -313,6 +321,7 @@ def cmd_scalar(action: str, params: dict, out_dir: str | None) -> dict:
         print(_fmt(res.value))
         return summary
     if action == "bound":
+        check_collars(geometry, params["r"], [params["epsilon"]])
         prof = eta_st(params["s"], params["t"])
         res = entropy_bound(g, region, params["side"], prof, params["epsilon"])
         pred = boundary_term_prediction(g, region, prof, params["side"])
@@ -324,6 +333,7 @@ def cmd_scalar(action: str, params: dict, out_dir: str | None) -> dict:
         return summary
     # sweep
     schedule = parse_schedule(params["schedule"])
+    check_collars(geometry, params["r"], [eps for eps, _, _ in schedule])
     records = squeeze_sweep(g, region, schedule)
     rows = [{"epsilon": r.epsilon, "s": r.s, "t": r.t, "H_minus": r.h_minus,
              "H_exact": r.h_exact, "H_plus": r.h_plus, "gap": r.gap,
@@ -376,6 +386,11 @@ def cmd_cutoff(action: str, params: dict, out_dir: str | None) -> dict:
 
 def cmd_signalling(action: str, params: dict, out_dir: str | None) -> dict:
     from . import cuntz
+    # a branching-n shift family needs dim >= n^2
+    for key in {"check": ("d1", "d2"), "factorize": ("outer_dim", "middle_dim")}.get(action, ()):
+        if params[key] < params["n"] ** 2:
+            raise ConfigError(f"parameter {key}={params[key]} must be at least "
+                              f"n^2 = {params['n'] ** 2}")
     if action == "check":
         scenario = cuntz.make_scenario(params["n"], params["d1"], params["d2"],
                                        seed=params["seed"])

@@ -6,6 +6,10 @@ D-dimensional space.  Sums w = sum_i u_i' u_i over two commuting factors are
 non-signalling by construction but provably far from any product unitary
 u' (x) u on a suitable reference vector; with an independent middle family the
 product form is restored exactly.
+
+Composite operators are sparse Kronecker products, and each compressed norm
+||P X P||_2 is the norm of the block `defect_free_index` selects.  scipy.sparse
+is imported where it is used, so `import modlab` does not load it.
 """
 
 from __future__ import annotations
@@ -50,32 +54,54 @@ class TruncatedCuntz:
     def defect_free_dim(self) -> int:
         return (self.dim - self.branching) // self.branching
 
-    def defect_free_projector(self) -> np.ndarray:
-        p = np.zeros((self.dim, self.dim))
-        q = self.defect_free_dim
-        p[:q, :q] = np.eye(q)
-        return p
-
     def relation_report(self) -> dict:
         """Exactness of S_i^dag S_j = delta_ij on the defect-free compression,
         the range-sum projection, and the defect norms on the complement."""
-        n, d = self.branching, self.dim
-        p = self.defect_free_projector()
-        comp = np.eye(d) - p
+        n, d, q = self.branching, self.dim, self.defect_free_dim
         worst_good, worst_defect = 0.0, 0.0
         for i in range(n):
             for j in range(n):
                 prod = self.shifts[i].T @ self.shifts[j]
                 target = np.eye(d) if i == j else np.zeros((d, d))
-                worst_good = max(worst_good, np.linalg.norm(p @ (prod - target) @ p, 2))
-                worst_defect = max(worst_defect, np.linalg.norm((prod - target) @ comp, 2))
+                worst_good = max(worst_good, support_norm((prod - target)[:q, :q]))
+                worst_defect = max(worst_defect, support_norm((prod - target)[:, q:]))
         range_sum = sum(s @ s.T for s in self.shifts)
         reachable = np.diag([1.0 if (k % n) + n * (k // n) == k else 0.0
                              for k in range(d)])
-        range_residual = float(np.linalg.norm(range_sum - reachable, 2))
+        range_residual = support_norm(range_sum - reachable)
         return {"defect_free_residual": float(worst_good),
                 "top_sector_defect": float(worst_defect),
                 "range_sum_residual": range_residual}
+
+
+def defect_free_index(*families: TruncatedCuntz) -> np.ndarray:
+    """Indices kept by the defect-free compression P of the composite space
+    families[0] (x) families[1] (x) ..., in the row-major order of `kron`.
+
+    Each factor's projector keeps its first defect_free_dim coordinates, so P
+    is the coordinate projector onto these indices and
+    ||P X P||_2 = ||X[idx][:, idx]||_2 exactly.
+    """
+    idx = np.zeros(1, dtype=np.intp)
+    for fam in families:
+        idx = (idx[:, None] * fam.dim + np.arange(fam.defect_free_dim)).ravel()
+    return idx
+
+
+def support_norm(x) -> float:
+    """Spectral norm of a dense or scipy.sparse matrix, taken over its nonzero
+    rows and columns only.
+
+    Zero rows and columns carry no singular value, so this is exact; an
+    all-zero matrix gives 0.0 without an SVD.
+    """
+    import scipy.sparse as sp
+    x = sp.coo_array(x)
+    nonzero = x.data != 0
+    rows, cols = np.unique(x.row[nonzero]), np.unique(x.col[nonzero])
+    if rows.size == 0:
+        return 0.0
+    return float(np.linalg.norm(x.tocsr()[rows][:, cols].toarray(), 2))
 
 
 # --------------------------------------------------------------------------
@@ -97,16 +123,19 @@ class SignallingScenario:
     def dims(self) -> tuple[int, int]:
         return self.alice_family.dim, self.charlie_family.dim
 
+    def composite_generators(self) -> tuple[list, list]:
+        """Sparse a (x) I for Alice's generators and I (x) c for Charlie's."""
+        import scipy.sparse as sp
+        d1, d2 = self.dims
+        return ([sp.kron(a, sp.eye_array(d2), format="csr") for a in self.alice_generators],
+                [sp.kron(sp.eye_array(d1), c, format="csr")
+                 for c in self.charlie_generators])
+
     def commutation_defect(self) -> float:
         """Alice and Charlie generators must commute on the composite space."""
-        d1, d2 = self.dims
-        worst = 0.0
-        for a in self.alice_generators:
-            a_full = kron(a, np.eye(d2))
-            for c in self.charlie_generators:
-                c_full = kron(np.eye(d1), c)
-                worst = max(worst, np.linalg.norm(a_full @ c_full - c_full @ a_full, 2))
-        return float(worst)
+        alice, charlie = self.composite_generators()
+        return max((support_norm(a @ c - c @ a) for a in alice for c in charlie),
+                   default=0.0)
 
 
 def cuntz_sum_unitary(fam1: TruncatedCuntz, fam2: TruncatedCuntz) -> np.ndarray:
@@ -125,12 +154,14 @@ def make_scenario(n: int, d1: int, d2: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     alice = []
     charlie = []
-    p2 = fam2.defect_free_projector()
+    q2 = fam2.defect_free_dim
     for _ in range(3):
         g = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
         alice.append((g + dagger(g)) / 2.0)
         g = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
-        charlie.append(p2 @ ((g + dagger(g)) / 2.0) @ p2)
+        c = np.zeros((d2, d2), dtype=complex)
+        c[:q2, :q2] = ((g + dagger(g)) / 2.0)[:q2, :q2]
+        charlie.append(c)
     if w is None:
         w = cuntz_sum_unitary(fam1, fam2)
     return SignallingScenario(fam1, fam2, alice, charlie, w)
@@ -138,18 +169,22 @@ def make_scenario(n: int, d1: int, d2: int, seed: int = 0,
 
 def nonsignalling_check(scenario: SignallingScenario) -> dict:
     """max_a,c || P [w a w^dag, c] P || over Alice/Charlie generator pairs,
-    with P the defect-free compression of both factors."""
-    d1, d2 = scenario.dims
-    p = kron(scenario.alice_family.defect_free_projector(),
-             scenario.charlie_family.defect_free_projector())
-    w = scenario.w
+    with P the defect-free compression of both factors.
+
+    P [m, c] P is the idx-block m[idx, :] c[:, idx] - c[idx, :] m[:, idx], so
+    only the rows and the columns idx of m = w a w^dag are formed.
+    """
+    import scipy.sparse as sp
+    idx = defect_free_index(scenario.alice_family, scenario.charlie_family)
+    w = sp.csr_array(scenario.w)
+    w_rows = w[idx]
+    alice, charlie = scenario.composite_generators()
     worst = 0.0
-    for a in scenario.alice_generators:
-        moved = w @ kron(a, np.eye(d2)) @ dagger(w)
-        for c in scenario.charlie_generators:
-            c_full = kron(np.eye(d1), c)
-            comm = moved @ c_full - c_full @ moved
-            worst = max(worst, np.linalg.norm(p @ comm @ p, 2))
+    for a in alice:
+        moved_rows = w_rows @ a @ dagger(w)
+        moved_cols = w @ a @ dagger(w_rows)
+        for c in charlie:
+            worst = max(worst, support_norm(moved_rows @ c[:, idx] - c[idx] @ moved_cols))
     return {"max_commutator": float(worst),
             "tolerance": DEFECT_FREE_TOL,
             "pass": bool(worst <= DEFECT_FREE_TOL),
@@ -287,20 +322,27 @@ def product_reconstruction(n: int, outer_dim: int, middle_dim: int) -> dict:
     On the defect-free compression the factorization and the unitarity of
     both factors are exact.
     """
+    import scipy.sparse as sp
     fam1 = TruncatedCuntz(n, outer_dim)
     fam_mid = TruncatedCuntz(n, middle_dim)
     fam3 = TruncatedCuntz(n, outer_dim)
-    d1, dm, d3 = outer_dim, middle_dim, outer_dim
-    eye1, eyem, eye3 = np.eye(d1), np.eye(dm), np.eye(d3)
-    w = sum(kron(kron(t, eyem), s.T) for t, s in zip(fam1.shifts, fam3.shifts))
-    u_prime = sum(kron(kron(t, c.T), eye3) for t, c in zip(fam1.shifts, fam_mid.shifts))
-    u = sum(kron(kron(eye1, c), s.T) for c, s in zip(fam_mid.shifts, fam3.shifts))
-    p = kron(kron(fam1.defect_free_projector(), fam_mid.defect_free_projector()),
-             fam3.defect_free_projector())
-    residual = float(np.linalg.norm(p @ (u_prime @ u - w) @ p, 2))
-    unit_u = float(np.linalg.norm(p @ (dagger(u) @ u - np.eye(d1 * dm * d3)) @ p, 2))
-    unit_up = float(np.linalg.norm(p @ (dagger(u_prime) @ u_prime
-                                        - np.eye(d1 * dm * d3)) @ p, 2))
+    eye1, eyem, eye3 = (sp.eye_array(d) for d in (outer_dim, middle_dim, outer_dim))
+
+    def kron3(a, b, c):
+        return sp.kron(sp.kron(a, b), c, format="csr")
+
+    w = sum(kron3(t, eyem, s.T) for t, s in zip(fam1.shifts, fam3.shifts))
+    u_prime = sum(kron3(t, c.T, eye3) for t, c in zip(fam1.shifts, fam_mid.shifts))
+    u = sum(kron3(eye1, c, s.T) for c, s in zip(fam_mid.shifts, fam3.shifts))
+    idx = defect_free_index(fam1, fam_mid, fam3)
+    eye = sp.eye_array(w.shape[0], format="csr")
+
+    def compressed_norm(x) -> float:
+        return support_norm(x[idx][:, idx])
+
+    residual = compressed_norm(u_prime @ u - w)
+    unit_u = compressed_norm(dagger(u) @ u - eye)
+    unit_up = compressed_norm(dagger(u_prime) @ u_prime - eye)
     return {"branching": n, "outer_dim": outer_dim, "middle_dim": middle_dim,
             "factorization_residual": residual,
             "u_unitarity_defect": unit_u, "u_prime_unitarity_defect": unit_up,

@@ -46,7 +46,18 @@ class TestConfigHandling:
                      ["scalar", "sweep", "schedule=1e-2:1.8:2"],
                      ["scalar", "sweep", "schedule=1e-3:1.8:40;1e-2:1.6:100"],
                      ["scalar", "sweep", "schedule=0:1.8:40"],
-                     ["scalar", "sweep", "schedule=1e-2:1.8:nan"]):
+                     ["scalar", "sweep", "schedule=1e-2:1.8:nan"],
+                     ["signalling", "check", "--n", "3", "--d1", "4"],
+                     ["signalling", "check", "--n", "3", "--d2", "8"],
+                     ["signalling", "factorize", "--n", "3", "--outer_dim", "4"],
+                     ["signalling", "factorize", "--n", "3", "--middle_dim", "8"],
+                     ["signalling", "gap", "--d_factor", "8"],
+                     ["signalling", "gap", "--d_factor", "25"],
+                     ["scalar", "bound", "geometry=cone", "d=3", "epsilon=0.6"],
+                     ["scalar", "bound", "geometry=cone", "d=3", "epsilon=0.5"],
+                     ["scalar", "sweep", "geometry=cone", "d=3", "schedule=0.6:1.8:40"],
+                     ["scalar", "sweep", "geometry=cone", "d=3",
+                      "schedule=0.6:1.8:40;1e-2:1.6:100"]):
             assert run(argv) == 2, argv
             assert capsys.readouterr().out == ""
 
@@ -114,7 +125,10 @@ class TestSweepArtifacts:
     def test_reruns_are_byte_identical(self, tmp_path):
         for k, argv in enumerate((["scalar", "sweep", "--seed", "3", f"schedule={SCHEDULE}"],
                                   ["findim", "suite", "trials=5"],
-                                  ["fock", "suite"])):
+                                  ["fock", "suite"],
+                                  ["signalling", "check"],
+                                  ["signalling", "gap", "samples=5"],
+                                  ["signalling", "factorize"])):
             out_a, out_b = tmp_path / f"{k}a", tmp_path / f"{k}b"
             for out in (out_a, out_b):
                 assert run(argv + ["--out", str(out)]) == 0

@@ -1,20 +1,28 @@
 """Tests for truncated shift families, non-signalling sums and the norm gap."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import modlab
 from modlab.cuntz import (
     TruncatedCuntz,
     align_product,
     certify_no_product_form,
     cuntz_sum_unitary,
+    defect_free_index,
     gap_floor,
     make_scenario,
     nonsignalling_check,
     norm_gap_experiment,
     product_reconstruction,
+    support_norm,
 )
 from modlab.errors import DimensionTooSmall, ParameterViolation
 from modlab.linalg import dagger, kron
@@ -47,7 +55,70 @@ class TestTruncatedCuntz:
             TruncatedCuntz(3, 8)
 
 
+def _projector(fam):
+    return np.diag((np.arange(fam.dim) < fam.defect_free_dim).astype(float))
+
+
+class TestBlockNorms:
+    def test_block_norm_equals_compressed_norm(self):
+        fams = (TruncatedCuntz(2, 6), TruncatedCuntz(2, 8))
+        p = np.kron(_projector(fams[0]), _projector(fams[1]))
+        idx = defect_free_index(*fams)
+        rng = np.random.default_rng(5)
+        for zero_rows, zero_cols in (([], []), ([0, 9], []), ([], [1, 10, 11]),
+                                     ([8, 17], [0, 2, 16]), (slice(None), [])):
+            x = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+            x[zero_rows, :] = 0.0
+            x[:, zero_cols] = 0.0
+            reference = np.linalg.norm(p @ x @ p, 2)
+            for block in (x[np.ix_(idx, idx)], sp.csr_array(x)[idx][:, idx]):
+                assert support_norm(block) == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    def test_support_norm_ignores_stored_zeros(self):
+        x = sp.csr_array((np.array([0.0, 3.0]), np.array([0, 2]), np.array([0, 1, 2])),
+                         shape=(2, 3))
+        assert x.nnz == 2
+        assert support_norm(x) == 3.0
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        src = str(Path(modlab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, modlab; print('scipy.sparse' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
+
+
+def _dense_commutator(sc):
+    """max || P [w (a x I) w^dag, I x c] P ||_2 with every operator dense."""
+    d1, d2 = sc.dims
+    p = np.kron(_projector(sc.alice_family), _projector(sc.charlie_family))
+    worst = 0.0
+    for a in sc.alice_generators:
+        moved = sc.w @ np.kron(a, np.eye(d2)) @ sc.w.conj().T
+        for c in sc.charlie_generators:
+            c_full = np.kron(np.eye(d1), c)
+            worst = max(worst, np.linalg.norm(p @ (moved @ c_full - c_full @ moved) @ p, 2))
+    return worst
+
+
 class TestNonSignalling:
+    @pytest.mark.parametrize("kind", ["haar", "product", "cuntz_sum"])
+    def test_matches_dense_reference(self, kind):
+        rng = np.random.default_rng(17)
+        w = None  # make_scenario's shift-sum unitary
+        if kind == "haar":
+            w = random_unitary(8 * 16, rng)
+        elif kind == "product":
+            w = kron(random_unitary(8, rng), random_unitary(16, rng))
+        sc = make_scenario(2, 8, 16, seed=4, w=w)
+        reference = _dense_commutator(sc)
+        assert abs(nonsignalling_check(sc)["max_commutator"] - reference) <= 1e-12
+        if kind == "haar":
+            assert reference > 1e-3  # a generic unitary signals
+
     def test_identity_w(self):
         sc = make_scenario(2, 16, 32, seed=1, w=np.eye(16 * 32, dtype=complex))
         assert nonsignalling_check(sc)["max_commutator"] == 0.0
@@ -137,6 +208,13 @@ class TestProductReconstruction:
         assert rep["factorization_residual"] <= 1e-12
         assert rep["u_unitarity_defect"] <= 1e-12
         assert rep["u_prime_unitarity_defect"] <= 1e-12
+        assert rep["pass"]
+
+    def test_branching_three(self):
+        rep = product_reconstruction(3, 12, 18)
+        assert rep["factorization_residual"] == 0.0
+        assert rep["u_unitarity_defect"] == 0.0
+        assert rep["u_prime_unitarity_defect"] == 0.0
         assert rep["pass"]
 
     def test_without_middle_family_fails_with_certified_gap(self):
