@@ -28,8 +28,6 @@ from .field import (
     boundary_term_prediction,
     entropy_bound,
     exact_entropy,
-    exact_entropy_cone,
-    exact_entropy_wedge,
     modular_flow_point,
     squeeze_sweep,
     tau0,
@@ -75,11 +73,10 @@ __all__ = [
     "TruncatedCuntz", "TruncatedFock", "Wedge",
     "boundary_term_prediction", "certify_no_product_form",
     "coherent_entropy_check", "dgamma", "energy", "energy_limit", "entropy_bound",
-    "eta_st", "exact_entropy", "exact_entropy_cone", "exact_entropy_wedge",
-    "gamma", "gap_floor", "hermitian_eig", "kron", "matrix_function", "matrix_log",
-    "matrix_sqrt", "minimize_discrete", "modular_data", "modular_flow_point",
-    "monotonicity_check", "nonsignalling_check", "norm_gap_experiment",
-    "partial_trace", "polar_modular", "product_reconstruction", "rel_entropy_dm",
-    "rel_tomita", "segal_field", "squeeze_sweep", "tau0", "theorem_entropy_bounds",
-    "weyl",
+    "eta_st", "exact_entropy", "gamma", "gap_floor", "hermitian_eig", "kron",
+    "matrix_function", "matrix_log", "matrix_sqrt", "minimize_discrete",
+    "modular_data", "modular_flow_point", "monotonicity_check",
+    "nonsignalling_check", "norm_gap_experiment", "partial_trace", "polar_modular",
+    "product_reconstruction", "rel_entropy_dm", "rel_tomita", "segal_field",
+    "squeeze_sweep", "tau0", "theorem_entropy_bounds", "weyl",
 ]

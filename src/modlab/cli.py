@@ -62,8 +62,10 @@ FIELD_KEYS = {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
 
 SCHEMAS = {
     ("findim", "suite"): {"trials": (int, lambda v: 1 <= v <= 10 ** 6, 1000)},
-    ("fock", "suite"): {"modes": (int, lambda v: 1 <= v <= 4, 2),
-                        "cutoff": (int, lambda v: 4 <= v <= 20, 12)},
+    # the coherent-entropy check is built for two modes, and below cutoff 7
+    # the degree-3 particle bound overruns the truncation
+    ("fock", "suite"): {"modes": (int, lambda v: v == 2, 2),
+                        "cutoff": (int, lambda v: 7 <= v <= 20, 12)},
     ("scalar", "exact"): FIELD_KEYS,
     ("scalar", "bound"): {**FIELD_KEYS,
                           "side": (str, lambda v: v in ("upper", "lower"), "upper"),
@@ -141,6 +143,9 @@ def preset_data(geometry: str, d: int, mass: float, data: str) -> InitialData:
     if geometry == "cone":
         if d != 3:
             raise ConfigError("cone presets are three-dimensional")
+        if mass != 0.0:
+            raise ConfigError("cone presets are massless: the ball weight only "
+                              "generates the massless flow")
         width = 0.5 if data == "interior" else 1.3
         return InitialData((BumpFunction((0.0, 0.0, 0.0), (width,) * 3),), (), 3, mass)
     if d == 1:
@@ -392,6 +397,9 @@ def cmd_signalling(action: str, params: dict, out_dir: str | None) -> dict:
             raise ConfigError(f"parameter {key}={params[key]} must be at least "
                               f"n^2 = {params['n'] ** 2}")
     if action == "check":
+        # the cuntz-sum scenario holds a dense (d1 d2)^2 complex unitary
+        if params["d1"] * params["d2"] > 4096:
+            raise ConfigError(f"d1*d2 = {params['d1'] * params['d2']} exceeds 4096")
         scenario = cuntz.make_scenario(params["n"], params["d1"], params["d2"],
                                        seed=params["seed"])
         rep = cuntz.nonsignalling_check(scenario)

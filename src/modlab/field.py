@@ -3,7 +3,9 @@
 Exact relative-entropy integrals between displaced vacua, the squeezed
 upper/lower bounds built from transition functions on slightly larger and
 smaller regions, the boundary-term limits of those bounds, and the geometric
-point flows of both regions.
+point flows of both regions.  Exact entropies and bounds are one weighted
+integral: the exact entropy is the bound integral with eta = 1 on the region
+itself.
 
 All spatial integrals reduce to a one-dimensional adaptive integral in the
 coordinate the weights and cutoffs depend on (the first axis for wedges, the
@@ -153,7 +155,7 @@ class Ball:
             raise GeometryViolation("ball radius must be positive")
 
     def weight(self, pts: np.ndarray) -> np.ndarray:
-        return (self.radius ** 2 - np.sum(pts * pts, axis=-1)) / (2.0 * self.radius)
+        return (self.radius * self.radius - np.sum(pts * pts, axis=-1)) / (2.0 * self.radius)
 
 
 Region = Wedge | Ball
@@ -343,85 +345,87 @@ def _radial_splits(g: InitialData) -> list[float]:
 
 
 # --------------------------------------------------------------------------
-# exact entropy integrals
+# the weighted field integral: exact entropies and squeezed bounds
 # --------------------------------------------------------------------------
 
-def exact_entropy_wedge(g: InitialData, quad: FieldQuad = DEFAULT_QUAD) -> QuadResult:
-    """(pi/2) int_{x^1 > 0} x^1 (|grad g0|^2 + m^2 g0^2 + g1^2) d^d x."""
+def _side_sign(side: str) -> float:
+    if side not in ("upper", "lower"):
+        raise GeometryViolation(f"side must be 'upper' or 'lower', got {side!r}")
+    return +1.0 if side == "upper" else -1.0
+
+
+def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
+                       cutoff=None, side: str = "upper",
+                       epsilon: float = 0.0) -> QuadResult:
+    """(pi/2) int beta_V [ (grad(eta g0))^2 + m^2 (eta g0)^2 + (eta g1)^2 ] d^d x,
+    plus (d-1)/(2 R_V) (eta g0)^2 in the integrand when V is a ball of radius R_V.
+
+    Without a cutoff, eta = 1 and V is the region itself: the exact entropy.
+    With one, V is the offset -+2*epsilon wedge or the radius r +- 2*epsilon
+    ball, eta (reflected on the lower side) makes its 0-to-1 transition across
+    the 2*epsilon collar between the boundaries of V and the region, and the
+    integral runs over the larger of the two.
+    """
+    if cutoff is not None:
+        if epsilon <= 0:
+            raise GeometryViolation("epsilon must be positive")
+        sign = _side_sign(side)
+    if isinstance(region, Wedge):
+        if region.offset != 0.0:
+            raise GeometryViolation("field integrals are set up around the offset-0 wedge")
+    else:
+        if g.mass != 0.0:
+            raise MassNotZero("the ball weight only generates the massless flow")
+        if cutoff is not None and not epsilon < region.radius / 2.0:
+            raise GeometryViolation("need epsilon < r/2 so the inner ball survives")
     if g.is_zero():
         return QuadResult(0.0, 0.0)
+
     box = g.support_box()
-    lo, hi = max(box[0][0], 0.0), box[0][1]
-    if hi <= lo:
-        return QuadResult(0.0, 0.0)
+    # outer coordinate y: x^1 on wedges, the radius on balls; the region's
+    # boundary sits at y = edge and normal * (y - edge) grows into the region
+    if isinstance(region, Wedge):
+        v = region if cutoff is None else Wedge(-sign * 2.0 * epsilon)
+        sections, splits, edge, normal = _wedge_sections, _data_splits(g), 0.0, 1.0
+        lo, hi = max(box[0][0], min(edge, v.offset)), box[0][1]
+        jacobian_power, curvature = 0, 0.0
+    else:
+        v = region if cutoff is None else Ball(region.radius + sign * 2.0 * epsilon)
+        sections, splits, edge, normal = _cone_sections, _radial_splits(g), region.radius, -1.0
+        reach = math.sqrt(sum(max(abs(a), abs(b)) ** 2 for a, b in box))
+        lo, hi = 0.0, min(max(edge, v.radius), reach)
+        jacobian_power = g.dimension - 1
+        curvature = jacobian_power / (2.0 * v.radius)
     m2 = g.mass ** 2
+    if cutoff is not None:
+        prof = cutoff if side == "upper" else cutoff.reflected()
+        for p in prof.feature_points():
+            splits.extend(_graded(edge + normal * epsilon * (p - sign), epsilon, cutoff))
 
-    def integrand(x1):
-        s = _wedge_sections(g, x1, quad)
-        return x1 * (s["C"] + s["P"] + m2 * s["A"] + s["Q"])
+    def integrand(y):
+        if cutoff is None:
+            eta, etap = 1.0, 0.0
+        else:
+            # transition variable u = normal (y - edge)/eps +- 1
+            eta, etap = prof.eta_and_prime(normal * (y - edge) / epsilon + sign)
+            etap = normal * etap / epsilon
+        s = sections(g, y, quad)
+        dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
+                + eta * eta * (s["C"] + s.get("P", 0.0) + m2 * s["A"] + s["Q"]))
+        out = v.weight(y[:, None]) * dens + curvature * eta * eta * s["A"]
+        return y ** jacobian_power * out
 
-    res = integrate_1d(integrand, lo, hi, splits=_data_splits(g),
-                       order=quad.outer_order, rel_tol=quad.rel_tol,
-                       max_panels=quad.max_panels)
-    return QuadResult(0.5 * math.pi * res.value, 0.5 * math.pi * res.error)
-
-
-def exact_entropy_cone(g: InitialData, r: float,
-                       quad: FieldQuad = DEFAULT_QUAD) -> QuadResult:
-    """(pi/2) int_B [beta (|grad g0|^2 + g1^2) + (d-1)/(2r) g0^2] for massless data."""
-    if g.mass != 0.0:
-        raise MassNotZero("the ball weight only generates the massless flow")
-    if r <= 0:
-        raise GeometryViolation("radius must be positive")
-    if g.is_zero():
-        return QuadResult(0.0, 0.0)
-    box = g.support_box()
-    # largest radius the data can reach
-    reach = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in box))
-    rho_max = min(r, reach)
-    if rho_max <= 0:
-        return QuadResult(0.0, 0.0)
-    d = g.dimension
-
-    def integrand(rho):
-        s = _cone_sections(g, rho, quad)
-        beta = (r * r - rho * rho) / (2.0 * r)
-        out = beta * (s["C"] + s["Q"])
-        if d > 1:
-            out = out + (d - 1) / (2.0 * r) * s["A"]
-        return rho ** (d - 1) * out
-
-    res = integrate_1d(integrand, 0.0, rho_max, splits=_radial_splits(g),
-                       order=quad.outer_order, rel_tol=quad.rel_tol,
-                       max_panels=quad.max_panels)
+    res = integrate_1d(integrand, lo, hi, splits=splits, order=quad.outer_order,
+                       rel_tol=quad.rel_tol, max_panels=quad.max_panels)
     return QuadResult(0.5 * math.pi * res.value, 0.5 * math.pi * res.error)
 
 
 def exact_entropy(g: InitialData, region: Region,
                   quad: FieldQuad = DEFAULT_QUAD) -> QuadResult:
-    if isinstance(region, Wedge):
-        if region.offset != 0.0:
-            raise GeometryViolation("exact wedge integral is for the offset-0 wedge")
-        return exact_entropy_wedge(g, quad)
-    return exact_entropy_cone(g, region.radius, quad)
-
-
-# --------------------------------------------------------------------------
-# squeezed bounds
-# --------------------------------------------------------------------------
-
-def _cutoff_on_axis(cutoff, side: str):
-    """eta and eta' as functions of the transition variable u in [-1, 1] with
-    the side-dependent shift; the lower side uses the reflected profile."""
-    if side == "upper":
-        prof = cutoff
-        shift = +1.0
-    elif side == "lower":
-        prof = cutoff.reflected()
-        shift = -1.0
-    else:
-        raise GeometryViolation(f"side must be 'upper' or 'lower', got {side!r}")
-    return prof, shift, prof.feature_points()
+    """Wedge: (pi/2) int_{x^1 > 0} x^1 (|grad g0|^2 + m^2 g0^2 + g1^2) d^d x.
+    Ball: (pi/2) int_B [beta (|grad g0|^2 + g1^2) + (d-1)/(2r) g0^2] for
+    massless data.  Both are the bound integral with eta = 1 on the region."""
+    return _weighted_integral(g, region, quad)
 
 
 def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
@@ -433,78 +437,7 @@ def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
     (pi/2) int beta_pm [ (grad(eta_pm g0))^2 + m^2 (eta_pm g0)^2 + (eta_pm g1)^2 ]
     plus the curvature term for cones.
     """
-    if epsilon <= 0:
-        raise GeometryViolation("epsilon must be positive")
-    if g.is_zero():
-        return QuadResult(0.0, 0.0)
-    prof, shift, features = _cutoff_on_axis(cutoff, side)
-    sign = +1.0 if side == "upper" else -1.0
-
-    if isinstance(region, Wedge):
-        if region.offset != 0.0:
-            raise GeometryViolation("bounds are set up around the offset-0 wedge")
-        box = g.support_box()
-        lo = max(box[0][0], -2.0 * epsilon if side == "upper" else 0.0)
-        hi = box[0][1]
-        if hi <= lo:
-            return QuadResult(0.0, 0.0)
-        m2 = g.mass ** 2
-
-        # transition variable u = x1/eps + 1 (upper) or x1/eps - 1 (lower)
-        def integrand(x1):
-            u = x1 / epsilon + shift
-            eta, etap = prof.eta_and_prime(u)
-            etap = etap / epsilon
-            s = _wedge_sections(g, x1, quad)
-            beta = x1 + sign * 2.0 * epsilon
-            dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
-                    + eta * eta * (s["C"] + s["P"] + m2 * s["A"] + s["Q"]))
-            return beta * dens
-
-        splits = _data_splits(g)
-        for p in features:
-            x_img = epsilon * (p - shift)
-            splits.extend(_graded(x_img, epsilon, cutoff))
-        res = integrate_1d(integrand, lo, hi, splits=splits,
-                           order=quad.outer_order, rel_tol=quad.rel_tol,
-                           max_panels=quad.max_panels)
-        return QuadResult(0.5 * math.pi * res.value, 0.5 * math.pi * res.error)
-
-    # ball / double cone
-    r = region.radius
-    if g.mass != 0.0:
-        raise MassNotZero("cone bounds require massless data")
-    if not epsilon < r / 2.0:
-        raise GeometryViolation("need epsilon < r/2 so the inner ball survives")
-    r_pm = r + sign * 2.0 * epsilon
-    box = g.support_box()
-    reach = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in box))
-    rho_max = min(r_pm if side == "upper" else r, reach)
-    if rho_max <= 0:
-        return QuadResult(0.0, 0.0)
-    d = g.dimension
-
-    def integrand(rho):
-        u = (r - rho) / epsilon + shift
-        eta, etap = prof.eta_and_prime(u)
-        etap = -etap / epsilon  # d/drho of eta((r - rho)/eps + shift)
-        s = _cone_sections(g, rho, quad)
-        beta = (r_pm * r_pm - rho * rho) / (2.0 * r_pm)
-        dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
-                + eta * eta * (s["C"] + s["Q"]))
-        out = beta * dens
-        if d > 1:
-            out = out + (d - 1) / (2.0 * r_pm) * eta * eta * s["A"]
-        return rho ** (d - 1) * out
-
-    splits = _radial_splits(g)
-    for p in features:
-        rho_img = r - epsilon * (p - shift)
-        splits.extend(_graded(rho_img, epsilon, cutoff))
-    res = integrate_1d(integrand, 0.0, rho_max, splits=splits,
-                       order=quad.outer_order, rel_tol=quad.rel_tol,
-                       max_panels=quad.max_panels)
-    return QuadResult(0.5 * math.pi * res.value, 0.5 * math.pi * res.error)
+    return _weighted_integral(g, region, quad, cutoff, side, epsilon)
 
 
 def _graded(center: float, epsilon: float, cutoff) -> list[float]:
@@ -529,13 +462,10 @@ def tau0(g: InitialData, geometry: Region,
     For wedges, x1 -> int g0^2 over the remaining coordinates; for balls,
     rho -> int_{S^{d-1}} g0^2 (surface measure, no radial Jacobian).
     """
-    if isinstance(geometry, Wedge):
-        def profile(x1: float) -> float:
-            return float(_wedge_sections(g, np.atleast_1d(float(x1)), quad)["A"][0])
-        return profile
+    sections = _wedge_sections if isinstance(geometry, Wedge) else _cone_sections
 
-    def profile(rho: float) -> float:
-        return float(_cone_sections(g, np.atleast_1d(float(rho)), quad)["A"][0])
+    def profile(y: float) -> float:
+        return float(sections(g, np.atleast_1d(float(y)), quad)["A"][0])
     return profile
 
 
@@ -546,9 +476,7 @@ def boundary_term_prediction(g: InitialData, geometry: Region, cutoff,
     The lower side uses the reflected profile, whose boundary integral equals
     the energy of the base profile, so the two sides differ only in sign.
     """
-    if side not in ("upper", "lower"):
-        raise GeometryViolation(f"side must be 'upper' or 'lower', got {side!r}")
-    sign = +1.0 if side == "upper" else -1.0
+    sign = _side_sign(side)
     e = cutoff_energy(cutoff)
     if isinstance(geometry, Wedge):
         tau_edge = tau0(g, geometry, quad)(0.0)

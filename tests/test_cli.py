@@ -57,7 +57,13 @@ class TestConfigHandling:
                      ["scalar", "bound", "geometry=cone", "d=3", "epsilon=0.5"],
                      ["scalar", "sweep", "geometry=cone", "d=3", "schedule=0.6:1.8:40"],
                      ["scalar", "sweep", "geometry=cone", "d=3",
-                      "schedule=0.6:1.8:40;1e-2:1.6:100"]):
+                      "schedule=0.6:1.8:40;1e-2:1.6:100"],
+                     ["scalar", "exact", "geometry=cone", "d=3", "mass=1"],
+                     ["scalar", "bound", "geometry=cone", "d=3", "mass=1"],
+                     ["scalar", "sweep", "geometry=cone", "d=3", "mass=1"],
+                     ["fock", "suite", "--cutoff", "6"],
+                     ["fock", "suite", "modes=3"],
+                     ["signalling", "check", "--d1", "64", "--d2", "128"]):
             assert run(argv) == 2, argv
             assert capsys.readouterr().out == ""
 

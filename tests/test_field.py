@@ -23,8 +23,6 @@ from modlab.field import (
     boundary_term_prediction,
     entropy_bound,
     exact_entropy,
-    exact_entropy_cone,
-    exact_entropy_wedge,
     modular_flow_point,
     squeeze_sweep,
     tau0,
@@ -109,19 +107,19 @@ class TestBumpFunction:
 
 class TestExactWedge:
     def test_zero_data(self):
-        assert exact_entropy_wedge(InitialData((), (), 1, 0.0)).value == 0.0
+        assert exact_entropy(InitialData((), (), 1, 0.0), Wedge()).value == 0.0
 
     def test_refined_quadrature_oracle_d1(self):
         g = InitialData((BumpFunction((2.0,), (1.0,)),), (), 1, 0.0)
-        h = exact_entropy_wedge(g)
-        h_ref = exact_entropy_wedge(g, DEFAULT_QUAD.refined())
+        h = exact_entropy(g, Wedge())
+        h_ref = exact_entropy(g, Wedge(), DEFAULT_QUAD.refined())
         assert abs(h.value - h_ref.value) <= 1e-8 * h_ref.value
         assert h.value > 0.0
 
     def test_refined_quadrature_oracle_d2(self):
         g = interior_wedge_data(2, 1.0)
-        h = exact_entropy_wedge(g)
-        h_ref = exact_entropy_wedge(g, DEFAULT_QUAD.refined())
+        h = exact_entropy(g, Wedge())
+        h_ref = exact_entropy(g, Wedge(), DEFAULT_QUAD.refined())
         assert abs(h.value - h_ref.value) <= 1e-6 * h_ref.value
 
     def test_translation_invariance_perpendicular(self):
@@ -132,30 +130,30 @@ class TestExactWedge:
             tuple(BumpFunction((b.center[0], b.center[1] + 5.0), b.width, b.amplitude)
                   for b in g.g1),
             2, g.mass)
-        h0 = exact_entropy_wedge(g)
-        h1 = exact_entropy_wedge(shifted)
+        h0 = exact_entropy(g, Wedge())
+        h1 = exact_entropy(shifted, Wedge())
         assert abs(h0.value - h1.value) <= 1e-9 * h0.value
 
     def test_only_positive_half_space_counts(self):
         # data strictly in the left half space contributes nothing
         g = InitialData((BumpFunction((-3.0,), (1.0,)),), (), 1, 0.0)
-        assert exact_entropy_wedge(g).value == 0.0
+        assert exact_entropy(g, Wedge()).value == 0.0
 
 
 class TestExactCone:
     def test_zero_data(self):
-        assert exact_entropy_cone(InitialData((), (), 3, 0.0), 1.0).value == 0.0
+        assert exact_entropy(InitialData((), (), 3, 0.0), Ball(1.0)).value == 0.0
 
     def test_mass_rejected(self):
         g = InitialData((BumpFunction((0.0,), (0.5,)),), (), 1, 0.5)
         with pytest.raises(MassNotZero):
-            exact_entropy_cone(g, 1.0)
+            exact_entropy(g, Ball(1.0))
 
     def test_d1_has_no_curvature_term(self):
         # in one dimension the exact value is the pure weighted energy integral
         g = InitialData((BumpFunction((0.3,), (0.4,)),), (), 1, 0.0)
         r = 1.0
-        h = exact_entropy_cone(g, r)
+        h = exact_entropy(g, Ball(r))
 
         def weighted(x):
             pts = x[:, None]
@@ -168,8 +166,8 @@ class TestExactCone:
 
     def test_refined_quadrature_oracle_d3(self):
         g = central_cone_data(0.5)
-        h = exact_entropy_cone(g, 1.0)
-        h_ref = exact_entropy_cone(g, 1.0, DEFAULT_QUAD.refined())
+        h = exact_entropy(g, Ball(1.0))
+        h_ref = exact_entropy(g, Ball(1.0), DEFAULT_QUAD.refined())
         assert abs(h.value - h_ref.value) <= 1e-7 * h_ref.value
         assert h.value > 0.0
 
@@ -187,7 +185,7 @@ class TestEntropyBound:
         g = interior_wedge_data(1, 1.0)
         prof = eta_st(1.5, 200)
         eps = 0.01
-        h = exact_entropy_wedge(g)
+        h = exact_entropy(g, Wedge())
         hp = entropy_bound(g, Wedge(), "upper", prof, eps)
         hm = entropy_bound(g, Wedge(), "lower", prof, eps)
         gap = hp.value - hm.value
@@ -216,6 +214,30 @@ class TestEntropyBound:
         hm = entropy_bound(g, Wedge(), "lower", prof, eps)
         assert hp.value == pytest.approx(weighted(+1.0), rel=1e-9)
         assert hm.value == pytest.approx(weighted(-1.0), rel=1e-9)
+
+    def test_interior_cone_bounds_equal_shifted_weight_integrals(self):
+        # with eta = 1 on supp g0 the cone bound is the exact integral over the
+        # ball of radius R = r +- 2 eps: weight (R^2 - rho^2)/(2R) and curvature
+        # term (d-1)/(2R) g0^2; the radial bump is written out here
+        width, r, eps = 0.5, 1.0, 0.01
+        g = central_cone_data(width)
+        prof = eta_st(1.5, 200)
+
+        def weighted(big_r):
+            def integ(rho):
+                q = np.maximum(1.0 - (rho / width) ** 2, 1e-300)
+                g0 = np.exp(1.0 - 1.0 / q) * (rho < width)
+                dg0 = g0 * (-2.0 * rho / width ** 2) / (q * q)
+                beta = (big_r * big_r - rho * rho) / (2.0 * big_r)
+                return 4.0 * math.pi * rho ** 2 * (beta * dg0 * dg0
+                                                   + 2.0 / (2.0 * big_r) * g0 * g0)
+            return 0.5 * math.pi * integrate_1d(integ, 0.0, width, order=16,
+                                                rel_tol=1e-12).value
+
+        hp = entropy_bound(g, Ball(r), "upper", prof, eps)
+        hm = entropy_bound(g, Ball(r), "lower", prof, eps)
+        assert hp.value == pytest.approx(weighted(r + 2 * eps), rel=1e-9)
+        assert hm.value == pytest.approx(weighted(r - 2 * eps), rel=1e-9)
 
     def test_positivity_up_to_quadrature_error(self):
         prof = eta_st(1.5, 80)
@@ -265,7 +287,7 @@ class TestEntropyBound:
         ref = eta_st(1.5, 50)
         disc = DiscreteCutoff(ref.eta(np.linspace(-1.0, 1.0, 4001)))
         g = interior_wedge_data(1, 0.0)
-        h = exact_entropy_wedge(g)
+        h = exact_entropy(g, Wedge())
         hp = entropy_bound(g, Wedge(), "upper", disc, 0.01)
         hm = entropy_bound(g, Wedge(), "lower", disc, 0.01)
         assert hm.value <= h.value <= hp.value
@@ -279,6 +301,16 @@ class TestEntropyBound:
         g = interior_wedge_data(1, 0.0)
         with pytest.raises(GeometryViolation):
             entropy_bound(g, Wedge(), "above", eta_st(1.5, 20), 0.01)
+
+    def test_guards_precede_zero_data_shortcut(self):
+        massive = InitialData((), (), 3, 1.0)
+        with pytest.raises(MassNotZero):
+            exact_entropy(massive, Ball(1.0))
+        with pytest.raises(MassNotZero):
+            entropy_bound(massive, Ball(1.0), "upper", eta_st(1.5, 20), 0.01)
+        with pytest.raises(GeometryViolation):
+            entropy_bound(InitialData((), (), 1, 0.0), Wedge(), "above",
+                          eta_st(1.5, 20), 0.01)
 
 
 class TestRegions:
@@ -307,7 +339,7 @@ class TestQuadBudget:
         g = interior_wedge_data(2, 1.0)
         tiny = FieldQuad(rel_tol=1e-15, max_panels=2)
         with pytest.raises(QuadratureBudgetExceeded):
-            exact_entropy_wedge(g, tiny)
+            exact_entropy(g, Wedge(), tiny)
 
 
 class TestTau0:
@@ -354,7 +386,7 @@ class TestBoundaryPrediction:
     def test_wedge_extrapolation_matches(self):
         g = boundary_wedge_data(1, 0.0)
         prof = eta_st(1.5, 200)
-        h = exact_entropy_wedge(g)
+        h = exact_entropy(g, Wedge())
         for side in ("upper", "lower"):
             pred = boundary_term_prediction(g, Wedge(), prof, side)
             epss = [0.02, 0.01, 0.005]
