@@ -205,12 +205,13 @@ class DiscreteCutoff:
         return np.linspace(-1.0, 1.0, self.values.size)
 
     def eta_and_prime(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Linear interpolation and its cell slope."""
+        """Linear interpolation and its cell slope; outside [-1, 1] the profile
+        is constant 0 or 1, so its slope there is 0."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         h = 2.0 / (self.values.size - 1)
         cell = np.clip(((x + 1.0) / h).astype(int), 0, self.values.size - 2)
-        return (np.interp(x, self.grid, self.values),
-                (self.values[cell + 1] - self.values[cell]) / h)
+        slope = (self.values[cell + 1] - self.values[cell]) / h
+        return np.interp(x, self.grid, self.values), np.where(np.abs(x) > 1.0, 0.0, slope)
 
     def eta(self, x) -> np.ndarray:
         return self.eta_and_prime(x)[0]
@@ -219,7 +220,8 @@ class DiscreteCutoff:
         return self.eta_and_prime(x)[1]
 
     def feature_points(self) -> list[float]:
-        return []
+        """The kinks where the grid meets the constant ends."""
+        return [-1.0, 1.0]
 
     def reflected(self) -> "DiscreteCutoff":
         return DiscreteCutoff(1.0 - self.values[::-1])

@@ -3,6 +3,9 @@
 Hermitian eigendecomposition, spectral matrix functions, Kronecker products
 and partial traces.  Operators on H become Hilbert-Schmidt vectors through the
 row-major `modular.hs_vec`.
+
+Each function also takes a stack (..., n, n) and acts on every matrix of it, as
+LAPACK and matmul do, so a stacked result does not depend on the stack.
 """
 
 from __future__ import annotations
@@ -20,20 +23,29 @@ SUPPORT_CUT_REL = 1e-12
 
 def _as_complex_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
+    if a.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix or a stack, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainViolation("matrix contains NaN or Inf entries")
     return a
 
 
-def frob(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+def dagger(a):
+    """Conjugate transpose of a dense or scipy.sparse matrix, or of each matrix of a stack."""
+    a = a.conj()
+    return a.T if a.ndim == 2 else a.swapaxes(-1, -2)
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+def hermitian_part(a) -> np.ndarray:
+    """(A + A^dag) / 2; NonHermitian when ||A - A^dag||_F > TOL_HERM * max(||A||_F, 1)."""
+    a = _as_complex_matrix(a)
+    if a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"matrix is not square: {a.shape}")
+    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1.0)
+    asym = np.linalg.norm(a - dagger(a), axis=(-2, -1))
+    if np.any(asym > TOL_HERM * scale):
+        raise NonHermitian(f"symmetry residual {np.max(asym / scale):.3e} exceeds {TOL_HERM:.1e}")
+    return (a + dagger(a)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -44,30 +56,22 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
+        return self.apply(lambda w: w)
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         v = self.eigenvectors
-        return (v * f(self.eigenvalues)) @ dagger(v)
+        return (v * f(self.eigenvalues)[..., None, :]) @ dagger(v)
 
 
 def hermitian_eig(a) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NonHermitian when ||A - A^dag||_F > TOL_HERM * ||A||_F and
-    NonConvergence when the LAPACK iteration fails.
+    Raises NonHermitian as `hermitian_part` does and NonConvergence when the
+    LAPACK iteration fails.
     """
-    a = _as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matrix is not square: {a.shape}")
-    scale = max(frob(a), 1.0)
-    if frob(a - dagger(a)) > TOL_HERM * scale:
-        raise NonHermitian(
-            f"symmetry residual {frob(a - dagger(a)) / scale:.3e} exceeds {TOL_HERM:.1e}"
-        )
+    a = hermitian_part(a)
     try:
-        w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
+        w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NonConvergence(str(exc)) from exc
     return HermitianEig(eigenvalues=w, eigenvectors=v)
@@ -82,10 +86,11 @@ def matrix_function(a, f: Callable[[np.ndarray], np.ndarray],
     """
     eig = hermitian_eig(a)
     if positive_domain:
-        cut = SUPPORT_CUT_REL * max(float(eig.eigenvalues.max()), 0.0)
-        if float(eig.eigenvalues.min()) <= cut:
+        low = eig.eigenvalues[..., 0]
+        cut = SUPPORT_CUT_REL * np.maximum(eig.eigenvalues[..., -1], 0.0)
+        if np.any(low <= cut):
             raise DomainViolation(
-                f"eigenvalue {eig.eigenvalues.min():.3e} at or below support cut {cut:.3e}"
+                f"eigenvalue {np.min(low):.3e} at or below support cut {np.max(cut):.3e}"
             )
     return eig.apply(f)
 
@@ -117,8 +122,10 @@ def expi_hermitian(a) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, row-major block convention of numpy."""
-    return np.kron(_as_complex_matrix(a), _as_complex_matrix(b))
+    """Kronecker product (np.kron's convention and products) of broadcast stacks."""
+    a, b = _as_complex_matrix(a), _as_complex_matrix(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def partial_trace(x, which: str, dims: tuple[int, int]) -> np.ndarray:
@@ -128,12 +135,12 @@ def partial_trace(x, which: str, dims: tuple[int, int]) -> np.ndarray:
     """
     d_a, d_b = dims
     x = _as_complex_matrix(x)
-    if x.shape != (d_a * d_b, d_a * d_b):
+    if x.shape[-2:] != (d_a * d_b, d_a * d_b):
         raise DimensionMismatch(f"matrix shape {x.shape} does not match dims {dims}")
-    t = x.reshape(d_a, d_b, d_a, d_b)
+    t = x.reshape(x.shape[:-2] + (d_a, d_b, d_a, d_b))
     if which == "A":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     if which == "B":
-        return np.einsum("ijil->jl", t)
+        return np.einsum("...ijil->...jl", t)
     raise DimensionMismatch(f"which must be 'A' or 'B', got {which!r}")
 

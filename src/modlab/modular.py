@@ -10,19 +10,22 @@ The relative Tomita map sends a*sqrt(rho) to a^dag*sqrt(rho_t); its polar
 decomposition yields the modular conjugation, the modular operator and the
 modular generator whose expectation in sqrt(rho) is the relative entropy
 tr rho (log rho - log rho_t).
+
+Every function also takes stacks (..., d, d) of states, unitaries or maps and
+then returns arrays over the leading axes: one pair is the unstacked view of
+the same formula that the seeded suites run on blocks of trials.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NonHermitian, NonUnitary, RankDeficient, SingularS
-from .linalg import TOL_HERM, dagger, frob, hermitian_eig, kron, matrix_sqrt, partial_trace
+from .errors import DimensionMismatch, NonUnitary, RankDeficient, SingularS
+from .linalg import dagger, hermitian_eig, hermitian_part, kron, matrix_sqrt, partial_trace
 
 FULL_RANK_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -36,28 +39,25 @@ WELL_CONDITIONED_EIG = 1e-8
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian positive unit-trace matrix with support metadata."""
+    """Hermitian positive unit-trace matrix (or stack) with support metadata."""
 
     matrix: np.ndarray
-    min_eigenvalue: float = field(init=False)
+    min_eigenvalue: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        if frob(m - dagger(m)) > TOL_HERM * max(frob(m), 1.0):
-            raise NonHermitian("density matrix is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
-        if w.min() < -1e-12:
-            raise RankDeficient(f"negative eigenvalue {w.min():.3e}")
-        if abs(np.trace(m).real - 1.0) > 1e-12:
-            raise RankDeficient(f"trace deviates from 1 by {abs(np.trace(m).real - 1.0):.3e}")
-        object.__setattr__(self, "matrix", (m + dagger(m)) / 2.0)
-        object.__setattr__(self, "min_eigenvalue", float(w.min()))
+        m = hermitian_part(self.matrix)
+        w = np.linalg.eigvalsh(m)[..., 0]
+        if np.any(w < -1e-12):
+            raise RankDeficient(f"negative eigenvalue {np.min(w):.3e}")
+        trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
+        if np.any(trace_dev > 1e-12):
+            raise RankDeficient(f"trace deviates from 1 by {np.max(trace_dev):.3e}")
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "min_eigenvalue", _scalar(w))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def full_rank(self) -> bool:
@@ -80,9 +80,6 @@ class AntilinearMap:
         """Linear part of self o other (two antilinear maps compose to a linear one)."""
         return self.linear_part @ np.conj(other.linear_part)
 
-    def adjoint(self) -> "AntilinearMap":
-        return AntilinearMap(self.linear_part.T)
-
     def antiunitarity_defect(self) -> float:
         m = self.linear_part
         return float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[0]), 2))
@@ -97,10 +94,10 @@ class ModularData:
     Delta: np.ndarray
     K: np.ndarray
 
-    def s_reconstruction_residual(self) -> float:
+    def s_reconstruction_residual(self) -> float | np.ndarray:
         delta_sqrt = linalg.matrix_power_positive(self.Delta, 0.5)
         rebuilt = self.J.linear_part @ np.conj(delta_sqrt)
-        return float(np.linalg.norm(rebuilt - self.S.linear_part, 2))
+        return _scalar(np.linalg.norm(rebuilt - self.S.linear_part, 2, axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ class PurifiedBipartite:
     def __post_init__(self):
         if self.rho_ab.dim != self.d_a * self.d_b:
             raise DimensionMismatch("rho_AB dimension does not factor as d_A * d_B")
-        if not self.rho_ab.full_rank:
+        if not np.all(self.rho_ab.full_rank):
             raise RankDeficient("purified bipartite state must be full rank")
 
     @property
@@ -124,23 +121,32 @@ class PurifiedBipartite:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    trial_seed: int
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
+    """One inequality check; for stacked inputs every field is an array."""
 
-    def to_json(self) -> str:
-        return json.dumps({"trial_seed": self.trial_seed, "lhs": self.lhs,
-                           "rhs": self.rhs, "margin": self.margin, "pass": self.passed})
+    trial_seed: int | np.ndarray
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    margin: float | np.ndarray
+    passed: bool | np.ndarray
 
 
 # --------------------------------------------------------------------------
 # HS-space helpers (row-major flattening)
 # --------------------------------------------------------------------------
 
+def _scalar(x):
+    """A 0-d result as a Python float, a stacked one as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def hs_vec(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=complex).ravel()
+    return np.asarray(x, dtype=complex).reshape(np.shape(x)[:-2] + (-1,))
+
+
+def _quadratic_form(k: np.ndarray, x: np.ndarray) -> float | np.ndarray:
+    """Re <hs_vec(x), K hs_vec(x)>."""
+    v = hs_vec(x)[..., :, None]
+    return _scalar(np.real(dagger(v) @ (k @ v))[..., 0, 0])
 
 
 def sandwich_op(u: np.ndarray) -> np.ndarray:
@@ -148,20 +154,11 @@ def sandwich_op(u: np.ndarray) -> np.ndarray:
     return kron(u, u.conj())
 
 
-def transpose_perm(dim: int) -> np.ndarray:
-    """Permutation matrix T with T hs_vec(X) = hs_vec(X^T)."""
-    t = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            t[i * dim + j, j * dim + i] = 1.0
-    return t
-
-
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
-    defect = np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0]), 2)
-    if defect > UNITARY_TOL:
-        raise NonUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL:.1e}")
+    defect = np.linalg.norm(dagger(u) @ u - np.eye(u.shape[-1]), 2, axis=(-2, -1))
+    if np.any(defect > UNITARY_TOL):
+        raise NonUnitary(f"unitarity defect {np.max(defect):.3e} exceeds {UNITARY_TOL:.1e}")
     return u
 
 
@@ -169,7 +166,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 # relative entropy and Tomita construction
 # --------------------------------------------------------------------------
 
-def rel_entropy_dm(rho: DensityMatrix, rho_t: DensityMatrix) -> float:
+def rel_entropy_dm(rho: DensityMatrix, rho_t: DensityMatrix) -> float | np.ndarray:
     """tr rho (log rho - log rho_t) on the support of rho; +inf if the support
     of rho is not contained in the support of rho_t."""
     if rho.dim != rho_t.dim:
@@ -178,18 +175,16 @@ def rel_entropy_dm(rho: DensityMatrix, rho_t: DensityMatrix) -> float:
     eq = hermitian_eig(rho_t.matrix)
     p, vp = ep.eigenvalues, ep.eigenvectors
     q, vq = eq.eigenvalues, eq.eigenvectors
-    cut_p = SUPPORT_TOL * max(p.max(), 1e-300)
-    cut_q = SUPPORT_TOL * max(q.max(), 1e-300)
-    sup_p = p > cut_p
-    overlap = np.abs(dagger(vp) @ vq) ** 2  # overlap[i, j] = |<v_i, w_j>|^2
+    sup_p = p > SUPPORT_TOL * np.maximum(p[..., -1:], 1e-300)
+    sup_q = q > SUPPORT_TOL * np.maximum(q[..., -1:], 1e-300)
+    p = np.where(sup_p, p, 0.0)
+    # weight[i, j] = p_i |<v_i, w_j>|^2 over the support of rho
+    weight = p[..., :, None] * np.abs(dagger(vp) @ vq) ** 2
     # support condition: rho must not weigh the null space of rho_t
-    bad_mass = overlap[np.ix_(sup_p, q <= cut_q)]
-    if bad_mass.size and float((p[sup_p, None] * bad_mass).sum()) > 1e-12:
-        return math.inf
-    h = float(np.sum(p[sup_p] * np.log(p[sup_p])))
-    cross = overlap[np.ix_(sup_p, q > cut_q)]
-    h -= float(np.sum(p[sup_p, None] * cross * np.log(q[None, q > cut_q])))
-    return h
+    bad_mass = np.where(sup_q[..., None, :], 0.0, weight).sum(axis=(-2, -1))
+    h = (np.sum(p * np.log(np.where(sup_p, p, 1.0)), axis=-1)
+         - np.sum(weight * np.log(np.where(sup_q, q, 1.0))[..., None, :], axis=(-2, -1)))
+    return _scalar(np.where(bad_mass > 1e-12, math.inf, h))
 
 
 def tomita_pair(psi: np.ndarray, phi: np.ndarray) -> AntilinearMap:
@@ -197,24 +192,25 @@ def tomita_pair(psi: np.ndarray, phi: np.ndarray) -> AntilinearMap:
 
     Sends a*Psi to a^dag*Phi, i.e. X -> (Psi^dag)^{-1} X^dag Phi on matrices.
     """
-    d = psi.shape[0]
-    if psi.shape != (d, d) or phi.shape != (d, d):
+    d = psi.shape[-1]
+    if psi.shape[-2:] != (d, d) or phi.shape != psi.shape:
         raise DimensionMismatch("vectors must be square matrices of equal size")
     sv = np.linalg.svd(psi, compute_uv=False)
-    if sv.min() < FULL_RANK_TOL * sv.max():
+    if np.any(sv[..., -1] < FULL_RANK_TOL * sv[..., 0]):
         raise RankDeficient("reference vector is not separating (rank deficient)")
-    m = kron(np.linalg.inv(dagger(psi)), phi.T) @ transpose_perm(d)
-    return AntilinearMap(m)
+    # hs_vec(X^T) = hs_vec(X)[perm], so X -> X^T composed on the right permutes columns
+    perm = np.arange(d * d).reshape(d, d).T.ravel()
+    return AntilinearMap(kron(np.linalg.inv(dagger(psi)), phi.swapaxes(-1, -2))[..., perm])
 
 
 def rel_tomita(rho: DensityMatrix, rho_t: DensityMatrix) -> AntilinearMap:
     """Relative Tomita map of a pair of full-rank density matrices."""
     if rho.dim != rho_t.dim:
         raise DimensionMismatch("states have different dimensions")
-    if not (rho.full_rank and rho_t.full_rank):
+    if not (np.all(rho.full_rank) and np.all(rho_t.full_rank)):
         raise RankDeficient(
-            f"full rank required (min eigenvalues {rho.min_eigenvalue:.2e}, "
-            f"{rho_t.min_eigenvalue:.2e})"
+            f"full rank required (min eigenvalues {np.min(rho.min_eigenvalue):.2e}, "
+            f"{np.min(rho_t.min_eigenvalue):.2e})"
         )
     return tomita_pair(rho.sqrt(), rho_t.sqrt())
 
@@ -223,9 +219,9 @@ def polar_modular(s: AntilinearMap) -> ModularData:
     """Polar decomposition S = J Delta^{1/2} with Delta = S*S and K = -log Delta."""
     m = s.linear_part
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv.min() <= max(1e-13 * sv.max(), 1e-300):
+    if np.any(sv[..., -1] <= np.maximum(1e-13 * sv[..., 0], 1e-300)):
         raise SingularS("Tomita map numerically singular")
-    delta = m.T @ np.conj(m)
+    delta = m.swapaxes(-1, -2) @ np.conj(m)
     delta = (delta + dagger(delta)) / 2.0
     eig = hermitian_eig(delta)
     k = -eig.apply(np.log)
@@ -242,13 +238,12 @@ def modular_data(rho: DensityMatrix, rho_t: DensityMatrix) -> ModularData:
 def delta_closed_form(rho: DensityMatrix, rho_t: DensityMatrix) -> np.ndarray:
     """kron(rho_t, (rho^{-1})^T), the relative modular operator on HS vectors."""
     rho_inv = linalg.matrix_inv_positive(rho.matrix)
-    return kron(rho_t.matrix, rho_inv.T)
+    return kron(rho_t.matrix, rho_inv.swapaxes(-1, -2))
 
 
-def entropy_from_modular(md: ModularData, rho: DensityMatrix) -> float:
+def entropy_from_modular(md: ModularData, rho: DensityMatrix) -> float | np.ndarray:
     """<Omega, K Omega> with Omega = sqrt(rho) as an HS vector."""
-    omega = hs_vec(rho.sqrt())
-    return float(np.real(np.vdot(omega, md.K @ omega)))
+    return _quadratic_form(md.K, rho.sqrt())
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +263,7 @@ def check_unitary_covariance(u: np.ndarray, rho: DensityMatrix,
 
 
 def check_commutant_cancellation(u_r: np.ndarray, v_r: np.ndarray,
-                                 rho: DensityMatrix, rho_t: DensityMatrix) -> float:
+                                 rho: DensityMatrix, rho_t: DensityMatrix) -> float | np.ndarray:
     """|H(v'Omega, u'Omega_t) - H(Omega, Omega_t)| for right-multiplication
     unitaries v', u'; commutant dressings must cancel."""
     u_r = _check_unitary(u_r)
@@ -276,9 +271,7 @@ def check_commutant_cancellation(u_r: np.ndarray, v_r: np.ndarray,
     psi = rho.sqrt() @ v_r
     phi = rho_t.sqrt() @ u_r
     md = polar_modular(tomita_pair(psi, phi))
-    h_dressed = float(np.real(np.vdot(hs_vec(psi), md.K @ hs_vec(psi))))
-    h_plain = rel_entropy_dm(rho, rho_t)
-    return abs(h_dressed - h_plain)
+    return abs(_quadratic_form(md.K, psi) - rel_entropy_dm(rho, rho_t))
 
 
 def theorem_entropy_bounds(pb: PurifiedBipartite,
@@ -294,10 +287,10 @@ def theorem_entropy_bounds(pb: PurifiedBipartite,
     (v v'Omega, u u'Omega) dominates the relative entropy of its A-reductions.
     """
     for w in (u, v):
-        if w.shape != (pb.rho_ab.dim, pb.rho_ab.dim):
+        if w.shape[-2:] != (pb.rho_ab.dim, pb.rho_ab.dim):
             raise DimensionMismatch("u, v must act on H_A (x) H_B")
     for w in (u_b, v_b):
-        if w.shape != (pb.d_b, pb.d_b):
+        if w.shape[-2:] != (pb.d_b, pb.d_b):
             raise DimensionMismatch("u_B, v_B must act on H_B")
     u = _check_unitary(u)
     v = _check_unitary(v)
@@ -312,8 +305,7 @@ def theorem_entropy_bounds(pb: PurifiedBipartite,
     lhs_a = rel_entropy_dm(DensityMatrix(partial_trace(rho_v, "A", dims)),
                            DensityMatrix(partial_trace(rho_u, "A", dims)))
     md = modular_data(pb.rho_ab, pb.rho_ab)
-    moved = hs_vec(dagger(u) @ v @ pb.omega)
-    rhs_ab = float(np.real(np.vdot(moved, md.K @ moved)))
+    rhs_ab = _quadratic_form(md.K, dagger(u) @ v @ pb.omega)
     upper = InequalityReport(trial_seed, lhs_a, rhs_ab,
                              rhs_ab - lhs_a, lhs_a <= rhs_ab + tol)
 
@@ -344,21 +336,36 @@ def monotonicity_check(rho_ab: DensityMatrix, rho_t_ab: DensityMatrix,
 # random ensembles
 # --------------------------------------------------------------------------
 
-def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
+def random_density(dim: int, rng: np.random.Generator | list) -> DensityMatrix:
     """rho = G G^dag / tr(G G^dag) with complex Gaussian G; redraws the rare
-    near-singular samples so Tomita constructions stay well conditioned."""
+    near-singular samples so Tomita constructions stay well conditioned. A list
+    of generators draws a stack, each state redrawn from its own generator."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    out = np.empty((len(rngs), dim, dim), dtype=complex)
+    todo = np.arange(len(rngs))
     for _ in range(64):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        g = _gaussians(dim, [rngs[k] for k in todo])
         m = g @ dagger(g)
-        m = m / np.trace(m).real
-        if np.linalg.eigvalsh(m).min() > WELL_CONDITIONED_EIG:
-            return DensityMatrix(m)
+        m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+        ok = np.linalg.eigvalsh(m)[:, 0] > WELL_CONDITIONED_EIG
+        out[todo[ok]] = m[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return DensityMatrix(out if rngs is rng else out[0])
     raise RankDeficient("could not draw a well-conditioned state")  # pragma: no cover
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary via QR of a complex Gaussian with phase-fixed diagonal."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def random_unitary(dim: int, rng: np.random.Generator | list) -> np.ndarray:
+    """Haar unitary via QR of a complex Gaussian with phase-fixed diagonal; a
+    list of generators draws a stack, one unitary per generator."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    q, r = np.linalg.qr(_gaussians(dim, rngs))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[:, None, :]
+    return u if rngs is rng else u[0]
+
+
+def _gaussians(dim: int, rngs: list) -> np.ndarray:
+    """One complex Gaussian dim x dim matrix per generator, real part drawn first."""
+    x = np.array([r.standard_normal((2, dim, dim)) for r in rngs])
+    return x[:, 0] + 1j * x[:, 1]

@@ -49,17 +49,59 @@ def central_cone_data(width):
     return InitialData((BumpFunction((0.0, 0.0, 0.0), (width,) * 3),), (), 3, 0.0)
 
 
+def _bump_sum(bumps, pts):
+    """Value and gradient at pts (n, d) of a sum of bumps
+    amplitude * exp(1 - 1/(1 - s^2)), s^2 = sum_i ((x_i - c_i)/w_i)^2 < 1."""
+    val, grad = np.zeros(pts.shape[0]), np.zeros_like(pts)
+    for b in bumps:
+        w = np.array(b.width)
+        z = (pts - np.array(b.center)) / w
+        s2 = np.sum(z * z, axis=1)
+        inside = s2 < 1.0
+        q = 1.0 - s2[inside]
+        v = b.amplitude * np.exp(1.0 - 1.0 / q)
+        val[inside] += v
+        grad[inside] += (-2.0 * v / q ** 2)[:, None] * z[inside] / w
+    return val, grad
+
+
+# (panels per axis, Gauss order) per dimension; on the wedge presets both reach
+# 1e-11 relative against refined rules, far inside the tolerances below
+TENSOR_RULE = {1: (32, 16), 2: (16, 16)}
+
+
+def box_integral(bumps, density):
+    """int density(x, value, grad) d^d x over the bumps' joint support box, by
+    a composite tensor Gauss-Legendre rule; shares no code with modlab.field."""
+    if not bumps:
+        return 0.0
+    d = len(bumps[0].center)
+    panels, order = TENSOR_RULE[d]
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    axes, wts = [], []
+    for i in range(d):
+        edges = np.linspace(min(b.center[i] - b.width[i] for b in bumps),
+                            max(b.center[i] + b.width[i] for b in bumps), panels + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        axes.append((edges[:-1, None] + half * (nodes + 1.0)).ravel())
+        wts.append((half * weights).ravel())
+    pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    w = np.prod(np.meshgrid(*wts, indexing="ij"), axis=0).ravel()
+    val, grad = _bump_sum(bumps, pts)
+    return float(w @ density(pts, val, grad))
+
+
+def weighted_energy(g, weight):
+    """int weight(x) (|grad g0|^2 + m^2 g0^2 + g1^2) d^d x."""
+    m2 = g.mass ** 2
+    return (box_integral(g.g0, lambda x, v, gr: weight(x) * (np.sum(gr * gr, axis=1)
+                                                            + m2 * v * v))
+            + box_integral(g.g1, lambda x, v, gr: weight(x) * v * v))
+
+
 def field_energy(g):
-    """int |grad g0|^2 + m^2 g0^2 + g1^2 over R^d via the section machinery."""
-    from modlab.field import _data_splits, _wedge_sections
-
-    def integ(x1):
-        s = _wedge_sections(g, x1, DEFAULT_QUAD)
-        return s["C"] + s["P"] + g.mass ** 2 * s["A"] + s["Q"]
-
-    box = g.support_box()
-    return integrate_1d(integ, box[0][0], box[0][1], splits=_data_splits(g),
-                        order=12, rel_tol=1e-10).value
+    """int |grad g0|^2 + m^2 g0^2 + g1^2 over R^d."""
+    return weighted_energy(g, lambda x: 1.0)
 
 
 class TestBumpFunction:
@@ -199,16 +241,9 @@ class TestEntropyBound:
         g = interior_wedge_data(1, 1.0)
         prof = eta_st(1.5, 200)
         eps = 0.01
-        from modlab.field import _data_splits, _wedge_sections
 
         def weighted(sign):
-            def integ(x1):
-                s = _wedge_sections(g, x1, DEFAULT_QUAD)
-                return (x1 + sign * 2 * eps) * (s["C"] + s["P"] + s["A"] + s["Q"])
-            box = g.support_box()
-            return 0.5 * math.pi * integrate_1d(integ, box[0][0], box[0][1],
-                                                splits=_data_splits(g), order=12,
-                                                rel_tol=1e-11).value
+            return 0.5 * math.pi * weighted_energy(g, lambda x: x[:, 0] + sign * 2 * eps)
 
         hp = entropy_bound(g, Wedge(), "upper", prof, eps)
         hm = entropy_bound(g, Wedge(), "lower", prof, eps)
@@ -292,6 +327,20 @@ class TestEntropyBound:
         hm = entropy_bound(g, Wedge(), "lower", disc, 0.01)
         assert hm.value <= h.value <= hp.value
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_discrete_minimizer_bounds_are_ordered(self, d, eps):
+        # the lemma's own near-optimal grid profile has steep end cells, so its
+        # slope must read 0 outside [-1, 1], not the end cell's slope
+        from modlab.cli import preset_data
+        from modlab.cutoff import minimize_discrete
+        profile, _ = minimize_discrete(2000)
+        g = preset_data("wedge", d, 0.0, "interior")
+        h = exact_entropy(g, Wedge()).value
+        hm = entropy_bound(g, Wedge(), "lower", profile, eps).value
+        hp = entropy_bound(g, Wedge(), "upper", profile, eps).value
+        assert hm <= h <= hp
+
     def test_cone_epsilon_guard(self):
         g = central_cone_data(0.5)
         with pytest.raises(GeometryViolation):
@@ -358,9 +407,10 @@ class TestTau0:
         prof = tau0(g, Wedge())
         lhs = integrate_1d(lambda xs: np.array([prof(x) for x in np.atleast_1d(xs)]),
                            0.7, 2.3, order=16, rel_tol=1e-11).value
-        from modlab.field import _data_splits, _wedge_sections
-        rhs = integrate_1d(lambda xs: _wedge_sections(g, np.atleast_1d(xs), DEFAULT_QUAD)["A"],
-                           0.7, 2.3, splits=_data_splits(g), order=16, rel_tol=1e-11).value
+        # the strip 0.7 <= x^1 <= 2.3 is the x^1-range of supp g0, so the strip
+        # integral of g0^2 is its integral over the support box
+        assert g.support_box()[0] == pytest.approx((0.7, 2.3))
+        rhs = box_integral(g.g0, lambda x, v, gr: v * v)
         assert abs(lhs - rhs) <= 1e-9 * rhs
 
     def test_cone_radial_normalization(self):

@@ -237,7 +237,7 @@ class TestTheoremBounds:
         rng = np.random.default_rng(22)
         pb = PurifiedBipartite(2, 2, random_density(4, rng))
         upper, _ = theorem_entropy_bounds(pb, np.eye(4), np.eye(4), np.eye(2), np.eye(2))
-        assert '"pass": true' in upper.to_json()
+        assert upper.passed
 
 
 class TestMonotonicity:
