@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import suites
-from .cutoff import energy, energy_limit, eta_st, minimize_discrete
-from .errors import ConfigError, ModlabError, ScheduleViolation
+from .cutoff import energy, energy_limit, eta_st, minimize_discrete, t_threshold
+from .errors import ConfigError, FlowSingularity, ModlabError, ScheduleViolation
 from .field import (
     Ball,
     BumpFunction,
@@ -54,9 +54,10 @@ def _point(text: str) -> tuple:
     return tuple(float(p) for p in text.split(","))
 
 
+# mass <= 1e100 keeps m^2 (up to 1e200) times the O(1) preset sections finite
 FIELD_KEYS = {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
               "d": (int, lambda v: v in (1, 2, 3), 1),
-              "mass": (float, lambda v: v >= 0, 0.0),
+              "mass": (float, lambda v: 0 <= v <= 1e100, 0.0),
               "r": (float, _positive, 1.0),
               "data": (str, lambda v: v in ("interior", "boundary"), "interior")}
 
@@ -75,8 +76,9 @@ SCHEMAS = {
     ("scalar", "sweep"): {**FIELD_KEYS,
                           "schedule": (str, lambda v: True,
                                        "1e-2:1.8:40;3e-3:1.6:100;1e-3:1.5:200")},
+    # cosh s and sinh s overflow past |s| = 710.4
     ("scalar", "flow"): {"geometry": FIELD_KEYS["geometry"], "r": FIELD_KEYS["r"],
-                         "s": (float, lambda v: True, 1.0),
+                         "s": (float, lambda v: abs(v) <= 700, 1.0),
                          "point": (_point, lambda v: len(v) >= 2, (0.0, 0.5))},
     ("cutoff", "energy"): {"s": (float, lambda v: v > 1, 1.5),
                            "t": (float, _positive, 200.0)},
@@ -169,6 +171,12 @@ def check_collars(geometry: str, r: float, epsilons) -> None:
     for eps in epsilons:
         if geometry == "cone" and not eps < r / 2.0:
             raise ConfigError(f"cone epsilon {eps!r} must be below r/2 = {r / 2.0!r}")
+
+
+def check_mollifier(s: float, t: float) -> None:
+    """eta_{s,t} stays supported in [-1, 1] only for t >= s/(s-1)."""
+    if t < t_threshold(s):
+        raise ConfigError(f"t = {t!r} must be at least s/(s-1) = {t_threshold(s)!r}")
 
 
 def parse_schedule(text: str) -> list[tuple[float, float, float]]:
@@ -308,8 +316,15 @@ def cmd_scalar(action: str, params: dict, out_dir: str | None) -> dict:
     geometry = params["geometry"]
     if action == "flow":
         point = np.array(params["point"])
-        mapped, factor = modular_flow_point(preset_region(geometry, params["r"]),
-                                            params["s"], point)
+        try:
+            with np.errstate(all="ignore"):  # an overflow is refused just below
+                mapped, factor = modular_flow_point(preset_region(geometry, params["r"]),
+                                                    params["s"], point)
+        except FlowSingularity as exc:
+            raise ConfigError(f"point {params['point']} leaves the flow's domain: {exc}") from exc
+        if not (np.all(np.isfinite(mapped)) and np.isfinite(factor)):
+            raise ConfigError(f"the flow of point {params['point']} by s = {params['s']!r} "
+                              f"overflows double precision")
         summary = {"point": point.tolist(), "mapped": mapped.tolist(),
                    "factor": factor, "passed": True}
         rows = [{"coordinate": i, "before": float(point[i]), "after": float(mapped[i])}
@@ -327,6 +342,7 @@ def cmd_scalar(action: str, params: dict, out_dir: str | None) -> dict:
         return summary
     if action == "bound":
         check_collars(geometry, params["r"], [params["epsilon"]])
+        check_mollifier(params["s"], params["t"])
         prof = eta_st(params["s"], params["t"])
         res = entropy_bound(g, region, params["side"], prof, params["epsilon"])
         pred = boundary_term_prediction(g, region, prof, params["side"])
@@ -367,6 +383,7 @@ def cmd_cutoff(action: str, params: dict, out_dir: str | None) -> dict:
         print(_fmt(value))
         return summary
     if action == "energy":
+        check_mollifier(params["s"], params["t"])
         prof = eta_st(params["s"], params["t"])
         e_val = energy(prof)
         limit = energy_limit(params["s"])

@@ -87,6 +87,11 @@ class ChiKernel:
 # cutoff profiles
 # --------------------------------------------------------------------------
 
+def t_threshold(s: float) -> float:
+    """Smallest admissible mollifier scale of eta_{s,t}: s/(s-1)."""
+    return s / (s - 1.0)
+
+
 class AnalyticCutoff:
     """Transition eta_{s,t}: the antiderivative of chi_s mollified at scale 1/t.
 
@@ -97,9 +102,9 @@ class AnalyticCutoff:
     def __init__(self, s: float, t: float):
         if s <= 1.0:
             raise ParameterViolation(f"s must exceed 1, got {s}")
-        if t < s / (s - 1.0):
+        if t < t_threshold(s):
             raise ParameterViolation(
-                f"t = {t} below the admissible threshold s/(s-1) = {s / (s - 1.0):.6g}")
+                f"t = {t} below the admissible threshold s/(s-1) = {t_threshold(s):.6g}")
         self.s = float(s)
         self.t = float(t)
         self.kernel = ChiKernel(s)
@@ -267,10 +272,11 @@ def reflected_energy(eta: CutoffProfile) -> float:
 
 
 def energy_limit(s: float) -> float:
-    """Large-t limit of E[eta_{s,t}]: 1/log((s+1)/(s-1)), decaying as s -> 1+."""
+    """Large-t limit of E[eta_{s,t}]: 1/log((s+1)/(s-1)), decaying as s -> 1+;
+    written as 1/log1p(2/(s-1)), which stays finite for every finite s > 1."""
     if s <= 1.0:
         raise ParameterViolation(f"s must exceed 1, got {s}")
-    return 1.0 / math.log((s + 1.0) / (s - 1.0))
+    return 1.0 / math.log1p(2.0 / (s - 1.0))
 
 
 def energy_dominating_bound(s: float) -> float:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutoff import AnalyticCutoff, energy as cutoff_energy
+from .cutoff import AnalyticCutoff, energy as cutoff_energy, t_threshold
 from .errors import (
     DimensionMismatch,
     FlowSingularity,
@@ -58,17 +59,22 @@ class BumpFunction:
     def dim(self) -> int:
         return len(self.center)
 
-    def value_and_gradient(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Value (...,) and gradient (..., d) at pts (..., d) from one scaled
-        radius and one exp; both are exactly zero on and outside s^2 = 1."""
-        width = np.array(self.width)
-        z = (pts - np.array(self.center)) / width
-        s2 = np.einsum("...i,...i->...", z, z)
+    def profile(self, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value v = amplitude * exp(1 - 1/q) and factor f = -2 v / q^2, q = 1 - s^2,
+        at scaled squared radii s2, so that grad = f (x - c)/w^2; both are
+        exactly zero on and outside s^2 = 1."""
         inside = s2 < 1.0
         q = np.where(inside, 1.0 - s2, 1.0)
         value = self.amplitude * inside * np.exp(1.0 - 1.0 / q)
+        return value, -2.0 * value / (q * q)
+
+    def value_and_gradient(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value (...,) and gradient (..., d) at pts (..., d)."""
+        width = np.array(self.width)
+        z = (pts - np.array(self.center)) / width
+        value, f = self.profile(np.einsum("...i,...i->...", z, z))
         z /= width
-        z *= (-2.0 * value / (q * q))[..., None]
+        z *= f[..., None]
         return value, z
 
     def value(self, pts: np.ndarray) -> np.ndarray:
@@ -214,28 +220,32 @@ def _slice_bounds(bumps: Sequence[BumpFunction], x1: np.ndarray,
 
 
 def _slice_grid(bumps: Sequence[BumpFunction], x1: np.ndarray, d: int,
-                order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slice quadrature points (n_x, n_p, d) and weights (n_x, n_p) over
-    the bump sum's own perpendicular support, composite Gauss per axis."""
+                order: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-axis coordinates and the product weight of a composite Gauss rule
+    over the bump sum's own perpendicular support at each x1 slice, shaped to
+    broadcast: x1 (n, 1) and x2 (n, k) for d = 2; x1 (n, 1, 1), x2 (n, k, 1)
+    and x3 (n, 1, k) for d = 3."""
     nodes01, w01 = _composite01(order // 2 + 4)
-    n_x, k = x1.size, nodes01.size
-    per_axis_pts, per_axis_w = [], []
+    axes, weight = [x1.reshape((-1,) + (1,) * (d - 1))], 1.0
     for axis in range(1, d):
         lo, hi = _slice_bounds(bumps, x1, axis)
         span = (hi - lo)[:, None]
-        per_axis_pts.append(lo[:, None] + span * nodes01)
-        per_axis_w.append(span * w01)
-    if d == 2:
-        pts = np.empty((n_x, k, 2))
-        pts[:, :, 0] = x1[:, None]
-        pts[:, :, 1] = per_axis_pts[0]
-        return pts, per_axis_w[0]
-    pts = np.empty((n_x, k * k, 3))
-    pts[:, :, 0] = x1[:, None]
-    pts[:, :, 1] = np.repeat(per_axis_pts[0], k, axis=1)
-    pts[:, :, 2] = np.tile(per_axis_pts[1], (1, k))
-    w = np.repeat(per_axis_w[0], k, axis=1) * np.tile(per_axis_w[1], (1, k))
-    return pts, w
+        shape = [-1] + [1] * (d - 1)
+        shape[axis] = nodes01.size
+        axes.append((lo[:, None] + span * nodes01).reshape(shape))
+        weight = weight * (span * w01).reshape(shape)
+    return axes, weight
+
+
+def _on_axes(bumps: Sequence[BumpFunction], axes: list[np.ndarray]):
+    """Value and per-axis gradient of a bump sum on broadcasting coordinates."""
+    value, grad = 0.0, [0.0] * len(axes)
+    for b in bumps:
+        z = [(x - c) / w for x, c, w in zip(axes, b.center, b.width)]
+        v, f = b.profile(sum(zi * zi for zi in z))
+        value = value + v
+        grad = [gi + zi / w * f for gi, zi, w in zip(grad, z, b.width)]
+    return value, grad
 
 
 def _wedge_sections(g: InitialData, x1: np.ndarray, quad: FieldQuad) -> dict:
@@ -256,29 +266,20 @@ def _wedge_sections(g: InitialData, x1: np.ndarray, quad: FieldQuad) -> dict:
         g1 = g.g1_value(pts)
         return {"A": g0 * g0, "B": g0 * d1, "C": d1 * d1,
                 "P": np.zeros_like(g0), "Q": g1 * g1}
+
+    def integral(f, w):
+        return np.sum((f * w).reshape(n_x, -1), axis=1)
     zeros = np.zeros(n_x)
-    out = {"A": zeros.copy(), "B": zeros.copy(), "C": zeros.copy(),
-           "P": zeros.copy(), "Q": zeros.copy()}
+    out = {"A": zeros, "B": zeros, "C": zeros, "P": zeros, "Q": zeros}
     if g.g0:
-        pts, w = _slice_grid(g.g0, x1, d, quad.cross_order)
-        flat = pts.reshape(-1, d)
-        n_p = w.shape[1]
-        g0, grad = g.g0_value_and_gradient(flat)
-        g0 = g0.reshape(n_x, n_p)
-        grad = grad.reshape(n_x, n_p, d)
-        d1 = grad[:, :, 0]
-        perp = grad[:, :, 1:]
-        perp_sq = np.einsum("xpi,xpi->xp", perp, perp)
-        out["A"] = np.sum(g0 * g0 * w, axis=1)
-        out["B"] = np.sum(g0 * d1 * w, axis=1)
-        out["C"] = np.sum(d1 * d1 * w, axis=1)
-        out["P"] = np.sum(perp_sq * w, axis=1)
+        axes, w = _slice_grid(g.g0, x1, d, quad.cross_order)
+        g0, (d1, *perp) = _on_axes(g.g0, axes)
+        out.update(A=integral(g0 * g0, w), B=integral(g0 * d1, w),
+                   C=integral(d1 * d1, w), P=integral(sum(p * p for p in perp), w))
     if g.g1:
-        pts, w = _slice_grid(g.g1, x1, d, quad.cross_order)
-        flat = pts.reshape(-1, d)
-        n_p = w.shape[1]
-        g1 = g.g1_value(flat).reshape(n_x, n_p)
-        out["Q"] = np.sum(g1 * g1 * w, axis=1)
+        axes, w = _slice_grid(g.g1, x1, d, quad.cross_order)
+        g1 = _on_axes(g.g1, axes)[0]
+        out["Q"] = integral(g1 * g1, w)
     return out
 
 
@@ -307,23 +308,42 @@ def _cone_sections(g: InitialData, rho: np.ndarray, quad: FieldQuad) -> dict:
     """Angular integrals over S^{d-1} at each radius.
 
     Returns A = int g0^2, B = int g0 (xhat . grad g0), C = int |grad g0|^2,
-    Q = int g1^2 (surface measure, no rho^{d-1} factor).
+    Q = int g1^2 (surface measure, no rho^{d-1} factor).  On the ray x = rho u
+    a bump's s^2 is (alpha rho - 2 beta) rho + gamma, with alpha = |u/w|^2,
+    beta = u.c/w^2 and gamma = |c/w|^2; its gradient f (x - c)/w^2 has radial
+    part f (alpha rho - beta), and the dot product of two such gradients is
+    again a quadratic in rho, so no point arrays are built.
     """
     dirs, w = _sphere_rule(g.dimension, quad.n_mu, quad.n_phi)
-    pts = rho[:, None, None] * dirs[None, :, :]
-    flat = pts.reshape(-1, g.dimension)
-    n_r, n_s = rho.size, w.size
-    g0, grad = g.g0_value_and_gradient(flat)
-    g0 = g0.reshape(n_r, n_s)
-    grad = grad.reshape(n_r, n_s, g.dimension)
-    g1 = g.g1_value(flat).reshape(n_r, n_s)
-    radial = np.einsum("rsi,si->rs", grad, dirs)
-    return {
-        "A": (g0 * g0) @ w,
-        "B": (g0 * radial) @ w,
-        "C": np.einsum("rsi,rsi->rs", grad, grad) @ w,
-        "Q": (g1 * g1) @ w,
-    }
+    r, uu = rho[:, None], dirs * dirs
+
+    def on_rays(bumps):
+        """Per bump: c, 1/w^2, and on the rays v, f and f (alpha rho - beta)."""
+        rays = []
+        for b in bumps:
+            c, iw2 = np.array(b.center), 1.0 / np.square(b.width)
+            alpha, beta = uu @ iw2, dirs @ (c * iw2)
+            v, f = b.profile((alpha * r - 2.0 * beta) * r + c @ (c * iw2))
+            rays.append((c, iw2, v, f, f * (alpha * r - beta)))
+        return rays
+
+    def gradient_product(k, l):
+        """grad g_k . grad g_l on the rays, f_k f_l ((a rho - b) rho + c)."""
+        (ck, iwk, _, fk, _), (cl, iwl, _, fl, _) = k, l
+        iw4 = iwk * iwl
+        return fk * fl * (((uu @ iw4) * r - dirs @ ((ck + cl) * iw4)) * r + ck @ (cl * iw4))
+
+    out = dict.fromkeys("ABCQ", np.zeros(rho.size))
+    if g.g0:
+        rays = on_rays(g.g0)
+        g0 = reduce(add, (v for _, _, v, _, _ in rays))
+        radial = reduce(add, (dv for *_, dv in rays))
+        grad_sq = reduce(add, (gradient_product(k, l) for k in rays for l in rays))
+        out.update(A=(g0 * g0) @ w, B=(g0 * radial) @ w, C=grad_sq @ w)
+    if g.g1:
+        g1 = reduce(add, (v for _, _, v, _, _ in on_rays(g.g1)))
+        out["Q"] = (g1 * g1) @ w
+    return out
 
 
 def _data_splits(g: InitialData, axis: int = 0) -> list[float]:
@@ -524,9 +544,9 @@ def check_schedule(schedule: Sequence[tuple[float, float, float]]) -> None:
             raise ScheduleViolation(f"epsilon = {eps} must be positive")
         if s <= 1.0:
             raise ScheduleViolation(f"s = {s} must exceed 1 at epsilon = {eps}")
-        if t < s / (s - 1.0):
+        if t < t_threshold(s):
             raise ScheduleViolation(
-                f"t = {t} below s/(s-1) = {s / (s - 1.0):.6g} at epsilon = {eps}")
+                f"t = {t} below s/(s-1) = {t_threshold(s):.6g} at epsilon = {eps}")
     eps_seq = [e for e, _, _ in schedule]
     s_seq = [s for _, s, _ in schedule]
     t_seq = [t for _, _, t in schedule]

@@ -28,6 +28,9 @@ class TestConfigHandling:
         assert run(["cutoff", "limit", "--s", "3"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("1.442695")
+        # (s+1)/(s-1) rounds to 1 here; 1/log1p(2/(s-1)) does not
+        assert run(["cutoff", "limit", "s=1e17"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(5e16, rel=1e-12)
 
     def test_unknown_key_rejected(self, capsys):
         assert run(["cutoff", "limit", "bogus=1"]) == 2
@@ -63,7 +66,19 @@ class TestConfigHandling:
                      ["scalar", "sweep", "geometry=cone", "d=3", "mass=1"],
                      ["fock", "suite", "--cutoff", "6"],
                      ["fock", "suite", "modes=3"],
-                     ["signalling", "check", "--d1", "64", "--d2", "128"]):
+                     ["signalling", "check", "--d1", "64", "--d2", "128"],
+                     # eta_{s,t} needs t >= s/(s-1) = 101 at s = 1.01
+                     ["scalar", "bound", "s=1.01", "t=2"],
+                     ["cutoff", "energy", "s=1.01", "t=2"],
+                     # cosh overflows past |s| = 710.4 and m^2 past m = 1.3e154
+                     ["scalar", "flow", "s=-800"],
+                     ["scalar", "flow", "s=701"],
+                     ["scalar", "exact", "mass=1e160"],
+                     ["scalar", "sweep", "mass=1e101"],
+                     # outside the double cone N reaches 0 at finite s, and a
+                     # huge point overflows its image
+                     ["scalar", "flow", "geometry=cone", "point=0.3,2.0", "s=50"],
+                     ["scalar", "flow", "point=1e300,1e300", "s=50"]):
             assert run(argv) == 2, argv
             assert capsys.readouterr().out == ""
 
@@ -167,6 +182,8 @@ class TestOtherCommands:
         assert run(["scalar", "flow", "geometry=cone", "point=0.0,0.5,0.0,0.0",
                     "s=1.0"]) == 0
         assert "factor" in capsys.readouterr().out
+        assert run(["scalar", "flow", "s=-700"]) == 0
+        assert "inf" not in capsys.readouterr().out
 
     def test_cutoff_minimize(self, tmp_path, capsys):
         out = tmp_path / "mini"

@@ -49,6 +49,18 @@ def central_cone_data(width):
     return InitialData((BumpFunction((0.0, 0.0, 0.0), (width,) * 3),), (), 3, 0.0)
 
 
+def off_centre_data(d, shift=0.0, mass=0.0):
+    """Two overlapping off-centre anisotropic g0 bumps of opposite sign and an
+    off-centre g1 bump, inside Ball(1.0) up to 0.86 from the origin, moved by
+    `shift` along x^1.  Unlike the one-bump presets they reach every term of
+    the cross-sections: offset centres, unequal widths and g0 cross terms."""
+    centers = [(0.25, -0.1, 0.15), (-0.2, 0.2, -0.1), (0.1, 0.15, -0.2)]
+    widths = [(0.4, 0.55, 0.35), (0.5, 0.3, 0.45), (0.45, 0.4, 0.5)]
+    bumps = [BumpFunction((c[0] + shift,) + c[1:d], w[:d], a)
+             for c, w, a in zip(centers, widths, (1.0, -0.8, 0.6))]
+    return InitialData(tuple(bumps[:2]), (bumps[2],), d, mass)
+
+
 def _bump_sum(bumps, pts):
     """Value and gradient at pts (n, d) of a sum of bumps
     amplitude * exp(1 - 1/(1 - s^2)), s^2 = sum_i ((x_i - c_i)/w_i)^2 < 1."""
@@ -65,9 +77,11 @@ def _bump_sum(bumps, pts):
     return val, grad
 
 
-# (panels per axis, Gauss order) per dimension; on the wedge presets both reach
-# 1e-11 relative against refined rules, far inside the tolerances below
-TENSOR_RULE = {1: (32, 16), 2: (16, 16)}
+# (panels per axis, Gauss order) per dimension; on the wedge presets the d = 1
+# and d = 2 rules reach 1e-11 relative against refined rules, far inside the
+# tolerances below; the d = 3 rule (373,248 points) reaches about 1e-5 on the
+# off-centre data, inside the 1e-4 it is used with
+TENSOR_RULE = {1: (32, 16), 2: (16, 16), 3: (6, 12)}
 
 
 def box_integral(bumps, density):
@@ -212,6 +226,60 @@ class TestExactCone:
         h_ref = exact_entropy(g, Ball(1.0), DEFAULT_QUAD.refined())
         assert abs(h.value - h_ref.value) <= 1e-7 * h_ref.value
         assert h.value > 0.0
+
+
+class TestOffCentreData:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ball_exact_matches_tensor_rule(self, d):
+        # the data lie inside the ball, so its integral is the box integral of
+        # beta (|grad g0|^2 + g1^2) + (d-1)/(2r) g0^2
+        r, g = 1.0, off_centre_data(d)
+
+        def beta(x):
+            return (r * r - np.sum(x * x, axis=1)) / (2.0 * r)
+
+        ref = 0.5 * math.pi * (
+            box_integral(g.g0, lambda x, v, gr: beta(x) * np.sum(gr * gr, axis=1)
+                         + (d - 1) / (2.0 * r) * v * v)
+            + box_integral(g.g1, lambda x, v, gr: beta(x) * v * v))
+        assert exact_entropy(g, Ball(r)).value == pytest.approx(ref, rel=1e-4)
+
+    def test_ball_lower_bound_across_the_data_matches_tensor_rule(self):
+        # with eps = 0.2 the lower collar 0.6 < |x| < 1 cuts through the data,
+        # so eta' meets g0 x.grad g0; eta_-(x) = 1 - eta((|x| - r)/eps + 1)
+        # on the ball of radius R = r - 2 eps, with weight (R^2 - |x|^2)/(2R)
+        d, r, eps = 2, 1.0, 0.2
+        g, big_r, prof = off_centre_data(d), r - 2.0 * eps, eta_st(1.5, 3.0)
+
+        def cutoff_and_weight(x):
+            rho = np.sqrt(np.sum(x * x, axis=1))
+            u = (rho - r) / eps + 1.0
+            # eta is 0 or 1 outside (-1, 1); inside, evaluate it in small blocks
+            eta, prime = (u >= 1.0).astype(float), np.zeros_like(u)
+            inside = np.flatnonzero(np.abs(u) < 1.0)
+            for block in np.array_split(inside, inside.size // 2048 + 1):
+                eta[block], prime[block] = prof.eta_and_prime(u[block])
+            grad_eta = -(prime / eps)[:, None] * x / rho[:, None]
+            return 1.0 - eta, grad_eta, (big_r ** 2 - rho ** 2) / (2.0 * big_r)
+
+        def g0_density(x, v, gr):
+            eta, grad_eta, beta = cutoff_and_weight(x)
+            grad = eta[:, None] * gr + v[:, None] * grad_eta
+            return (beta * np.sum(grad * grad, axis=1)
+                    + (d - 1) / (2.0 * big_r) * eta * eta * v * v)
+
+        def g1_density(x, v, gr):
+            eta, _, beta = cutoff_and_weight(x)
+            return beta * eta * eta * v * v
+
+        ref = 0.5 * math.pi * (box_integral(g.g0, g0_density) + box_integral(g.g1, g1_density))
+        assert entropy_bound(g, Ball(r), "lower", prof, eps).value == pytest.approx(ref, rel=1e-4)
+
+    def test_wedge_exact_matches_tensor_rule_d3(self):
+        # moved into x^1 > 0.25, so the wedge integral is the box integral
+        g = off_centre_data(3, shift=0.95, mass=0.7)
+        ref = 0.5 * math.pi * weighted_energy(g, lambda x: x[:, 0])
+        assert exact_entropy(g, Wedge()).value == pytest.approx(ref, rel=1e-4)
 
 
 class TestEntropyBound:
