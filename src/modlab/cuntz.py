@@ -38,9 +38,9 @@ class TruncatedCuntz:
     def __post_init__(self):
         n, d = self.branching, self.dim
         if n < 1:
-            raise DimensionTooSmall("branching must be at least 1")
+            raise DimensionTooSmall(f"branching {n} must be at least 1")
         if d < n * n:
-            raise DimensionTooSmall(f"need dim >= n^2 = {n * n}, got {d}")
+            raise DimensionTooSmall(f"dim {d} must be at least n^2 = {n * n}")
         shifts = []
         for j in range(n):
             s = np.zeros((d, d))
@@ -141,7 +141,7 @@ class SignallingScenario:
 def cuntz_sum_unitary(fam1: TruncatedCuntz, fam2: TruncatedCuntz) -> np.ndarray:
     """w = sum_i T_i (x) S_i^dag built from the two shift families."""
     if fam1.branching != fam2.branching:
-        raise DimensionTooSmall("families must share the branching number")
+        raise DimensionTooSmall(f"branchings {fam1.branching} and {fam2.branching} differ")
     return sum(kron(t, s.T) for t, s in zip(fam1.shifts, fam2.shifts))
 
 
@@ -213,7 +213,7 @@ def _reference_state(fam: TruncatedCuntz, epsilon: float,
     d = fam.dim
     n = fam.branching
     if n < 2:
-        raise DimensionTooSmall("the reference state needs branching >= 2")
+        raise DimensionTooSmall(f"branching {n}: the reference state needs branching >= 2")
     if i_max > fam.defect_free_dim:
         raise TruncationBudgetExceeded(
             "reference-state tail does not fit the defect-free zone")

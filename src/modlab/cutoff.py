@@ -49,6 +49,12 @@ def standard_mollifier() -> Callable[[np.ndarray], np.ndarray]:
 # clipped extremal kernel
 # --------------------------------------------------------------------------
 
+def check_sharpness(s: float) -> None:
+    """chi_s, and every profile and limit built on it, needs a finite s > 1."""
+    if not 1.0 < s < math.inf:
+        raise ParameterViolation(f"s = {s!r} must be finite and exceed 1")
+
+
 @dataclass(frozen=True)
 class ChiKernel:
     """Normalized kernel 1/(c_s (x+1)) clipped to |x| < 1/s, with closed-form
@@ -57,8 +63,7 @@ class ChiKernel:
     s: float
 
     def __post_init__(self):
-        if self.s <= 1.0:
-            raise ParameterViolation(f"kernel sharpness must exceed 1, got {self.s}")
+        check_sharpness(self.s)
 
     @property
     def c_s(self) -> float:
@@ -92,6 +97,21 @@ def t_threshold(s: float) -> float:
     return s / (s - 1.0)
 
 
+# the quadratures resolve chi_s's support |x| < 1/s only well above the rounding
+# of x: E[eta_{s,t}] loses digits past s = 1e12 and runs out of panels by 1e15
+MAX_SHARPNESS = 1e6
+
+
+def check_transition(s: float, t: float) -> None:
+    """eta_{s,t} is computed for 1 < s <= MAX_SHARPNESS, and stays supported
+    in [-1, 1] only for a finite t >= s/(s-1)."""
+    check_sharpness(s)
+    if not s <= MAX_SHARPNESS:
+        raise ParameterViolation(f"s = {s!r} must be at most {MAX_SHARPNESS:g} for eta_(s,t)")
+    if not t_threshold(s) <= t < math.inf:
+        raise ParameterViolation(f"t = {t!r} must be finite and >= s/(s-1) = {t_threshold(s)!r}")
+
+
 class AnalyticCutoff:
     """Transition eta_{s,t}: the antiderivative of chi_s mollified at scale 1/t.
 
@@ -100,11 +120,7 @@ class AnalyticCutoff:
     """
 
     def __init__(self, s: float, t: float):
-        if s <= 1.0:
-            raise ParameterViolation(f"s must exceed 1, got {s}")
-        if t < t_threshold(s):
-            raise ParameterViolation(
-                f"t = {t} below the admissible threshold s/(s-1) = {t_threshold(s):.6g}")
+        check_transition(s, t)
         self.s = float(s)
         self.t = float(t)
         self.kernel = ChiKernel(s)
@@ -200,9 +216,9 @@ class DiscreteCutoff:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 3:
-            raise ParameterViolation("need at least 3 grid values")
+            raise ParameterViolation(f"grid of shape {v.shape} is not a vector of 3 or more")
         if abs(v[0]) > 1e-14 or abs(v[-1] - 1.0) > 1e-14:
-            raise ParameterViolation("grid transition must be pinned to 0 and 1")
+            raise ParameterViolation(f"grid ends {v[0]!r}, {v[-1]!r} must be pinned to 0 and 1")
         object.__setattr__(self, "values", v)
 
     @property
@@ -274,8 +290,7 @@ def reflected_energy(eta: CutoffProfile) -> float:
 def energy_limit(s: float) -> float:
     """Large-t limit of E[eta_{s,t}]: 1/log((s+1)/(s-1)), decaying as s -> 1+;
     written as 1/log1p(2/(s-1)), which stays finite for every finite s > 1."""
-    if s <= 1.0:
-        raise ParameterViolation(f"s must exceed 1, got {s}")
+    check_sharpness(s)
     return 1.0 / math.log1p(2.0 / (s - 1.0))
 
 
@@ -315,7 +330,7 @@ def minimize_discrete(n_grid: int) -> tuple[DiscreteCutoff, float]:
     1/(sum_i h/w_i), a truncated harmonic sum of order log(2/h).
     """
     if n_grid < 3:
-        raise ParameterViolation("need at least 3 grid points")
+        raise ParameterViolation(f"n_grid {n_grid} must be at least 3")
     w, h = _cell_weights(n_grid)
     m = n_grid - 2  # interior unknowns
     diag = w[:-1] + w[1:]

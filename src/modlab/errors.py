@@ -5,6 +5,12 @@ class ModlabError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(ModlabError):
+    """Invalid input: a malformed or out-of-range run configuration, or (the
+    subclasses below) an argument a computation refuses where it is defined.
+    The command line exits 2 for all of them."""
+
+
 # --- dense linear algebra ---------------------------------------------------
 
 class NonHermitian(ModlabError):
@@ -51,25 +57,25 @@ class QuadratureBudgetExceeded(ModlabError):
 
 # --- scalar field geometry ----------------------------------------------------
 
-class MassNotZero(ModlabError):
+class MassNotZero(ConfigError):
     """Operation is only defined for massless data."""
 
 
-class GeometryViolation(ModlabError):
+class GeometryViolation(ConfigError):
     """Region, cutoff and data supports are mutually inconsistent."""
 
 
-class FlowSingularity(ModlabError):
+class FlowSingularity(ConfigError):
     """Point flow left the domain of the conformal map."""
 
 
-class ScheduleViolation(ModlabError):
+class ScheduleViolation(ConfigError):
     """Squeeze schedule violates its monotonicity or parameter constraints."""
 
 
 # --- cutoff functional ----------------------------------------------------------
 
-class ParameterViolation(ModlabError):
+class ParameterViolation(ConfigError):
     """Cutoff family parameters outside the admissible range."""
 
 
@@ -79,11 +85,5 @@ class SingularSystem(ModlabError):
 
 # --- truncated shift models ------------------------------------------------------
 
-class DimensionTooSmall(ModlabError):
+class DimensionTooSmall(ConfigError):
     """Truncated space too small to host the requested branching."""
-
-
-# --- command line ------------------------------------------------------------------
-
-class ConfigError(ModlabError):
-    """Invalid run configuration."""

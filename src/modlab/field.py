@@ -23,12 +23,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutoff import AnalyticCutoff, energy as cutoff_energy, t_threshold
+from .cutoff import AnalyticCutoff, check_transition, energy as cutoff_energy
 from .errors import (
     DimensionMismatch,
     FlowSingularity,
     GeometryViolation,
     MassNotZero,
+    ParameterViolation,
     ScheduleViolation,
 )
 from .quadrature import QuadResult, gauss_rule, integrate_1d
@@ -157,8 +158,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise GeometryViolation("ball radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise GeometryViolation(f"ball radius {self.radius!r} must be positive and finite")
 
     def weight(self, pts: np.ndarray) -> np.ndarray:
         return (self.radius * self.radius - np.sum(pts * pts, axis=-1)) / (2.0 * self.radius)
@@ -374,6 +375,15 @@ def _side_sign(side: str) -> float:
     return +1.0 if side == "upper" else -1.0
 
 
+def _check_collar(region: Region, epsilon: float) -> None:
+    """The collar half-width is positive and finite; on a ball of radius r
+    the inner ball of radius r - 2 epsilon must survive, so epsilon < r/2."""
+    if not 0.0 < epsilon < math.inf:
+        raise GeometryViolation(f"epsilon {epsilon!r} must be positive and finite")
+    if isinstance(region, Ball) and not epsilon < region.radius / 2.0:
+        raise GeometryViolation(f"epsilon {epsilon!r} must be below r/2 = {region.radius / 2!r}")
+
+
 def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
                        cutoff=None, side: str = "upper",
                        epsilon: float = 0.0) -> QuadResult:
@@ -387,17 +397,14 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
     integral runs over the larger of the two.
     """
     if cutoff is not None:
-        if epsilon <= 0:
-            raise GeometryViolation("epsilon must be positive")
+        _check_collar(region, epsilon)
         sign = _side_sign(side)
     if isinstance(region, Wedge):
         if region.offset != 0.0:
-            raise GeometryViolation("field integrals are set up around the offset-0 wedge")
-    else:
-        if g.mass != 0.0:
-            raise MassNotZero("the ball weight only generates the massless flow")
-        if cutoff is not None and not epsilon < region.radius / 2.0:
-            raise GeometryViolation("need epsilon < r/2 so the inner ball survives")
+            raise GeometryViolation(f"wedge offset {region.offset!r} must be 0")
+    elif g.mass != 0.0:
+        raise MassNotZero(f"mass {g.mass!r} must be 0: the ball weight only "
+                          f"generates the massless flow")
     if g.is_zero():
         return QuadResult(0.0, 0.0)
 
@@ -533,40 +540,26 @@ class BoundSweepRecord:
                 and self.h_exact <= self.h_plus + slack)
 
 
-def check_schedule(schedule: Sequence[tuple[float, float, float]]) -> None:
-    """Raise ScheduleViolation unless the schedule squeezes: finite entries,
-    epsilon > 0 non-increasing, s > 1 non-increasing toward 1, t
-    non-decreasing, and always t >= s/(s-1)."""
-    for eps, s, t in schedule:
-        if not all(math.isfinite(v) for v in (eps, s, t)):
-            raise ScheduleViolation(f"entry ({eps}, {s}, {t}) is not finite")
-        if eps <= 0.0:
-            raise ScheduleViolation(f"epsilon = {eps} must be positive")
-        if s <= 1.0:
-            raise ScheduleViolation(f"s = {s} must exceed 1 at epsilon = {eps}")
-        if t < t_threshold(s):
-            raise ScheduleViolation(
-                f"t = {t} below s/(s-1) = {t_threshold(s):.6g} at epsilon = {eps}")
-    eps_seq = [e for e, _, _ in schedule]
-    s_seq = [s for _, s, _ in schedule]
-    t_seq = [t for _, _, t in schedule]
-    if eps_seq != sorted(eps_seq, reverse=True):
-        raise ScheduleViolation("epsilon must be non-increasing")
-    if s_seq != sorted(s_seq, reverse=True):
-        raise ScheduleViolation("s must be non-increasing")
-    if t_seq != sorted(t_seq):
-        raise ScheduleViolation("t must be non-decreasing")
-
-
 def squeeze_sweep(g: InitialData, region: Region,
                   schedule: Sequence[tuple[float, float, float]],
                   quad: FieldQuad = DEFAULT_QUAD) -> list[BoundSweepRecord]:
     """Evaluate (H-, H_exact, H+) along a schedule of (epsilon, s, t) that
-    passes `check_schedule`."""
+    squeezes: each entry a collar (`_check_collar`) and a transition
+    (`cutoff.check_transition`) the bounds accept, epsilon and s
+    non-increasing, t non-decreasing; else raise ScheduleViolation at once."""
     schedule = list(schedule)
+    for eps, s, t in schedule:
+        try:
+            _check_collar(region, eps)
+            check_transition(s, t)
+        except (GeometryViolation, ParameterViolation) as exc:
+            raise ScheduleViolation(f"entry {eps}:{s}:{t}: {exc}") from exc
+    for (e0, s0, t0), (e1, s1, t1) in zip(schedule, schedule[1:]):
+        if not (e1 <= e0 and s1 <= s0 and t1 >= t0):
+            raise ScheduleViolation(f"entry {e1}:{s1}:{t1} follows {e0}:{s0}:{t0}, but "
+                                    f"epsilon and s may not grow and t may not shrink")
     if not schedule:
         return []
-    check_schedule(schedule)
     h_exact = exact_entropy(g, region, quad)
     records = []
     for eps, s, t in schedule:
@@ -602,8 +595,9 @@ def modular_flow_point(geometry: Region, s: float, x) -> tuple[np.ndarray, float
     xsq = -x0 * x0 + float(np.sum(x[1:] ** 2))
     ch, sh = math.cosh(s), math.sinh(s)
     n = (x0 / r) * sh + (r * r - xsq) / (2.0 * r * r) * ch + (r * r + xsq) / (2.0 * r * r)
-    if n <= 0.0:
-        raise FlowSingularity(f"conformal factor N = {n:.3e} not positive")
+    if not n > 0.0:
+        raise FlowSingularity(f"point {x.tolist()} leaves the flow's domain at s = {s!r}: "
+                              f"conformal factor N = {n:.3e} not positive")
     out = np.empty_like(x)
     out[0] = (x0 * ch + (r * r - xsq) / (2.0 * r) * sh) / n
     out[1:] = x[1:] / n

@@ -14,7 +14,18 @@ from modlab.cli import (
     parse_schedule,
     resolve_params,
 )
-from modlab.errors import ConfigError, QuadratureBudgetExceeded
+from modlab.errors import (
+    ConfigError,
+    DimensionMismatch,
+    DimensionTooSmall,
+    FlowSingularity,
+    GeometryViolation,
+    MassNotZero,
+    ParameterViolation,
+    QuadratureBudgetExceeded,
+    ScheduleViolation,
+    TruncationBudgetExceeded,
+)
 
 SCHEDULE = "1e-2:1.8:40;3e-3:1.6:100;1e-3:1.5:200"
 
@@ -193,16 +204,22 @@ class TestOtherCommands:
         lines = (out / "results.csv").read_text().splitlines()
         assert lines[0] == "x,eta"
 
-    def test_computation_error_exit_code(self, capsys, monkeypatch):
-        # a quadrature that exhausts its panel budget is a computation-level
-        # failure; schedules are now checked as configuration (exit 2)
-        def exhausted(*args, **kwargs):
-            raise QuadratureBudgetExceeded("exceeded 20000 panels")
+    # the library's invalid-input errors are configuration errors (exit 2);
+    # a quadrature out of panels or an overrun truncation is a computation
+    # error (exit 3)
+    @pytest.mark.parametrize("error, code", [
+        (ParameterViolation, 2), (GeometryViolation, 2), (MassNotZero, 2),
+        (ScheduleViolation, 2), (FlowSingularity, 2), (DimensionTooSmall, 2),
+        (QuadratureBudgetExceeded, 3), (DimensionMismatch, 3), (TruncationBudgetExceeded, 3),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+    def test_computation_error_exit_code(self, capsys, monkeypatch, error, code):
+        def failing(*args, **kwargs):
+            raise error("refused at 20000 panels")
 
-        monkeypatch.setattr(cli, "exact_entropy", exhausted)
-        assert run(["scalar", "exact"]) == 3
-        assert "exceeded 20000 panels" in capsys.readouterr().err
-        assert run(["scalar", "sweep", "schedule=1e-2:1.5:2.0"]) == 2
+        monkeypatch.setattr(cli, "exact_entropy", failing)
+        assert run(["scalar", "exact"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "refused at 20000 panels" in captured.err
 
     def test_signalling_gap(self, tmp_path, capsys):
         out = tmp_path / "gap"

@@ -10,6 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from modlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
+from modlab.cutoff import MAX_SHARPNESS
 
 # each key draws from the values the schema accepts half of the time, so that
 # whole commands are accepted often and each key is refused often
@@ -103,3 +104,77 @@ def test_scalar_flow_prints_finite_values_or_refuses(geometry, broken, data):
         assert math.isfinite(float(factor))
     else:
         assert out == ""
+
+
+# scalar bound: the collar (epsilon < r/2 on the cone), the transition
+# (t >= s/(s-1)), the massless cone and the side are checked only where the
+# bound is computed; epsilon and t are drawn as multiples of r/2 and s/(s-1),
+# inside the rule, or around its edge and anywhere when the key is broken
+BOUND_KEYS = {"s": (st.floats(1.01, 3.0), ANY_FLOAT),
+              "t_ratio": (st.floats(1.0, 2.0), st.one_of(st.floats(0.5, 1.0), ANY_FLOAT)),
+              "eps_ratio": (st.floats(0.01, 0.99), st.one_of(st.floats(0.9, 1.1), ANY_FLOAT)),
+              "mass": (st.just(0.0), st.sampled_from([0.5, 1.0])),
+              "side": (st.sampled_from(["upper", "lower"]),
+                       st.sampled_from(["sideways", "UPPER", ""]))}
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(geometry=st.sampled_from(["wedge", "cone"]), d=st.sampled_from([1, 2]),
+       r=st.sampled_from([0.5, 1.0, 2.0]), broken=st.sampled_from([None, *BOUND_KEYS]),
+       data=st.data())
+def test_scalar_bound_prints_a_finite_value_or_refuses(geometry, d, r, broken, data):
+    values = {key: data.draw(fuzz if key == broken else good, label=key)
+              for key, (good, fuzz) in BOUND_KEYS.items()}
+    s, mass, side = values["s"], values["mass"], values["side"]
+    threshold = s / (s - 1.0) if 1.0 < s <= MAX_SHARPNESS else 3.0
+    t, epsilon = values["t_ratio"] * threshold, values["eps_ratio"] * r / 2.0
+    code, out = printed_value(["scalar", "bound", f"geometry={geometry}",
+                               f"d={3 if geometry == 'cone' else d}", f"mass={mass!r}",
+                               f"r={r!r}", f"s={s!r}", f"t={t!r}", f"epsilon={epsilon!r}",
+                               f"side={side}"])
+    accepted = (side in ("upper", "lower") and 1.0 < s <= MAX_SHARPNESS
+                and s / (s - 1.0) <= t < math.inf and 0.0 < epsilon < math.inf
+                and (geometry == "wedge" or (epsilon < r / 2.0 and mass == 0.0)))
+    event(f"accepted={accepted}")
+    if accepted:
+        assert code == EXIT_OK and math.isfinite(float(out))
+    else:
+        assert code == EXIT_CONFIG and out == ""
+
+
+def around_square(n):
+    """Dimensions near n^2, small ones anywhere, and ones whose products pass
+    the 4096 cap (refused before anything is built)."""
+    square = max(n, 0) ** 2
+    return st.one_of(st.integers(-2, 2).map(lambda k: square + k), st.integers(-1, 20),
+                     st.integers(1025, 10 ** 6))
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(n=st.integers(-1, 4), data=st.data())
+def test_signalling_check_prints_a_finite_value_or_refuses(n, data):
+    d1, d2 = data.draw(around_square(n), label="d1"), data.draw(around_square(n), label="d2")
+    code, out = printed_value(["signalling", "check", f"n={n}", f"d1={d1}", f"d2={d2}"])
+    accepted = n >= 1 and min(d1, d2) >= max(4, n * n) and d1 * d2 <= 4096
+    event(f"accepted={accepted}")
+    if accepted:
+        assert code in (EXIT_OK, EXIT_TOLERANCE)
+        assert math.isfinite(float(out.removeprefix("max commutator")))
+    else:
+        assert code == EXIT_CONFIG and out == ""
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(n=st.integers(-1, 4), data=st.data())
+def test_signalling_factorize_prints_a_finite_value_or_refuses(n, data):
+    small = st.integers(-2, 2).map(lambda k: max(n, 0) ** 2 + k) | st.integers(-1, 20)
+    outer, middle = data.draw(small, label="outer_dim"), data.draw(small, label="middle_dim")
+    code, out = printed_value(["signalling", "factorize", f"n={n}", f"outer_dim={outer}",
+                               f"middle_dim={middle}"])
+    accepted = n >= 1 and min(outer, middle) >= max(4, n * n)
+    event(f"accepted={accepted}")
+    if accepted:
+        assert code in (EXIT_OK, EXIT_TOLERANCE)
+        assert math.isfinite(float(out.removeprefix("factorization residual")))
+    else:
+        assert code == EXIT_CONFIG and out == ""

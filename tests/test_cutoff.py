@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from modlab.cutoff import (
+    MAX_SHARPNESS,
     AnalyticCutoff,
     ChiKernel,
     DiscreteCutoff,
@@ -46,6 +47,11 @@ class TestChiKernel:
         with pytest.raises(ParameterViolation):
             ChiKernel(1.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_s_refused(self, s):
+        with pytest.raises(ParameterViolation):
+            ChiKernel(s)
+
 
 class TestMollifier:
     def test_unit_mass(self):
@@ -78,6 +84,22 @@ class TestEtaSt:
             eta_st(1.5, 2.0)  # below s/(s-1) = 3
         with pytest.raises(ParameterViolation):
             eta_st(0.9, 100)
+
+    # NaN fails every comparison, so the guards are written to refuse it
+    @pytest.mark.parametrize("s, t", [(math.nan, 200.0), (1.5, math.nan), (math.inf, 200.0),
+                                      (1.5, math.inf), (-math.inf, 200.0)])
+    def test_non_finite_parameters_refused(self, s, t):
+        with pytest.raises(ParameterViolation):
+            eta_st(s, t)
+
+    def test_sharpness_cap(self):
+        # past the cap the kernel's support |x| < 1/s drowns in the rounding
+        # of x; up to it eta' tends to the mollifier t f(t x), of energy t int f^2
+        with pytest.raises(ParameterViolation):
+            eta_st(1e15, 1e3)
+        f = standard_mollifier()
+        f_sq = integrate_1d(lambda y: f(y) ** 2, -1.0, 1.0, order=24).value
+        assert energy(eta_st(MAX_SHARPNESS, 1e3)) == pytest.approx(1e3 * f_sq, rel=1e-5)
 
     def test_monotone(self):
         eta = eta_st(1.5, 50)
@@ -115,6 +137,11 @@ class TestEnergyLimit:
     def test_invalid(self):
         with pytest.raises(ParameterViolation):
             energy_limit(1.0)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, s):
+        with pytest.raises(ParameterViolation):
+            energy_limit(s)
 
 
 class TestReflection:

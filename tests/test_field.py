@@ -414,6 +414,24 @@ class TestEntropyBound:
         with pytest.raises(GeometryViolation):
             entropy_bound(g, Ball(1.0), "upper", eta_st(1.5, 20), 0.6)
 
+    # NaN and infinite collars are refused before any quadrature runs
+    @pytest.mark.parametrize("epsilon", [0.0, -0.01, math.nan, math.inf])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_wedge_epsilon_guard(self, d, epsilon):
+        g = interior_wedge_data(d, 0.0)
+        with pytest.raises(GeometryViolation):
+            entropy_bound(g, Wedge(), "upper", eta_st(1.5, 20), epsilon)
+
+    def test_cone_collar_checked_before_the_exact_entropy(self, monkeypatch):
+        import modlab.field as field
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("exact entropy computed for a refused schedule")
+
+        monkeypatch.setattr(field, "exact_entropy", unexpected)
+        with pytest.raises(ScheduleViolation):
+            squeeze_sweep(central_cone_data(0.5), Ball(1.0), [(0.6, 1.8, 40.0)])
+
     def test_bad_side(self):
         g = interior_wedge_data(1, 0.0)
         with pytest.raises(GeometryViolation):
@@ -447,6 +465,11 @@ class TestRegions:
     def test_ball_radius_guard(self):
         with pytest.raises(GeometryViolation):
             Ball(0.0)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+    def test_ball_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(GeometryViolation):
+            Ball(radius)
 
 
 class TestQuadBudget:
@@ -563,7 +586,8 @@ class TestSqueezeSweep:
             squeeze_sweep(g, Wedge(), [(1e-2, 1.5, 200.0), (1e-3, 1.8, 200.0)])
         with pytest.raises(ScheduleViolation):
             squeeze_sweep(g, Wedge(), [(1e-2, 1.8, 200.0), (1e-3, 1.5, 100.0)])
-        for entry in ((1e-2, 1.0, 40.0), (0.0, 1.8, 40.0), (1e-2, 1.8, math.nan)):
+        for entry in ((1e-2, 1.0, 40.0), (0.0, 1.8, 40.0), (1e-2, 1.8, math.nan),
+                      (math.inf, 1.8, 40.0), (1e-2, math.nan, 40.0), (1e-2, 1.8, math.inf)):
             with pytest.raises(ScheduleViolation):
                 squeeze_sweep(g, Wedge(), [entry])
 
@@ -606,6 +630,10 @@ class TestModularFlow:
     def test_flow_singularity(self):
         with pytest.raises(FlowSingularity):
             modular_flow_point(Ball(1.0), 2.0, np.array([0.0, 2.0, 0.0, 0.0]))
+
+    def test_nan_cone_flow_refused(self):
+        with pytest.raises(FlowSingularity):
+            modular_flow_point(Ball(1.0), math.nan, np.array([0.0, 0.5, 0.0, 0.0]))
 
 
 class TestRecords:
