@@ -82,7 +82,8 @@ SCHEMAS = {
     ("cutoff", "energy"): {"s": (float, lambda v: v > 1, 1.5),
                            "t": (float, _positive, 200.0)},
     ("cutoff", "limit"): {"s": (float, lambda v: v > 1, 3.0)},
-    ("cutoff", "minimize"): {"n_grid": (int, lambda v: v >= 3, 20000)},
+    # minimize_discrete allocates O(n_grid) arrays
+    ("cutoff", "minimize"): {"n_grid": (int, lambda v: 3 <= v <= 10 ** 6, 20000)},
     ("signalling", "check"): {"n": (int, lambda v: v >= 1, 2),
                               "d1": (int, lambda v: v >= 4, 16),
                               "d2": (int, lambda v: v >= 4, 32)},
@@ -90,9 +91,10 @@ SCHEMAS = {
                             "samples": (int, lambda v: 1 <= v <= 10 ** 5, 200),
                             # the 12-term reference tail needs (d - 2)//2 >= 12
                             "d_factor": (int, lambda v: v >= 26, 32)},
+    # the shift families are n dense dim^2 matrices
     ("signalling", "factorize"): {"n": (int, lambda v: v >= 1, 2),
-                                  "outer_dim": (int, lambda v: v >= 4, 8),
-                                  "middle_dim": (int, lambda v: v >= 4, 16)},
+                                  "outer_dim": (int, lambda v: 4 <= v <= 1024, 8),
+                                  "middle_dim": (int, lambda v: 4 <= v <= 1024, 16)},
 }
 
 COMMON_KEYS = {"seed": (int, lambda v: 0 <= v < 2 ** 63, 0),
@@ -399,6 +401,10 @@ def cmd_signalling(action: str, params: dict, out_dir: str | None) -> dict:
               ["epsilon", "samples", "floor", "min_gap", "slack", "pass"])
         print(f"floor {_fmt(rep['floor'])} min gap {_fmt(rep['min_gap'])}")
         return rep
+    # the factorization acts on a sparse outer^2 middle dimensional space
+    size = params["outer_dim"] ** 2 * params["middle_dim"]
+    if size > 2 ** 20:
+        raise ConfigError(f"outer_dim^2*middle_dim = {size} exceeds 2^20")
     rep = cuntz.product_reconstruction(params["n"], params["outer_dim"],
                                        params["middle_dim"])
     cert = cuntz.certify_no_product_form(seed=params["seed"])

@@ -4,7 +4,8 @@ The energy of a smooth 0-to-1 transition on [-1, 1] has infimum zero.  The
 analytic family eta_{s,t} (a clipped 1/(x+1) profile of sharpness s mollified
 at scale 1/t) realizes the limit value 1/log((s+1)/(s-1)) as t grows, which
 vanishes as s -> 1+.  An independent discrete minimizer over pinned grid
-vectors confirms the decay of the minimum with resolution.
+vectors confirms the decay of the minimum with resolution; it imports
+scipy.linalg only when called, so importing modlab loads no scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ParameterViolation, SingularSystem
 from .quadrature import gauss_rule, integrate_1d
@@ -58,7 +58,8 @@ def check_sharpness(s: float) -> None:
 @dataclass(frozen=True)
 class ChiKernel:
     """Normalized kernel 1/(c_s (x+1)) clipped to |x| < 1/s, with closed-form
-    antiderivative; c_s = log((s+1)/(s-1))."""
+    antiderivative; c_s = log((s+1)/(s-1)), written as log1p(2/(s-1)), which
+    keeps its relative precision and stays positive for every finite s > 1."""
 
     s: float
 
@@ -67,7 +68,7 @@ class ChiKernel:
 
     @property
     def c_s(self) -> float:
-        return math.log((self.s + 1.0) / (self.s - 1.0))
+        return math.log1p(2.0 / (self.s - 1.0))
 
     def value_and_antiderivative(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The kernel and its antiderivative at x, from one clip mask."""
@@ -178,35 +179,6 @@ class AnalyticCutoff:
     def eta_prime(self, x) -> np.ndarray:
         return self.eta_and_prime(x)[1]
 
-    def reflected(self) -> "ReflectedCutoff":
-        return ReflectedCutoff(self)
-
-
-class ReflectedCutoff:
-    """eta_-(x) = 1 - eta(-x); also a 0-to-1 transition on [-1, 1]."""
-
-    def __init__(self, base):
-        self.base = base
-        self.s = getattr(base, "s", None)
-        self.t = getattr(base, "t", None)
-
-    def feature_points(self) -> list[float]:
-        return sorted(-p for p in self.base.feature_points())
-
-    def eta_and_prime(self, x) -> tuple[np.ndarray, np.ndarray]:
-        eta, prime = self.base.eta_and_prime(-np.atleast_1d(np.asarray(x, dtype=float)))
-        return 1.0 - eta, prime
-
-    def eta(self, x) -> np.ndarray:
-        return self.eta_and_prime(x)[0]
-
-    def eta_prime(self, x) -> np.ndarray:
-        return self.eta_and_prime(x)[1]
-
-    def reflected(self):
-        return self.base
-
-
 @dataclass(frozen=True)
 class DiscreteCutoff:
     """Grid transition on [-1, 1], pinned to 0 and 1 at the endpoints."""
@@ -234,21 +206,12 @@ class DiscreteCutoff:
         slope = (self.values[cell + 1] - self.values[cell]) / h
         return np.interp(x, self.grid, self.values), np.where(np.abs(x) > 1.0, 0.0, slope)
 
-    def eta(self, x) -> np.ndarray:
-        return self.eta_and_prime(x)[0]
-
-    def eta_prime(self, x) -> np.ndarray:
-        return self.eta_and_prime(x)[1]
-
     def feature_points(self) -> list[float]:
         """The kinks where the grid meets the constant ends."""
         return [-1.0, 1.0]
 
-    def reflected(self) -> "DiscreteCutoff":
-        return DiscreteCutoff(1.0 - self.values[::-1])
 
-
-CutoffProfile = Union[AnalyticCutoff, ReflectedCutoff, DiscreteCutoff]
+CutoffProfile = Union[AnalyticCutoff, DiscreteCutoff]
 
 
 # --------------------------------------------------------------------------
@@ -264,39 +227,25 @@ def energy(eta: CutoffProfile) -> float:
     """E[eta] = int_{-1}^{1} (x + 1) eta'(x)^2 dx."""
     if isinstance(eta, DiscreteCutoff):
         return discrete_energy(eta.values)
-    splits = list(eta.feature_points())
-    lo = min(splits) if splits else -1.0
-    hi = max(splits) if splits else 1.0
-    t_scale = getattr(eta, "t", None) or 100.0
+    splits = eta.feature_points()
     inner = []
     for c in splits:
-        inner.extend(np.linspace(c - 4e-1 / t_scale, c + 4e-1 / t_scale, 5).tolist())
+        inner.extend(np.linspace(c - 4e-1 / eta.t, c + 4e-1 / eta.t, 5).tolist())
     res = integrate_1d(lambda x: (x + 1.0) * eta.eta_prime(x) ** 2,
-                       max(lo, -1.0), min(hi, 1.0),
+                       max(splits[0], -1.0), min(splits[-1], 1.0),
                        splits=splits + inner, order=12, rel_tol=1e-9,
                        max_panels=20000)
     return res.value
 
 
-def reflected_energy(eta: CutoffProfile) -> float:
-    """int (y + 1) eta'(-y)^2 dy, the energy entering lower-side boundary terms."""
-    res = integrate_1d(lambda y: (y + 1.0) * eta.eta_prime(-y) ** 2,
-                       -1.0, 1.0,
-                       splits=[-p for p in eta.feature_points()],
-                       order=12, rel_tol=1e-9, max_panels=20000)
-    return res.value
-
-
 def energy_limit(s: float) -> float:
-    """Large-t limit of E[eta_{s,t}]: 1/log((s+1)/(s-1)), decaying as s -> 1+;
-    written as 1/log1p(2/(s-1)), which stays finite for every finite s > 1."""
-    check_sharpness(s)
-    return 1.0 / math.log1p(2.0 / (s - 1.0))
+    """Large-t limit of E[eta_{s,t}]: 1/c_s = 1/log((s+1)/(s-1)), decaying as s -> 1+."""
+    return 1.0 / ChiKernel(s).c_s
 
 
 def energy_dominating_bound(s: float) -> float:
     """Uniform-in-t bound 2 s^2 / (c_s^2 (s-1)^2) on E[eta_{s,t}]."""
-    c_s = math.log((s + 1.0) / (s - 1.0))
+    c_s = ChiKernel(s).c_s
     return 2.0 * s * s / (c_s * c_s * (s - 1.0) * (s - 1.0))
 
 
@@ -342,6 +291,7 @@ def minimize_discrete(n_grid: int) -> tuple[DiscreteCutoff, float]:
     if m == 1:
         interior = rhs / diag
     else:
+        import scipy.linalg
         ab = np.zeros((2, m))
         ab[0, 1:] = off
         ab[1, :] = diag

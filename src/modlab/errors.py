@@ -66,7 +66,7 @@ class GeometryViolation(ConfigError):
 
 
 class FlowSingularity(ConfigError):
-    """Point flow left the domain of the conformal map."""
+    """Point flow given a non-finite input, or leaving the domain of the conformal map."""
 
 
 class ScheduleViolation(ConfigError):

@@ -5,7 +5,8 @@ upper/lower bounds built from transition functions on slightly larger and
 smaller regions, the boundary-term limits of those bounds, and the geometric
 point flows of both regions.  Exact entropies and bounds are one weighted
 integral: the exact entropy is the bound integral with eta = 1 on the region
-itself.
+itself.  Both bounds use one transition eta; the lower bound evaluates it at
+the mirrored transition variable, eta_-(u) = 1 - eta(-u).
 
 All spatial integrals reduce to a one-dimensional adaptive integral in the
 coordinate the weights and cutoffs depend on (the first axis for wedges, the
@@ -392,9 +393,11 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
 
     Without a cutoff, eta = 1 and V is the region itself: the exact entropy.
     With one, V is the offset -+2*epsilon wedge or the radius r +- 2*epsilon
-    ball, eta (reflected on the lower side) makes its 0-to-1 transition across
-    the 2*epsilon collar between the boundaries of V and the region, and the
-    integral runs over the larger of the two.
+    ball, and eta makes its 0-to-1 transition across the 2*epsilon collar
+    between the boundaries of V and the region, as a function of the
+    transition variable u = normal (y - edge)/epsilon +- 1; the lower side
+    mirrors it, eta_-(u) = 1 - eta(-u), so a feature point p of eta sits at
+    u = sign * p.  The integral runs over the larger of the two regions.
     """
     if cutoff is not None:
         _check_collar(region, epsilon)
@@ -425,16 +428,18 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
         curvature = jacobian_power / (2.0 * v.radius)
     m2 = g.mass ** 2
     if cutoff is not None:
-        prof = cutoff if side == "upper" else cutoff.reflected()
-        for p in prof.feature_points():
-            splits.extend(_graded(edge + normal * epsilon * (p - sign), epsilon, cutoff))
+        for p in cutoff.feature_points():
+            splits.extend(_graded(edge + normal * epsilon * (sign * p - sign), epsilon, cutoff))
 
     def integrand(y):
         if cutoff is None:
             eta, etap = 1.0, 0.0
         else:
-            # transition variable u = normal (y - edge)/eps +- 1
-            eta, etap = prof.eta_and_prime(normal * (y - edge) / epsilon + sign)
+            # transition variable u = normal (y - edge)/eps +- 1, mirrored on
+            # the lower side: eta_-(u) = 1 - eta(-u), eta_-'(u) = eta'(-u)
+            eta, etap = cutoff.eta_and_prime(sign * (normal * (y - edge) / epsilon + sign))
+            if sign < 0:
+                eta = 1.0 - eta
             etap = normal * etap / epsilon
         s = sections(g, y, quad)
         dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
@@ -500,8 +505,9 @@ def boundary_term_prediction(g: InitialData, geometry: Region, cutoff,
                              side: str, quad: FieldQuad = DEFAULT_QUAD) -> float:
     """Squeeze-limit of (bound - exact): +-(pi/2) tau0(edge) [r^{d-1}] E[cutoff].
 
-    The lower side uses the reflected profile, whose boundary integral equals
-    the energy of the base profile, so the two sides differ only in sign.
+    The lower side uses the mirrored transition eta_-(u) = 1 - eta(-u); in the
+    mirrored variable -u its boundary integral is E[cutoff] again, so the two
+    sides differ only in sign.
     """
     sign = _side_sign(side)
     e = cutoff_energy(cutoff)
@@ -583,6 +589,8 @@ def modular_flow_point(geometry: Region, s: float, x) -> tuple[np.ndarray, float
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise DimensionMismatch("spacetime point needs a time and >= 1 space component")
+    if not (math.isfinite(s) and np.all(np.isfinite(x))):
+        raise FlowSingularity(f"flow parameter s = {s!r} and point {x.tolist()} must be finite")
     if isinstance(geometry, Wedge):
         ch, sh = math.cosh(s), math.sinh(s)
         out = x.copy()

@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, TruncationBudgetExceeded
 from .linalg import dagger, expi_hermitian, hermitian_eig
 from .modular import AntilinearMap
 
-CHI_MAX_DEFAULT = 0.5
+CHI_MAX = 0.5  # guard on |chi| for displacements built on the truncated space
 OCCUPIED_REL = 1e-13  # coefficients below this share of the norm count as empty
 DERIVATIVE_STEP = 1e-4
 
@@ -39,7 +39,6 @@ class TruncatedFock:
 
     modes: int
     cutoff: int
-    chi_max: float = CHI_MAX_DEFAULT
     basis: list = field(init=False, repr=False)
     index: dict = field(init=False, repr=False)
     lower: list = field(init=False, repr=False)
@@ -97,9 +96,9 @@ class TruncatedFock:
         chi = np.asarray(chi, dtype=complex).reshape(-1)
         if chi.size != self.modes:
             raise DimensionMismatch(f"expected {self.modes} mode amplitudes, got {chi.size}")
-        if np.linalg.norm(chi) > self.chi_max + 1e-12:
+        if np.linalg.norm(chi) > CHI_MAX + 1e-12:
             raise TruncationBudgetExceeded(
-                f"|chi| = {np.linalg.norm(chi):.4f} exceeds guard {self.chi_max}")
+                f"|chi| = {np.linalg.norm(chi):.4f} exceeds guard {CHI_MAX}")
         return chi
 
 
@@ -183,7 +182,7 @@ def segal_field(tf: TruncatedFock, chi) -> np.ndarray:
 
 
 def weyl(tf: TruncatedFock, chi) -> np.ndarray:
-    """Displacement unitary W(chi) = exp(i phi(chi)), |chi| guarded by chi_max."""
+    """Displacement unitary W(chi) = exp(i phi(chi)), |chi| guarded by CHI_MAX."""
     chi = tf._guard(chi)
     return expi_hermitian(segal_field(tf, chi))
 
@@ -240,8 +239,8 @@ def weyl_relation_residual(tf: TruncatedFock, chi, xi,
     xi = tf._guard(xi)
     phase = np.exp(-0.5j * np.imag(np.vdot(chi, xi)))
     lhs = weyl(tf, chi) @ weyl(tf, xi)
-    tf_sum = TruncatedFock(tf.modes, tf.cutoff, chi_max=float(np.linalg.norm(chi + xi)) + 1e-9)
-    rhs = phase * weyl(tf_sum, chi + xi)
+    # |chi + xi| may pass the guard, so W(chi + xi) is built unguarded
+    rhs = phase * expi_hermitian(segal_field(tf, chi + xi))
     cut = tf.cutoff // 2 if max_particles is None else max_particles
     return _compressed_norm(tf, lhs - rhs, cut)
 
@@ -317,7 +316,7 @@ def coherent_entropy_check(tf: TruncatedFock, ssd: StandardSubspaceData,
     """
     h = np.asarray(h, dtype=complex).reshape(-1)
     chi = tf._guard(chi)
-    if np.linalg.norm(h) > tf.chi_max + 1e-12:
+    if np.linalg.norm(h) > CHI_MAX + 1e-12:
         raise TruncationBudgetExceeded(f"|h| = {np.linalg.norm(h):.4f} exceeds guard")
     k_h = ssd.k_h
     shift = chi - h
@@ -328,9 +327,9 @@ def coherent_entropy_check(tf: TruncatedFock, ssd: StandardSubspaceData,
     matrix_value = float(np.real(np.vdot(omega, assembled @ omega)))
     analytic = 0.5 * float(np.real(np.vdot(h, k_h @ h)))
     deviation = abs(matrix_value - analytic) / max(abs(analytic), 1e-10)
-    tf_shift = TruncatedFock(tf.modes, tf.cutoff,
-                             chi_max=float(np.linalg.norm(shift)) + 1e-9)
-    conjugated = weyl(tf_shift, shift) @ dg @ weyl(tf_shift, -shift)
+    # |chi - h| may pass the guard, so W(+-(chi - h)) are built unguarded
+    conjugated = (expi_hermitian(segal_field(tf, shift)) @ dg
+                  @ expi_hermitian(segal_field(tf, -shift)))
     operator_residual = _compressed_norm(tf, assembled - conjugated, tf.cutoff // 2)
     return {"matrix_value": matrix_value, "analytic": analytic,
             "relative_deviation": float(deviation),

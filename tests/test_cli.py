@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,7 +92,12 @@ class TestConfigHandling:
                      # outside the double cone N reaches 0 at finite s, and a
                      # huge point overflows its image
                      ["scalar", "flow", "geometry=cone", "point=0.3,2.0", "s=50"],
-                     ["scalar", "flow", "point=1e300,1e300", "s=50"]):
+                     ["scalar", "flow", "point=1e300,1e300", "s=50"],
+                     # the discrete minimizer allocates O(n_grid) arrays, the
+                     # factorization n dense dim^2 shifts and an outer^2 middle space
+                     ["cutoff", "minimize", "n_grid=1000001"],
+                     ["signalling", "factorize", "outer_dim=4", "middle_dim=1025"],
+                     ["signalling", "factorize", "outer_dim=33", "middle_dim=1024"]):
             assert run(argv) == 2, argv
             assert capsys.readouterr().out == ""
 
@@ -252,3 +260,14 @@ class TestSuitesThroughCli:
     def test_tolerance_failure_exit_code(self, tmp_path):
         # an absurdly small tolerance scale forces residual checks to fail
         assert run(["fock", "suite", "--tolerance-scale", "1e-30"]) == 1
+
+
+def test_import_loads_no_scipy():
+    # every command pays the package import; scipy is imported where it is used
+    import modlab
+    src = str(Path(modlab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import modlab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -169,12 +169,32 @@ def test_signalling_check_prints_a_finite_value_or_refuses(n, data):
 def test_signalling_factorize_prints_a_finite_value_or_refuses(n, data):
     small = st.integers(-2, 2).map(lambda k: max(n, 0) ** 2 + k) | st.integers(-1, 20)
     outer, middle = data.draw(small, label="outer_dim"), data.draw(small, label="middle_dim")
+    # a dimension past the 1024 cap is refused before anything is built
+    huge = data.draw(st.sampled_from([None, None, "outer", "middle"]), label="huge")
+    if huge:
+        size = data.draw(st.integers(1025, 10 ** 6), label=huge)
+        outer, middle = (size, middle) if huge == "outer" else (outer, size)
     code, out = printed_value(["signalling", "factorize", f"n={n}", f"outer_dim={outer}",
                                f"middle_dim={middle}"])
-    accepted = n >= 1 and min(outer, middle) >= max(4, n * n)
+    accepted = (n >= 1 and max(4, n * n) <= min(outer, middle)
+                and max(outer, middle) <= 1024 and outer * outer * middle <= 2 ** 20)
     event(f"accepted={accepted}")
     if accepted:
         assert code in (EXIT_OK, EXIT_TOLERANCE)
         assert math.isfinite(float(out.removeprefix("factorization residual")))
+    else:
+        assert code == EXIT_CONFIG and out == ""
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(n_grid=st.one_of(st.integers(3, 50_000), st.integers(-3, 2),
+                        st.integers(10 ** 6 + 1, 10 ** 18)))
+def test_cutoff_minimize_prints_a_finite_value_or_refuses(n_grid):
+    # grids past the 10^6 cap are refused before any array is allocated
+    code, out = printed_value(["cutoff", "minimize", f"n_grid={n_grid}"])
+    accepted = 3 <= n_grid <= 10 ** 6
+    event(f"accepted={accepted}")
+    if accepted:
+        assert code == EXIT_OK and math.isfinite(float(out))
     else:
         assert code == EXIT_CONFIG and out == ""

@@ -635,6 +635,16 @@ class TestModularFlow:
         with pytest.raises(FlowSingularity):
             modular_flow_point(Ball(1.0), math.nan, np.array([0.0, 0.5, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("geom", [Wedge(), Ball(1.0)], ids=["wedge", "cone"])
+    def test_non_finite_input_refused_before_arithmetic(self, geom):
+        # refused before cosh, sinh or N see it, so no RuntimeWarning either
+        x = np.array([0.0, 0.5, 0.0, 0.0])
+        for s in (math.inf, -math.inf, math.nan):
+            with pytest.raises(FlowSingularity):
+                modular_flow_point(geom, s, x)
+        with pytest.raises(FlowSingularity):
+            modular_flow_point(geom, 0.5, np.array([0.0, math.nan, 0.0, 0.0]))
+
 
 class TestRecords:
     def test_ordering_flag(self):
