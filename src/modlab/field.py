@@ -70,31 +70,8 @@ class BumpFunction:
         value = self.amplitude * inside * np.exp(1.0 - 1.0 / q)
         return value, -2.0 * value / (q * q)
 
-    def value_and_gradient(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Value (...,) and gradient (..., d) at pts (..., d)."""
-        width = np.array(self.width)
-        z = (pts - np.array(self.center)) / width
-        value, f = self.profile(np.einsum("...i,...i->...", z, z))
-        z /= width
-        z *= f[..., None]
-        return value, z
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(pts)[0]
-
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(pts)[1]
-
     def support_box(self) -> list[tuple[float, float]]:
         return [(c - w, c + w) for c, w in zip(self.center, self.width)]
-
-
-def _union_box(bumps: Sequence[BumpFunction], dim: int) -> list[tuple[float, float]]:
-    if not bumps:
-        return [(0.0, 0.0)] * dim
-    los = [min(b.support_box()[i][0] for b in bumps) for i in range(dim)]
-    his = [max(b.support_box()[i][1] for b in bumps) for i in range(dim)]
-    return list(zip(los, his))
 
 
 @dataclass(frozen=True)
@@ -117,25 +94,10 @@ class InitialData:
         object.__setattr__(self, "g0", tuple(self.g0))
         object.__setattr__(self, "g1", tuple(self.g1))
 
-    def g0_value(self, pts):
-        return sum((b.value(pts) for b in self.g0), np.zeros(pts.shape[:-1]))
-
-    def g0_value_and_gradient(self, pts):
-        value, grad = np.zeros(pts.shape[:-1]), np.zeros_like(pts)
-        for b in self.g0:
-            v, gr = b.value_and_gradient(pts)
-            value += v
-            grad += gr
-        return value, grad
-
-    def g1_value(self, pts):
-        return sum((b.value(pts) for b in self.g1), np.zeros(pts.shape[:-1]))
-
     def support_box(self) -> list[tuple[float, float]]:
-        return _union_box(self.g0 + self.g1, self.dimension)
-
-    def is_zero(self) -> bool:
-        return not (self.g0 or self.g1)
+        """Per-axis hull of the bumps' boxes; the point box at 0 without bumps."""
+        boxes = [b.support_box() for b in self.g0 + self.g1] or [[(0.0, 0.0)] * self.dimension]
+        return [(min(lo for lo, _ in axis), max(hi for _, hi in axis)) for axis in zip(*boxes)]
 
 
 # --------------------------------------------------------------------------
@@ -144,12 +106,10 @@ class InitialData:
 
 @dataclass(frozen=True)
 class Wedge:
-    """Half-space base {x^1 > offset}; weight x^1 - offset."""
-
-    offset: float = 0.0
+    """Half-space base {x^1 > 0}; weight x^1."""
 
     def weight(self, pts: np.ndarray) -> np.ndarray:
-        return pts[..., 0] - self.offset
+        return pts[..., 0]
 
 
 @dataclass(frozen=True)
@@ -159,8 +119,9 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:
-            raise GeometryViolation(f"ball radius {self.radius!r} must be positive and finite")
+        # keeps r^2 in the weight and the curvature 1/(2r) finite
+        if not 1e-100 <= self.radius <= 1e100:
+            raise GeometryViolation(f"ball radius {self.radius!r} must lie in [1e-100, 1e100]")
 
     def weight(self, pts: np.ndarray) -> np.ndarray:
         return (self.radius * self.radius - np.sum(pts * pts, axis=-1)) / (2.0 * self.radius)
@@ -225,8 +186,8 @@ def _slice_grid(bumps: Sequence[BumpFunction], x1: np.ndarray, d: int,
                 order: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-axis coordinates and the product weight of a composite Gauss rule
     over the bump sum's own perpendicular support at each x1 slice, shaped to
-    broadcast: x1 (n, 1) and x2 (n, k) for d = 2; x1 (n, 1, 1), x2 (n, k, 1)
-    and x3 (n, 1, k) for d = 3."""
+    broadcast: x1 (n,) and weight 1 for d = 1; x1 (n, 1) and x2 (n, k) for
+    d = 2; x1 (n, 1, 1), x2 (n, k, 1) and x3 (n, 1, k) for d = 3."""
     nodes01, w01 = _composite01(order // 2 + 4)
     axes, weight = [x1.reshape((-1,) + (1,) * (d - 1))], 1.0
     for axis in range(1, d):
@@ -254,30 +215,24 @@ def _wedge_sections(g: InitialData, x1: np.ndarray, quad: FieldQuad) -> dict:
     """Cross-section integrals over the perpendicular coordinates at each x1.
 
     Returns A = int g0^2, B = int g0 d1g0, C = int (d1 g0)^2,
-    P = int |grad_perp g0|^2, Q = int g1^2.  The g0 terms and the g1 term are
-    integrated over their own per-slice supports so neither sees the other's
-    dead zone.
+    P = int |grad_perp g0|^2, Q = int g1^2; for d = 1 there is nothing to
+    integrate over and P = 0.  The g0 terms and the g1 term are integrated
+    over their own per-slice supports so neither sees the other's dead zone.
     """
     d = g.dimension
     x1 = np.asarray(x1, dtype=float)
     n_x = x1.size
-    if d == 1:
-        pts = x1[:, None]
-        g0, grad = g.g0_value_and_gradient(pts)
-        d1 = grad[:, 0]
-        g1 = g.g1_value(pts)
-        return {"A": g0 * g0, "B": g0 * d1, "C": d1 * d1,
-                "P": np.zeros_like(g0), "Q": g1 * g1}
 
     def integral(f, w):
-        return np.sum((f * w).reshape(n_x, -1), axis=1)
+        return np.add.reduce((f * w).reshape(n_x, -1), axis=1)
     zeros = np.zeros(n_x)
     out = {"A": zeros, "B": zeros, "C": zeros, "P": zeros, "Q": zeros}
     if g.g0:
         axes, w = _slice_grid(g.g0, x1, d, quad.cross_order)
         g0, (d1, *perp) = _on_axes(g.g0, axes)
         out.update(A=integral(g0 * g0, w), B=integral(g0 * d1, w),
-                   C=integral(d1 * d1, w), P=integral(sum(p * p for p in perp), w))
+                   C=integral(d1 * d1, w),
+                   P=integral(sum((p * p for p in perp), np.zeros_like(d1)), w))
     if g.g1:
         axes, w = _slice_grid(g.g1, x1, d, quad.cross_order)
         g1 = _on_axes(g.g1, axes)[0]
@@ -392,7 +347,7 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
     plus (d-1)/(2 R_V) (eta g0)^2 in the integrand when V is a ball of radius R_V.
 
     Without a cutoff, eta = 1 and V is the region itself: the exact entropy.
-    With one, V is the offset -+2*epsilon wedge or the radius r +- 2*epsilon
+    With one, V is the half-space x^1 > -+2*epsilon or the radius r +- 2*epsilon
     ball, and eta makes its 0-to-1 transition across the 2*epsilon collar
     between the boundaries of V and the region, as a function of the
     transition variable u = normal (y - edge)/epsilon +- 1; the lower side
@@ -402,23 +357,23 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
     if cutoff is not None:
         _check_collar(region, epsilon)
         sign = _side_sign(side)
-    if isinstance(region, Wedge):
-        if region.offset != 0.0:
-            raise GeometryViolation(f"wedge offset {region.offset!r} must be 0")
-    elif g.mass != 0.0:
+    if isinstance(region, Ball) and g.mass != 0.0:
         raise MassNotZero(f"mass {g.mass!r} must be 0: the ball weight only "
                           f"generates the massless flow")
-    if g.is_zero():
-        return QuadResult(0.0, 0.0)
 
+    # without bumps the support box is a point and the integral is exactly 0
     box = g.support_box()
     # outer coordinate y: x^1 on wedges, the radius on balls; the region's
     # boundary sits at y = edge and normal * (y - edge) grows into the region
     if isinstance(region, Wedge):
-        v = region if cutoff is None else Wedge(-sign * 2.0 * epsilon)
+        # V = {x^1 > shift}, with weight x^1 - shift
+        shift = 0.0 if cutoff is None else -sign * 2.0 * epsilon
         sections, splits, edge, normal = _wedge_sections, _data_splits(g), 0.0, 1.0
-        lo, hi = max(box[0][0], min(edge, v.offset)), box[0][1]
+        lo, hi = max(box[0][0], min(edge, shift)), box[0][1]
         jacobian_power, curvature = 0, 0.0
+
+        def weight(y):
+            return y - shift
     else:
         v = region if cutoff is None else Ball(region.radius + sign * 2.0 * epsilon)
         sections, splits, edge, normal = _cone_sections, _radial_splits(g), region.radius, -1.0
@@ -426,6 +381,9 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
         lo, hi = 0.0, min(max(edge, v.radius), reach)
         jacobian_power = g.dimension - 1
         curvature = jacobian_power / (2.0 * v.radius)
+
+        def weight(y):
+            return v.weight(y[:, None])
     m2 = g.mass ** 2
     if cutoff is not None:
         for p in cutoff.feature_points():
@@ -444,7 +402,7 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
         s = sections(g, y, quad)
         dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
                 + eta * eta * (s["C"] + s.get("P", 0.0) + m2 * s["A"] + s["Q"]))
-        out = v.weight(y[:, None]) * dens + curvature * eta * eta * s["A"]
+        out = weight(y) * dens + curvature * eta * eta * s["A"]
         return y ** jacobian_power * out
 
     res = integrate_1d(integrand, lo, hi, splits=splits, order=quad.outer_order,
@@ -464,7 +422,7 @@ def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
                   epsilon: float, quad: FieldQuad = DEFAULT_QUAD) -> QuadResult:
     """Upper or lower squeezed bound on the exact entropy of the middle region.
 
-    Wedges use half-space offsets -+2*epsilon, cones radii r +- 2*epsilon; the
+    Wedges use the half-spaces x^1 > -+2*epsilon, cones radii r +- 2*epsilon; the
     transition runs inside the 2*epsilon collar, so the bound evaluates
     (pi/2) int beta_pm [ (grad(eta_pm g0))^2 + m^2 (eta_pm g0)^2 + (eta_pm g1)^2 ]
     plus the curvature term for cones.
@@ -511,12 +469,9 @@ def boundary_term_prediction(g: InitialData, geometry: Region, cutoff,
     """
     sign = _side_sign(side)
     e = cutoff_energy(cutoff)
-    if isinstance(geometry, Wedge):
-        tau_edge = tau0(g, geometry, quad)(0.0)
-        return sign * 0.5 * math.pi * tau_edge * e
-    r = geometry.radius
-    tau_edge = tau0(g, geometry, quad)(r)
-    return sign * 0.5 * math.pi * tau_edge * r ** (g.dimension - 1) * e
+    edge, scale = ((0.0, 1.0) if isinstance(geometry, Wedge)
+                   else (geometry.radius, geometry.radius ** (g.dimension - 1)))
+    return sign * 0.5 * math.pi * tau0(g, geometry, quad)(edge) * scale * e
 
 
 # --------------------------------------------------------------------------

@@ -72,8 +72,7 @@ def _blocks(seed: int, trials: np.ndarray):
         yield idx, [np.random.default_rng(seed + int(t)) for t in idx]
 
 
-def run_findim_suite(seed: int = 0, trials: int = 1000,
-                     tolerance_scale: float = 1.0) -> SuiteResult:
+def run_findim_suite(seed: int = 0, trials: int = 1000) -> SuiteResult:
     """Klein positivity, joint unitary invariance, commutant cancellation,
     polar reconstruction and the closed-form modular operator, on random
     state pairs of dimension 2 to 4 (trial t has dimension 2 + t % 3)."""
@@ -101,7 +100,6 @@ def run_findim_suite(seed: int = 0, trials: int = 1000,
     worst: dict[str, float] = {}
     for trial in range(trials):
         for (check, tol), residual in zip(FINDIM_CHECKS, residuals[trial].tolist()):
-            tol = tol * tolerance_scale
             rows.append({"check": check, "trial_seed": trial, "residual": residual,
                          "tolerance": tol, "pass": residual <= tol})
             worst[check] = max(worst.get(check, 0.0), residual)
@@ -110,12 +108,10 @@ def run_findim_suite(seed: int = 0, trials: int = 1000,
 
 
 def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
-                      monotonicity_trials: int = 1000,
-                      tolerance_scale: float = 1.0) -> SuiteResult:
+                      monotonicity_trials: int = 1000) -> SuiteResult:
     """Nested-algebra entropy inequalities on 2x2 bipartite states and
     monotonicity of the relative entropy under the partial trace."""
     rows = []
-    tol = THEOREM_MARGIN_TOL * tolerance_scale
 
     def record(reports):
         for k in range(len(reports[0][1].lhs)):
@@ -129,12 +125,12 @@ def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
         u, v = modular.random_unitary(4, rngs), modular.random_unitary(4, rngs)
         u_b, v_b = modular.random_unitary(2, rngs), modular.random_unitary(2, rngs)
         upper, lower = modular.theorem_entropy_bounds(pb, u, v, u_b, v_b,
-                                                      trial_seed=idx, tol=tol)
+                                                      trial_seed=idx, tol=THEOREM_MARGIN_TOL)
         record([("theorem_upper", upper), ("theorem_lower", lower)])
     for idx, rngs in _blocks(seed + 10_000, np.arange(monotonicity_trials)):
         record([("monotonicity", modular.monotonicity_check(
             modular.random_density(4, rngs), modular.random_density(4, rngs), (2, 2),
-            trial_seed=idx, tol=tol))])
+            trial_seed=idx, tol=THEOREM_MARGIN_TOL))])
     min_margin = min([math.inf] + [row["margin"] for row in rows])
     return _finish(rows, {"suite": "theorem", "theorem_trials": theorem_trials,
                           "monotonicity_trials": monotonicity_trials,
@@ -145,8 +141,7 @@ def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
 # truncated Fock suite
 # --------------------------------------------------------------------------
 
-def run_fock_suite(seed: int = 0, modes: int = 2, cutoff_n: int = 12,
-                   tolerance_scale: float = 1.0) -> SuiteResult:
+def run_fock_suite(seed: int = 0, modes: int = 2, cutoff_n: int = 12) -> SuiteResult:
     """Displacement-relation, conjugation, generator-shift, derivative,
     particle-bound and coherent-entropy checks at |chi| <= 0.5."""
     rows = []
@@ -158,7 +153,6 @@ def run_fock_suite(seed: int = 0, modes: int = 2, cutoff_n: int = 12,
         return scale * v / np.linalg.norm(v)
 
     def record(check, residual, tol, params):
-        tol = tol * tolerance_scale
         rows.append({"check_name": check, "params": params,
                      "residual": float(residual), "tolerance": tol,
                      "pass": bool(residual <= tol)})

@@ -89,6 +89,9 @@ class TestConfigHandling:
                      ["scalar", "flow", "s=701"],
                      ["scalar", "exact", "mass=1e160"],
                      ["scalar", "sweep", "mass=1e101"],
+                     # r^2 overflows past r = 1.3e154 and 1/(2r) below 2.8e-309
+                     *(["scalar", action, "geometry=cone", "d=3", f"r={r}"]
+                       for action in ("exact", "bound", "sweep") for r in ("1e155", "1e-310")),
                      # outside the double cone N reaches 0 at finite s, and a
                      # huge point overflows its image
                      ["scalar", "flow", "geometry=cone", "point=0.3,2.0", "s=50"],
@@ -100,6 +103,13 @@ class TestConfigHandling:
                      ["signalling", "factorize", "outer_dim=33", "middle_dim=1024"]):
             assert run(argv) == 2, argv
             assert capsys.readouterr().out == ""
+
+    def test_d_factor_cap(self):
+        # 256 takes 31 s; larger factors are refused before anything is built
+        assert resolve_params("signalling", "gap", {"d_factor": "256"})["d_factor"] == 256
+        for value in ("257", "100000"):
+            with pytest.raises(ConfigError):
+                resolve_params("signalling", "gap", {"d_factor": value})
 
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -155,6 +165,16 @@ class TestSweepArtifacts:
         assert summary["ordering_ok"] is True
         assert "gap_slope" in summary
         assert (out / "plot.txt").read_text().startswith("# column-indexed")
+
+    def test_no_gap_line_through_one_epsilon(self, tmp_path, recwarn):
+        # a squeezing schedule may repeat epsilon; a line through one abscissa
+        # was an arbitrary least-squares pick, with a RankWarning
+        out = tmp_path / "same"
+        assert run(["scalar", "sweep", "--out", str(out),
+                    "schedule=1e-2:1.8:40;1e-2:1.6:100"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["entries"] == 2 and "gap_slope" not in summary
+        assert not recwarn.list
 
     def test_empty_schedule_header_only(self, tmp_path):
         out = tmp_path / "empty"
@@ -257,9 +277,10 @@ class TestSuitesThroughCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is True
 
-    def test_tolerance_failure_exit_code(self, tmp_path):
-        # an absurdly small tolerance scale forces residual checks to fail
-        assert run(["fock", "suite", "--tolerance-scale", "1e-30"]) == 1
+    def test_tolerance_failure_exit_code(self, monkeypatch):
+        # a zero Weyl-relation tolerance fails its nonzero residuals
+        monkeypatch.setattr(cli.suites, "WEYL_TOL", 0.0)
+        assert run(["fock", "suite"]) == 1
 
 
 def test_import_loads_no_scipy():
