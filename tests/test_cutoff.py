@@ -2,9 +2,11 @@
 discrete minimizer."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from modlab.cutoff import (
     MAX_SHARPNESS,
@@ -19,6 +21,7 @@ from modlab.cutoff import (
     eta_st,
     minimize_discrete,
     standard_mollifier,
+    t_threshold,
 )
 from modlab.errors import ParameterViolation
 from modlab.quadrature import integrate_1d
@@ -50,6 +53,17 @@ class TestChiKernel:
     def test_non_finite_s_refused(self, s):
         with pytest.raises(ParameterViolation):
             ChiKernel(s)
+
+    @pytest.mark.parametrize("s", [1.5, 1e3, 1e6])
+    def test_antiderivative_keeps_its_digits_as_s_grows(self, s):
+        # log((x+1)/(1-1/s)) / c_s with c_s ~ 2/s, against 40-digit decimals
+        x = np.linspace(-0.9, 0.9, 7) / s
+        with localcontext() as ctx:
+            ctx.prec = 40
+            edge = 1 / Decimal(s)
+            c_s = ((1 + edge) / (1 - edge)).ln()
+            ref = [float(((Decimal(xi) + 1) / (1 - edge)).ln() / c_s) for xi in x.tolist()]
+        assert ChiKernel(s).antiderivative(x) == pytest.approx(ref, rel=1e-14)
 
     def test_huge_s_stays_finite(self):
         # c_s = log1p(2/(s-1)) stays positive where log((s+1)/(s-1)) rounds to 0
@@ -118,6 +132,11 @@ class TestEtaSt:
         eta = eta_st(1.5, 200)
         assert abs(energy(eta) - 1.0 / math.log(5.0)) <= 0.01
 
+    @pytest.mark.parametrize("s", [1.01, 1.5, 3.0, MAX_SHARPNESS])
+    def test_energy_reaches_its_limit_as_t_grows(self, s):
+        # as t -> inf, eta' -> chi_s and E -> 1/c_s exactly; r^2 underflows silently
+        assert energy(eta_st(s, 1e300)) == pytest.approx(energy_limit(s), rel=1e-12)
+
     def test_energy_convergence_on_grid(self):
         for s in (1.5, 2.0, 3.0):
             t = 200.0 * s / (s - 1.0)
@@ -158,22 +177,35 @@ class TestEnergyLimit:
             energy_limit(s)
 
 
-def loop_convolution(prof, x, kernel_fn):
-    """int kernel(x - y/t) f(y) dy as twelve separate 16-point panel sums,
-    one kernel at a time: the reference for the fused (n, 192) evaluation."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    t, s = prof.t, prof.s
-    edges = [np.full_like(x, -1.0), np.clip(t * (x - 1 / s), -1.0, 1.0),
-             np.clip(t * (x + 1 / s), -1.0, 1.0), np.full_like(x, 1.0)]
-    out = np.zeros_like(x)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        for k in range(4):
-            a = lo + (hi - lo) * (k / 4)
-            b = lo + (hi - lo) * ((k + 1) / 4)
-            half = 0.5 * (b - a)
-            y = a[:, None] + half[:, None] * (nodes + 1.0)
-            out += half * ((kernel_fn(x[:, None] - y / t) * prof.mollifier(y)) @ weights)
-    return out
+def quad_oracle(s, t):
+    """eta_{s,t} and eta'_{s,t} at a scalar x as scipy quad integrals of the
+    mollified kernel, split only at the images a, b of the clip edges; the
+    mollifier and kernel are written here, not taken from modlab."""
+    def bump(y):
+        return math.exp(1.0 - 1.0 / (1.0 - y * y)) if abs(y) < 1.0 else 0.0
+
+    opts = dict(epsabs=1e-16, epsrel=1e-13, limit=200)
+    norm = quad(bump, -1.0, 1.0, **opts)[0]
+    c_s = math.log1p(2.0 / (s - 1.0))
+
+    def anti(u):
+        if abs(u) < 1.0 / s:
+            return math.log1p((u + 1.0 / s) / (1.0 - 1.0 / s)) / c_s
+        return 1.0 if u >= 1.0 / s else 0.0
+
+    def chi(u):
+        return 1.0 / (c_s * (u + 1.0)) if abs(u) < 1.0 / s else 0.0
+
+    def at(x):
+        cuts = sorted({-1.0, 1.0} | {min(max(t * (x + e), -1.0), 1.0) for e in (-1 / s, 1 / s)})
+        return [sum(quad(lambda y: k(x - y / t) * bump(y), lo, hi, **opts)[0]
+                    for lo, hi in zip(cuts[:-1], cuts[1:])) / norm for k in (anti, chi)]
+    return at
+
+
+# the series is tested hardest at t = s/(s-1), where its ratio r reaches 1/2
+ORACLE_CASES = [(1.5, 200.0), (1.8, 40.0), (1.6, 100.0), (3.0, 1.5), (1.01, 101.0),
+                (MAX_SHARPNESS, MAX_SHARPNESS + 10.0), (1.2, t_threshold(1.2))]
 
 
 class TestFusedEvaluation:
@@ -188,15 +220,36 @@ class TestFusedEvaluation:
         eta, prime = base.eta_and_prime(np.array([-hw, hw]))
         assert eta.tolist() == [0.0, 1.0] and prime.tolist() == [0.0, 0.0]
 
-    def test_fused_convolution_matches_the_loop_reference(self):
-        # the fused sum reorders 192 products of size <= 2: a few ulp, far below 1e-14
-        for s, t in ((1.5, 200.0), (1.8, 40.0), (3.0, 1.5)):
-            prof = eta_st(s, t)
-            hw = prof.support_halfwidth
-            x = np.linspace(-hw, hw, 403)[1:-1]
-            eta, prime = prof.eta_and_prime(x)
-            assert np.max(np.abs(eta - loop_convolution(prof, x, prof.kernel.antiderivative))) <= 1e-14
-            assert np.max(np.abs(prime - loop_convolution(prof, x, prof.kernel))) <= 1e-14
+    @pytest.mark.parametrize("s, t", ORACLE_CASES)
+    def test_profile_matches_the_quad_oracle(self, s, t):
+        # 200 random points on the middle piece (where it exists) and on each band
+        prof, at = eta_st(s, t), quad_oracle(s, t)
+        inner, hw = 1.0 / s - 1.0 / t, prof.support_halfwidth
+        rng = np.random.default_rng(11)
+        pieces = [(-inner, inner)] if inner > 0 else []
+        pieces += [(-hw, -abs(inner)), (abs(inner), hw)]
+        x = np.concatenate([rng.uniform(lo, hi, 200) for lo, hi in pieces])
+        eta, prime = prof.eta_and_prime(x)
+        ref = np.array([at(xi) for xi in x])
+        assert np.max(np.abs(eta - ref[:, 0])) <= 1e-13
+        assert np.max(np.abs(prime - ref[:, 1])) <= 1e-13 * np.max(np.abs(ref[:, 1]))
+
+    @pytest.mark.parametrize("s, t", [(1.5, 200.0), (1.01, 101.0), (1.2, t_threshold(1.2)),
+                                      (MAX_SHARPNESS, MAX_SHARPNESS + 10.0)])
+    def test_continuous_at_the_seams(self, s, t):
+        # the series meets the band rule at +-(1/s - 1/t); the bands meet the
+        # exact 0, 1 and eta' = 0 at +-(1/s + 1/t)
+        prof = eta_st(s, t)
+        scale = np.max(prof.eta_prime(np.linspace(-1.0, 1.0, 2001)))
+        for edge in (1.0 / s - 1.0 / t, -(1.0 / s - 1.0 / t)):
+            eta, prime = prof.eta_and_prime(np.array([np.nextafter(edge, -np.inf),
+                                                      np.nextafter(edge, np.inf)]))
+            assert abs(eta[1] - eta[0]) <= 1e-13
+            assert abs(prime[1] - prime[0]) <= 1e-13 * scale
+        hw = prof.support_halfwidth
+        eta, prime = prof.eta_and_prime(np.array([np.nextafter(-hw, 0.0), np.nextafter(hw, 0.0)]))
+        assert abs(eta[0]) <= 1e-13 and abs(eta[1] - 1.0) <= 1e-13
+        assert np.max(np.abs(prime)) <= 1e-13 * scale
 
 
 class TestDiscreteMinimizer:
