@@ -60,6 +60,8 @@ FIELD_KEYS = {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
               "r": (float, _positive, 1.0),
               "data": (str, lambda v: v in ("interior", "boundary"), "interior")}
 
+# A rule the library enforces itself, with a ConfigError, is not repeated here:
+# its key accepts every value (lambda v: True), and the library refuses it.
 SCHEMAS = {
     ("findim", "suite"): {"trials": (int, lambda v: 1 <= v <= 10 ** 6, 1000)},
     # the coherent-entropy check is built for two modes, and below cutoff 7
@@ -69,9 +71,9 @@ SCHEMAS = {
     ("scalar", "exact"): FIELD_KEYS,
     ("scalar", "bound"): {**FIELD_KEYS,
                           "side": (str, lambda v: v in ("upper", "lower"), "upper"),
-                          "s": (float, lambda v: v > 1, 1.5),
-                          "t": (float, _positive, 200.0),
-                          "epsilon": (float, _positive, 0.01)},
+                          "s": (float, lambda v: True, 1.5),
+                          "t": (float, lambda v: True, 200.0),
+                          "epsilon": (float, lambda v: True, 0.01)},
     ("scalar", "sweep"): {**FIELD_KEYS,
                           "schedule": (str, lambda v: True,
                                        "1e-2:1.8:40;3e-3:1.6:100;1e-3:1.5:200")},
@@ -79,21 +81,21 @@ SCHEMAS = {
     ("scalar", "flow"): {"geometry": FIELD_KEYS["geometry"], "r": FIELD_KEYS["r"],
                          "s": (float, lambda v: abs(v) <= 700, 1.0),
                          "point": (_point, lambda v: len(v) >= 2, (0.0, 0.5))},
-    ("cutoff", "energy"): {"s": (float, lambda v: v > 1, 1.5),
-                           "t": (float, _positive, 200.0)},
-    ("cutoff", "limit"): {"s": (float, lambda v: v > 1, 3.0)},
+    ("cutoff", "energy"): {"s": (float, lambda v: True, 1.5),
+                           "t": (float, lambda v: True, 200.0)},
+    ("cutoff", "limit"): {"s": (float, lambda v: True, 3.0)},
     # minimize_discrete allocates O(n_grid) arrays
-    ("cutoff", "minimize"): {"n_grid": (int, lambda v: 3 <= v <= 10 ** 6, 20000)},
-    ("signalling", "check"): {"n": (int, lambda v: v >= 1, 2),
+    ("cutoff", "minimize"): {"n_grid": (int, lambda v: v <= 10 ** 6, 20000)},
+    ("signalling", "check"): {"n": (int, lambda v: True, 2),
                               "d1": (int, lambda v: v >= 4, 16),
                               "d2": (int, lambda v: v >= 4, 32)},
-    ("signalling", "gap"): {"epsilon": (float, lambda v: 0 < v <= 0.05, 0.01),
+    ("signalling", "gap"): {"epsilon": (float, lambda v: True, 0.01),
                             "samples": (int, lambda v: 1 <= v <= 10 ** 5, 200),
                             # the 12-term reference tail needs (d - 2)//2 >= 12; the
                             # SVDs in align_product take 31 s at 256, over 150 s at 512
                             "d_factor": (int, lambda v: 26 <= v <= 256, 32)},
     # the shift families are n dense dim^2 matrices
-    ("signalling", "factorize"): {"n": (int, lambda v: v >= 1, 2),
+    ("signalling", "factorize"): {"n": (int, lambda v: True, 2),
                                   "outer_dim": (int, lambda v: 4 <= v <= 1024, 8),
                                   "middle_dim": (int, lambda v: 4 <= v <= 1024, 16)},
 }

@@ -145,8 +145,7 @@ def cuntz_sum_unitary(fam1: TruncatedCuntz, fam2: TruncatedCuntz) -> np.ndarray:
     return sum(kron(t, s.T) for t, s in zip(fam1.shifts, fam2.shifts))
 
 
-def make_scenario(n: int, d1: int, d2: int, seed: int = 0,
-                  w: np.ndarray | None = None) -> SignallingScenario:
+def make_scenario(n: int, d1: int, d2: int, seed: int = 0) -> SignallingScenario:
     """Three random Hermitian generators on each side; Charlie's are
     compressed into the defect-free zone of his factor."""
     fam1 = TruncatedCuntz(n, d1)
@@ -162,9 +161,7 @@ def make_scenario(n: int, d1: int, d2: int, seed: int = 0,
         c = np.zeros((d2, d2), dtype=complex)
         c[:q2, :q2] = ((g + dagger(g)) / 2.0)[:q2, :q2]
         charlie.append(c)
-    if w is None:
-        w = cuntz_sum_unitary(fam1, fam2)
-    return SignallingScenario(fam1, fam2, alice, charlie, w)
+    return SignallingScenario(fam1, fam2, alice, charlie, cuntz_sum_unitary(fam1, fam2))
 
 
 def nonsignalling_check(scenario: SignallingScenario) -> dict:

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ParameterViolation, SingularSystem
+from .errors import ParameterViolation
 from .quadrature import gauss_rule, integrate_1d
 
 
@@ -96,9 +96,6 @@ class ChiKernel:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_antiderivative(x)[0]
-
-    def antiderivative(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_antiderivative(x)[1]
 
 
 # --------------------------------------------------------------------------
@@ -316,9 +313,10 @@ def minimize_discrete(n_grid: int) -> tuple[DiscreteCutoff, float]:
     off = -w[1:-1]
     rhs = np.zeros(m)
     rhs[-1] = w[-1] * 1.0
-    if np.any(diag <= 0):
-        raise SingularSystem("non-positive cell weights")  # pragma: no cover
-    if m == 1:
+    # The closed form (increments proportional to 1/w_i) gives the same minimum
+    # to 1 ulp, but squeeze then runs about 20% slower: without the banded solve's
+    # large frees, field._cone_sections depends on the heap's state (ROADMAP item 4).
+    if m == 1:  # solveh_banded refuses a single unknown
         interior = rhs / diag
     else:
         import scipy.linalg
@@ -329,9 +327,3 @@ def minimize_discrete(n_grid: int) -> tuple[DiscreteCutoff, float]:
     values = np.concatenate(([0.0], interior, [1.0]))
     profile = DiscreteCutoff(values)
     return profile, discrete_energy(values)
-
-
-def discrete_minimum_closed_form(n_grid: int) -> float:
-    """1 / sum_i (h / w_i): the exact minimum by the Cauchy-Schwarz argument."""
-    w, h = _cell_weights(n_grid)
-    return float(1.0 / np.sum(h / w))

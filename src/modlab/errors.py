@@ -79,10 +79,6 @@ class ParameterViolation(ConfigError):
     """Cutoff family parameters outside the admissible range."""
 
 
-class SingularSystem(ModlabError):
-    """Normal equations of the discrete minimizer are singular."""
-
-
 # --- truncated shift models ------------------------------------------------------
 
 class DimensionTooSmall(ConfigError):

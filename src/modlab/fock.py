@@ -75,10 +75,6 @@ class TruncatedFock:
     def raise_op(self, mode: int) -> np.ndarray:
         return dagger(self.lower[mode])
 
-    def number_op(self) -> np.ndarray:
-        totals = np.array([sum(occ) for occ in self.basis], dtype=float)
-        return np.diag(totals).astype(complex)
-
     def sector_projector(self, max_particles: int) -> np.ndarray:
         keep = np.array([sum(occ) <= max_particles for occ in self.basis])
         return np.diag(keep.astype(complex))
@@ -165,11 +161,6 @@ def create(tf: TruncatedFock, chi) -> np.ndarray:
         if chi[m] != 0:
             out += chi[m] * tf.raise_op(m)
     return out
-
-
-def annihilate(tf: TruncatedFock, chi) -> np.ndarray:
-    """a(chi) = sum_i conj(chi_i) a_i (antilinear in chi)."""
-    return dagger(create(tf, chi))
 
 
 def segal_field(tf: TruncatedFock, chi) -> np.ndarray:
@@ -334,9 +325,3 @@ def coherent_entropy_check(tf: TruncatedFock, ssd: StandardSubspaceData,
     return {"matrix_value": matrix_value, "analytic": analytic,
             "relative_deviation": float(deviation),
             "operator_residual": operator_residual}
-
-
-def truncation_tolerance(sectors_remaining: int, chi_norm: float) -> float:
-    """Documented defect bound 8 |chi|^k / sqrt(k!) for k unused top sectors."""
-    k = max(sectors_remaining, 0)
-    return 8.0 * chi_norm ** k / math.sqrt(math.factorial(k))

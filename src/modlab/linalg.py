@@ -55,9 +55,6 @@ class HermitianEig:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.apply(lambda w: w)
-
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         v = self.eigenvectors
         return (v * f(self.eigenvalues)[..., None, :]) @ dagger(v)
@@ -101,10 +98,6 @@ def matrix_log(a) -> np.ndarray:
 
 def matrix_sqrt(a) -> np.ndarray:
     return matrix_function(a, np.sqrt, positive_domain=False)
-
-
-def matrix_exp_hermitian(a) -> np.ndarray:
-    return matrix_function(a, np.exp)
 
 
 def matrix_inv_positive(a) -> np.ndarray:

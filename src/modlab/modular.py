@@ -76,10 +76,6 @@ class AntilinearMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.linear_part @ np.conj(x)
 
-    def compose(self, other: "AntilinearMap") -> np.ndarray:
-        """Linear part of self o other (two antilinear maps compose to a linear one)."""
-        return self.linear_part @ np.conj(other.linear_part)
-
     def antiunitarity_defect(self) -> float:
         m = self.linear_part
         return float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[0]), 2))

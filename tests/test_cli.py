@@ -100,7 +100,21 @@ class TestConfigHandling:
                      # factorization n dense dim^2 shifts and an outer^2 middle space
                      ["cutoff", "minimize", "n_grid=1000001"],
                      ["signalling", "factorize", "outer_dim=4", "middle_dim=1025"],
-                     ["signalling", "factorize", "outer_dim=33", "middle_dim=1024"]):
+                     ["signalling", "factorize", "outer_dim=33", "middle_dim=1024"],
+                     # rules only the library enforces
+                     ["scalar", "bound", "s=1"],
+                     ["scalar", "bound", "t=-200"],
+                     ["scalar", "bound", "epsilon=0"],
+                     ["scalar", "bound", "epsilon=-0.01"],
+                     ["cutoff", "energy", "s=0.5"],
+                     ["cutoff", "energy", "t=0"],
+                     ["cutoff", "limit", "s=1"],
+                     ["signalling", "gap", "epsilon=0"],
+                     ["signalling", "gap", "epsilon=0.06"],
+                     ["signalling", "check", "n=0"],
+                     ["signalling", "factorize", "n=0"],
+                     ["cutoff", "minimize", "n_grid=2"],
+                     ["cutoff", "minimize", "n_grid=-5"]):
             assert run(argv) == 2, argv
             assert capsys.readouterr().out == ""
 

@@ -1,5 +1,6 @@
 """Tests for truncated shift families, non-signalling sums and the norm gap."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -108,25 +109,25 @@ class TestNonSignalling:
     @pytest.mark.parametrize("kind", ["haar", "product", "cuntz_sum"])
     def test_matches_dense_reference(self, kind):
         rng = np.random.default_rng(17)
-        w = None  # make_scenario's shift-sum unitary
+        sc = make_scenario(2, 8, 16, seed=4)  # w is the shift-sum unitary
         if kind == "haar":
-            w = random_unitary(8 * 16, rng)
+            sc = dataclasses.replace(sc, w=random_unitary(8 * 16, rng))
         elif kind == "product":
-            w = kron(random_unitary(8, rng), random_unitary(16, rng))
-        sc = make_scenario(2, 8, 16, seed=4, w=w)
+            sc = dataclasses.replace(sc, w=kron(random_unitary(8, rng), random_unitary(16, rng)))
         reference = _dense_commutator(sc)
         assert abs(nonsignalling_check(sc)["max_commutator"] - reference) <= 1e-12
         if kind == "haar":
             assert reference > 1e-3  # a generic unitary signals
 
     def test_identity_w(self):
-        sc = make_scenario(2, 16, 32, seed=1, w=np.eye(16 * 32, dtype=complex))
+        sc = dataclasses.replace(make_scenario(2, 16, 32, seed=1),
+                                 w=np.eye(16 * 32, dtype=complex))
         assert nonsignalling_check(sc)["max_commutator"] == 0.0
 
     def test_product_w(self):
         rng = np.random.default_rng(3)
         w = kron(random_unitary(16, rng), random_unitary(32, rng))
-        sc = make_scenario(2, 16, 32, seed=1, w=w)
+        sc = dataclasses.replace(make_scenario(2, 16, 32, seed=1), w=w)
         assert nonsignalling_check(sc)["max_commutator"] <= 1e-13
 
     def test_cuntz_sum_w(self):

@@ -14,7 +14,6 @@ from modlab.cutoff import (
     ChiKernel,
     DiscreteCutoff,
     discrete_energy,
-    discrete_minimum_closed_form,
     energy,
     energy_dominating_bound,
     energy_limit,
@@ -37,9 +36,10 @@ class TestChiKernel:
     def test_antiderivative_consistency(self):
         k = ChiKernel(1.5)
         xs = np.linspace(-0.9, 0.9, 7)
-        for x in xs:
+        _, anti = k.value_and_antiderivative(xs)
+        for x, expected in zip(xs, anti):
             res = integrate_1d(k, -1.0, x, splits=[-1 / 1.5, 1 / 1.5], order=16)
-            assert res.value == pytest.approx(k.antiderivative(np.array([x]))[0], abs=1e-12)
+            assert res.value == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative(self):
         k = ChiKernel(2.0)
@@ -63,7 +63,7 @@ class TestChiKernel:
             edge = 1 / Decimal(s)
             c_s = ((1 + edge) / (1 - edge)).ln()
             ref = [float(((Decimal(xi) + 1) / (1 - edge)).ln() / c_s) for xi in x.tolist()]
-        assert ChiKernel(s).antiderivative(x) == pytest.approx(ref, rel=1e-14)
+        assert ChiKernel(s).value_and_antiderivative(x)[1] == pytest.approx(ref, rel=1e-14)
 
     def test_huge_s_stays_finite(self):
         # c_s = log1p(2/(s-1)) stays positive where log((s+1)/(s-1)) rounds to 0
@@ -263,10 +263,27 @@ class TestDiscreteMinimizer:
         _, val = minimize_discrete(3)
         assert val <= brute + 1e-8
 
+    @staticmethod
+    def weights(n):
+        """Cell weights x_{i+1} + 1 = (i + 1) h of the uniform grid on [-1, 1]."""
+        h = 2.0 / (n - 1)
+        return h * np.arange(1, n), h
+
     def test_harmonic_sum_oracle(self):
-        for n in (3, 11, 101, 20000):
-            _, val = minimize_discrete(n)
-            assert val == pytest.approx(discrete_minimum_closed_form(n), rel=1e-10)
+        # the profile against a dense solve of the normal equations
+        # (w_{j-1} + w_j) v_j - w_{j-1} v_{j-1} - w_j v_{j+1} = 0, v_0 = 0, v_{n-1} = 1,
+        # and the minimum against the Cauchy-Schwarz value 1 / sum_i h/w_i
+        for n in (3, 4, 11, 101):
+            w, h = self.weights(n)
+            normal = np.diag(w[:-1] + w[1:]) - np.diag(w[1:-1], 1) - np.diag(w[1:-1], -1)
+            rhs = np.zeros(n - 2)
+            rhs[-1] = w[-1]
+            prof, val = minimize_discrete(n)
+            assert np.max(np.abs(prof.values[1:-1] - np.linalg.solve(normal, rhs))) <= 1e-13
+            assert val == pytest.approx(1.0 / np.sum(h / w), rel=1e-12)
+        w, h = self.weights(20000)
+        _, val = minimize_discrete(20000)
+        assert val == pytest.approx(1.0 / np.sum(h / w), rel=1e-10)
 
     def test_acceptance_scale_value(self):
         _, val = minimize_discrete(20000)

@@ -10,7 +10,6 @@ from modlab.fock import (
     FockVector,
     StandardSubspaceData,
     TruncatedFock,
-    annihilate,
     coherent_entropy_check,
     create,
     dgamma,
@@ -18,7 +17,6 @@ from modlab.fock import (
     gamma_adjoint_check,
     number_estimate_check,
     segal_field,
-    truncation_tolerance,
     weyl,
     weyl_derivative_check,
     weyl_relation_residual,
@@ -36,6 +34,11 @@ def tf():
 @pytest.fixture(scope="module")
 def tf_small():
     return TruncatedFock(2, 8)
+
+
+def number_op(tf):
+    """The total particle number, diagonal in the occupation basis."""
+    return np.diag([complex(sum(occ)) for occ in tf.basis])
 
 
 def basis_vector(tf, occ):
@@ -119,11 +122,13 @@ class TestWeyl:
         assert np.linalg.norm(p @ prod @ p, 2) <= 1e-8
 
     def test_unitarity_on_low_sectors(self, tf):
+        # W = exp(i phi) of a Hermitian phi on the truncated space is unitary up
+        # to rounding, so the gate is a rounding bound, not a truncation bound
         chi = np.array([0.3, 0.4j])
         w = weyl(tf, chi)
         p = tf.sector_projector(tf.cutoff // 2)
         defect = np.linalg.norm(p @ (dagger(w) @ w - np.eye(tf.dim)) @ p, 2)
-        assert defect <= truncation_tolerance(tf.cutoff - tf.cutoff // 2, 0.5)
+        assert defect <= 1e-12
 
     def test_phase_antisymmetry_via_commutator(self, tf):
         # W(chi) W(xi) W(chi)^-1 W(xi)^-1 = exp(-i Im<chi, xi>) on low sectors
@@ -136,7 +141,7 @@ class TestWeyl:
 
 class TestDGamma:
     def test_number_operator(self, tf):
-        assert np.allclose(dgamma(tf, np.eye(2)), tf.number_op())
+        assert np.allclose(dgamma(tf, np.eye(2)), number_op(tf))
 
     def test_one_particle_block(self, tf):
         rng = np.random.default_rng(3)
@@ -331,9 +336,5 @@ class TestGammaConstruction:
         rng = np.random.default_rng(11)
         u = random_unitary(2, rng)
         g = gamma(tf_small, u)
-        n_op = tf_small.number_op()
+        n_op = number_op(tf_small)
         assert np.linalg.norm(g @ n_op - n_op @ g, 2) <= 1e-12
-
-    def test_annihilate_adjoint(self, tf_small):
-        chi = np.array([0.2, 0.7j])
-        assert np.allclose(annihilate(tf_small, chi), dagger(create(tf_small, chi)))

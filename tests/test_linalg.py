@@ -38,7 +38,7 @@ class TestHermitianEig:
         rng = np.random.default_rng(11)
         a = random_hermitian(6, rng)
         eig = hermitian_eig(a)
-        assert np.linalg.norm(a - eig.reconstruct()) <= 1e-12 * np.linalg.norm(a)
+        assert np.linalg.norm(a - eig.apply(lambda w: w)) <= 1e-12 * np.linalg.norm(a)
 
     def test_ascending_and_unitary(self):
         rng = np.random.default_rng(12)
@@ -48,7 +48,7 @@ class TestHermitianEig:
             assert np.all(np.diff(eig.eigenvalues) >= -1e-13)
             v = eig.eigenvectors
             assert np.linalg.norm(dagger(v) @ v - np.eye(dim)) <= 1e-12 * dim
-            assert np.linalg.norm(a - eig.reconstruct()) <= 1e-12 * max(np.linalg.norm(a), 1)
+            assert np.linalg.norm(a - eig.apply(lambda w: w)) <= 1e-12 * max(np.linalg.norm(a), 1)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitian):
@@ -71,7 +71,7 @@ class TestMatrixFunction:
         rng = np.random.default_rng(7)
         g = random_matrix(4, rng)
         a = g @ dagger(g) + 0.5 * np.eye(4)
-        back = linalg.matrix_exp_hermitian(matrix_log(a))
+        back = matrix_function(matrix_log(a), np.exp)
         assert np.linalg.norm(back - a) <= 1e-10 * np.linalg.norm(a)
 
     def test_domain_violation(self):

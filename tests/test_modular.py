@@ -113,7 +113,9 @@ class TestTomita:
         rho, rho_t = random_density(3, rng), random_density(3, rng)
         s = rel_tomita(rho, rho_t)
         s_back = rel_tomita(rho_t, rho)
-        assert np.linalg.norm(s_back.compose(s) - np.eye(9), 2) <= 1e-10
+        # two antilinear maps compose to the linear map M_back conj(M)
+        product = s_back.linear_part @ np.conj(s.linear_part)
+        assert np.linalg.norm(product - np.eye(9), 2) <= 1e-10
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
