@@ -18,7 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ParameterViolation
-from .quadrature import gauss_rule, integrate_1d
+from .quadrature import blocks, gauss_rule, integrate_1d
 
 
 # --------------------------------------------------------------------------
@@ -122,6 +122,13 @@ def check_transition(s: float, t: float) -> None:
         raise ParameterViolation(f"t = {t!r} must be finite and >= s/(s-1) = {t_threshold(s)!r}")
 
 
+# AnalyticCutoff._convolve's y-panels: these edges and the two clip images make
+# 8 panels of 16 Gauss nodes, so each band point expands into 128 floats
+_MOLLIFIER_EDGES = (-1.0, -0.9, -0.6, 0.0, 0.6, 0.9, 1.0)
+_CONVOLVE_ORDER = 16
+_CONVOLVE_WIDTH = (len(_MOLLIFIER_EDGES) + 1) * _CONVOLVE_ORDER
+
+
 class AnalyticCutoff:
     """Transition eta_{s,t}: the antiderivative of chi_s mollified at scale 1/t.
 
@@ -132,10 +139,11 @@ class AnalyticCutoff:
     so with r = 1/(t (x+1)) and the even moments m_{2j} of the mollifier f,
     eta'(x) = sum_{j>=0} m_{2j} r^{2j} / (c_s (x+1)) and
     eta(x) = (log1p((x + 1/s)/(1 - 1/s)) - sum_{j>=1} m_{2j} r^{2j}/(2j)) / c_s.
-    There r <= 1/(t (1 - 1/s) + 1) <= 1/2 and 1 = m_0 >= m_2 >= ..., so the
-    tail after J terms is at most m_{2J} r^{2J} / (1 - r^2).  J is the least
-    count that puts it below 1e-17 min(1, c_s): eta' is then off by at most
-    1e-17 relative, eta by at most 1e-17 absolute.
+    There r <= r_max = 1/(t (1 - 1/s) + 1) <= 1/2 and 1 = m_0 >= m_2 >= ...,
+    so the tail after J terms is at most m_{2J} r^{2J} / (1 - r^2).  J is the
+    least count that puts that bound at r_max below 1e-17 min(1, c_s): eta' is
+    then off by at most 1e-17 relative, eta by at most 1e-17 absolute.  J is
+    fixed per profile, so a value never depends on the points evaluated with it.
     """
 
     def __init__(self, s: float, t: float):
@@ -144,7 +152,13 @@ class AnalyticCutoff:
         self.t = float(t)
         self.kernel = ChiKernel(s)
         self.mollifier = standard_mollifier()
-        self.moments = _even_moments()
+        m = _even_moments()
+        q = (1.0 / (self.t * (1.0 - 1.0 / self.s) + 1.0)) ** 2
+        n = np.count_nonzero(m * q ** np.arange(m.size) / (1.0 - q)
+                             > 1e-17 * min(1.0, self.kernel.c_s))
+        # np.polyval, highest power first: numpy.polynomial costs ~1 MB at import
+        self._prime_coeffs = m[:n][::-1]
+        self._eta_coeffs = np.concatenate(([0.0], m[1:n] / (2.0 * np.arange(1, n))))[::-1]
 
     @property
     def support_halfwidth(self) -> float:
@@ -157,14 +171,10 @@ class AnalyticCutoff:
 
     def _series(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """eta and eta' on the middle piece, from the moment series above."""
-        m, c_s, edge = self.moments, self.kernel.c_s, 1.0 / self.s
+        c_s, edge = self.kernel.c_s, 1.0 / self.s
         rr = (1.0 / self.t / (x + 1.0)) ** 2
-        q = rr.max()
-        n_terms = np.count_nonzero(m * q ** np.arange(m.size) / (1.0 - q) > 1e-17 * min(1.0, c_s))
-        # np.polyval, highest power first: numpy.polynomial costs ~1 MB at import
-        log_terms = np.concatenate(([0.0], m[1:n_terms] / (2.0 * np.arange(1, n_terms))))
-        return ((np.log1p((x + edge) / (1.0 - edge)) - np.polyval(log_terms[::-1], rr)) / c_s,
-                np.polyval(m[:n_terms][::-1], rr) / (c_s * (x + 1.0)))
+        return ((np.log1p((x + edge) / (1.0 - edge)) - np.polyval(self._eta_coeffs, rr)) / c_s,
+                np.polyval(self._prime_coeffs, rr) / (c_s * (x + 1.0)))
 
     def _convolve(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """int K(x - y/t) f(y) dy for K = antiderivative of chi (eta) and
@@ -176,9 +186,9 @@ class AnalyticCutoff:
         16 Gauss nodes each, one (n, 128) array, it misses int f = 1 by 6e-15.
         """
         t = self.t
-        nodes, weights = gauss_rule(16)
+        nodes, weights = gauss_rule(_CONVOLVE_ORDER)
         edges = np.sort(np.concatenate(
-            [np.broadcast_to([-1.0, -0.9, -0.6, 0.0, 0.6, 0.9, 1.0], (x.size, 7)),
+            [np.broadcast_to(_MOLLIFIER_EDGES, (x.size, len(_MOLLIFIER_EDGES))),
              np.clip(t * (x[:, None] + [-1.0 / self.s, 1.0 / self.s]), -1.0, 1.0)], axis=1))
         half = 0.5 * np.diff(edges, axis=1)[..., None]
         y = (edges[:, :-1, None] + half * (nodes + 1.0)).reshape(x.size, -1)
@@ -187,17 +197,19 @@ class AnalyticCutoff:
         return np.einsum("ij,ij->i", anti, fw), np.einsum("ij,ij->i", chi, fw)
 
     def eta_and_prime(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """eta(x) and eta'(x): the series on the middle piece, one convolution
-        on the bands around +-1/s, exact 0, 1 and 0 beyond the support."""
+        """eta(x) and eta'(x): the series on the middle piece, a convolution
+        on the bands around +-1/s in blocks whose arrays stay within
+        BLOCK_ELEMENTS floats, and exact 0, 1 and 0 beyond the support."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         hw = self.support_halfwidth
         eta = np.where(x >= hw, 1.0, 0.0)
         prime = np.zeros_like(x)
         smooth = np.abs(x) < 1.0 / self.s - 1.0 / self.t
-        band = (np.abs(x) < hw) & ~smooth
-        for piece, evaluate in ((smooth, self._series), (band, self._convolve)):
-            if np.any(piece):
-                eta[piece], prime[piece] = evaluate(x[piece])
+        if np.any(smooth):
+            eta[smooth], prime[smooth] = self._series(x[smooth])
+        band = np.flatnonzero((np.abs(x) < hw) & ~smooth)
+        for b in blocks(band.size, _CONVOLVE_WIDTH):
+            eta[band[b]], prime[band[b]] = self._convolve(x[band[b]])
         return eta, prime
 
     def eta(self, x) -> np.ndarray:

@@ -33,7 +33,7 @@ from .errors import (
     ParameterViolation,
     ScheduleViolation,
 )
-from .quadrature import QuadResult, gauss_rule, integrate_1d
+from .quadrature import QuadResult, blocks, gauss_rule, integrate_1d
 
 
 # --------------------------------------------------------------------------
@@ -155,9 +155,9 @@ DEFAULT_QUAD = FieldQuad()
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _composite01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss rule on [0, 1]: 4 panels of the given order."""
-    nodes, weights = gauss_rule(order)
+def _composite01(cross_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss rule on [0, 1]: 4 panels of order cross_order // 2 + 4."""
+    nodes, weights = gauss_rule(cross_order // 2 + 4)
     xs, ws = [], []
     for k in range(4):
         xs.append((k + 0.5 * (nodes + 1.0)) / 4)
@@ -183,12 +183,12 @@ def _slice_bounds(bumps: Sequence[BumpFunction], x1: np.ndarray,
 
 
 def _slice_grid(bumps: Sequence[BumpFunction], x1: np.ndarray, d: int,
-                order: int) -> tuple[list[np.ndarray], np.ndarray]:
+                cross_order: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-axis coordinates and the product weight of a composite Gauss rule
     over the bump sum's own perpendicular support at each x1 slice, shaped to
     broadcast: x1 (n,) and weight 1 for d = 1; x1 (n, 1) and x2 (n, k) for
     d = 2; x1 (n, 1, 1), x2 (n, k, 1) and x3 (n, 1, k) for d = 3."""
-    nodes01, w01 = _composite01(order // 2 + 4)
+    nodes01, w01 = _composite01(cross_order)
     axes, weight = [x1.reshape((-1,) + (1,) * (d - 1))], 1.0
     for axis in range(1, d):
         lo, hi = _slice_bounds(bumps, x1, axis)
@@ -369,6 +369,7 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
         # V = {x^1 > shift}, with weight x^1 - shift
         shift = 0.0 if cutoff is None else -sign * 2.0 * epsilon
         sections, splits, edge, normal = _wedge_sections, _data_splits(g), 0.0, 1.0
+        width = _composite01(quad.cross_order)[0].size ** (g.dimension - 1)
         lo, hi = max(box[0][0], min(edge, shift)), box[0][1]
         jacobian_power, curvature = 0, 0.0
 
@@ -377,6 +378,7 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
     else:
         v = region if cutoff is None else Ball(region.radius + sign * 2.0 * epsilon)
         sections, splits, edge, normal = _cone_sections, _radial_splits(g), region.radius, -1.0
+        width = _sphere_rule(g.dimension, quad.n_mu, quad.n_phi)[1].size
         reach = math.sqrt(sum(max(abs(a), abs(b)) ** 2 for a, b in box))
         lo, hi = 0.0, min(max(edge, v.radius), reach)
         jacobian_power = g.dimension - 1
@@ -399,7 +401,9 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
             if sign < 0:
                 eta = 1.0 - eta
             etap = normal * etap / epsilon
-        s = sections(g, y, quad)
+        # each node expands into `width` floats per section array
+        parts = [sections(g, y[b], quad) for b in blocks(y.size, width)]
+        s = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
         dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
                 + eta * eta * (s["C"] + s.get("P", 0.0) + m2 * s["A"] + s["Q"]))
         out = weight(y) * dens + curvature * eta * eta * s["A"]

@@ -4,10 +4,9 @@ Panels are seeded from caller-supplied split points (region edges, support
 boundaries, images of kernel jumps).  Each round evaluates every pending panel
 at orders p and p+4 from one concatenated node set, accepts the panels whose
 two estimates agree to the target, and halves the rest for the next round.
-The nodes of a round go to the integrand in calls of at most `MAX_BATCH_NODES`
-points: the field integrands expand each node into a full cross-section grid,
-so the cap bounds their temporaries and with them peak memory.  Accumulation
-is in fixed panel order so results are bit-stable run to run.
+A round's nodes go to the integrand in one call, or in calls of
+`BLOCK_ELEMENTS` nodes when more.  Accumulation is in fixed panel order so
+results are bit-stable run to run.
 """
 
 from __future__ import annotations
@@ -20,9 +19,10 @@ import numpy as np
 from .errors import QuadratureBudgetExceeded
 
 ABS_TOL = 1e-13
-# Two order-12 panels (12 + 16 nodes each). A d=3 cone integrand expands each
-# node into 512 sphere directions, so larger batches raise peak memory.
-MAX_BATCH_NODES = 56
+# The most floats one array built in a call may hold: 56 radii of a d = 3 cone
+# times its 512 sphere directions.  Code that expands each point into a row of
+# w floats takes points in blocks of BLOCK_ELEMENTS // w.
+BLOCK_ELEMENTS = 56 * 512
 
 
 class QuadResult(NamedTuple):
@@ -36,10 +36,11 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _evaluate(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """f on the flat node array x, in calls of at most MAX_BATCH_NODES points."""
-    return np.concatenate([np.asarray(f(x[i:i + MAX_BATCH_NODES]), dtype=float)
-                           for i in range(0, x.size, MAX_BATCH_NODES)])
+def blocks(n: int, width: int = 1) -> list[slice]:
+    """Slices that cut n points into blocks of BLOCK_ELEMENTS // width points,
+    at least one, for code that expands each point into `width` floats."""
+    step = max(1, BLOCK_ELEMENTS // width)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -71,7 +72,9 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                 f"exceeded {max_panels} panels on [{a}, {b}]")
         evaluated += lo.size
         half = 0.5 * (hi - lo)
-        fx = _evaluate(f, (lo[:, None] + half[:, None] * unit).ravel()).reshape(lo.size, -1)
+        x = (lo[:, None] + half[:, None] * unit).ravel()
+        fx = np.concatenate([np.asarray(f(x[b]), dtype=float)
+                             for b in blocks(x.size)]).reshape(lo.size, -1)
         coarse = half * (fx[:, :order] @ w_c)
         fine = half * (fx[:, order:] @ w_f)
         err = np.abs(fine - coarse)

@@ -220,6 +220,15 @@ class TestFusedEvaluation:
         eta, prime = base.eta_and_prime(np.array([-hw, hw]))
         assert eta.tolist() == [0.0, 1.0] and prime.tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("s, t", [(1.5, 200.0), (1.01, 101.0), (1.2, t_threshold(1.2))])
+    def test_a_value_does_not_depend_on_the_points_beside_it(self, s, t):
+        # 20,000 random points over the support, at once and in blocks of 7
+        prof = eta_st(s, t)
+        x = np.random.default_rng(7).uniform(-1.0, 1.0, 20000) * prof.support_halfwidth
+        blocks = [prof.eta_and_prime(x[i:i + 7]) for i in range(0, x.size, 7)]
+        for whole, parts in zip(prof.eta_and_prime(x), zip(*blocks)):
+            assert np.array_equal(whole, np.concatenate(parts))
+
     @pytest.mark.parametrize("s, t", ORACLE_CASES)
     def test_profile_matches_the_quad_oracle(self, s, t):
         # 200 random points on the middle piece (where it exists) and on each band
