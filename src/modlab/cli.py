@@ -64,10 +64,9 @@ FIELD_KEYS = {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
 # its key accepts every value (lambda v: True), and the library refuses it.
 SCHEMAS = {
     ("findim", "suite"): {"trials": (int, lambda v: 1 <= v <= 10 ** 6, 1000)},
-    # the coherent-entropy check is built for two modes, and below cutoff 7
-    # the degree-3 particle bound overruns the truncation
+    # the coherent-entropy check is built for two modes
     ("fock", "suite"): {"modes": (int, lambda v: v == 2, 2),
-                        "cutoff": (int, lambda v: 7 <= v <= 20, 12)},
+                        "cutoff": (int, lambda v: v <= 20, 12)},
     ("scalar", "exact"): FIELD_KEYS,
     ("scalar", "bound"): {**FIELD_KEYS,
                           "side": (str, lambda v: v in ("upper", "lower"), "upper"),
@@ -211,13 +210,7 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return obj.tolist()
     return obj
 

@@ -4,8 +4,8 @@ The energy of a smooth 0-to-1 transition on [-1, 1] has infimum zero.  The
 analytic family eta_{s,t} (a clipped 1/(x+1) profile of sharpness s mollified
 at scale 1/t) realizes the limit value 1/log((s+1)/(s-1)) as t grows, which
 vanishes as s -> 1+.  An independent discrete minimizer over pinned grid
-vectors confirms the decay of the minimum with resolution; it imports
-scipy.linalg only when called, so importing modlab loads no scipy.
+vectors confirms the decay of the minimum with resolution; it is a closed
+form in numpy alone, so neither importing modlab nor minimizing loads scipy.
 """
 
 from __future__ import annotations
@@ -312,30 +312,14 @@ def discrete_energy(values: np.ndarray) -> float:
 def minimize_discrete(n_grid: int) -> tuple[DiscreteCutoff, float]:
     """Exact minimizer of the discrete transition energy on n_grid points.
 
-    The quadratic form sum_i w_i (eta_{i+1} - eta_i)^2 / h with pinned
-    endpoints has tridiagonal normal equations; the minimizer satisfies
-    (eta_{i+1} - eta_i) proportional to 1/w_i and the minimum value equals
+    For the quadratic form sum_i w_i (eta_{i+1} - eta_i)^2 / h with pinned
+    endpoints, Cauchy-Schwarz gives the minimizer in closed form: increments
+    eta_{i+1} - eta_i = (h/w_i) / sum_j h/w_j, and the minimum value
     1/(sum_i h/w_i), a truncated harmonic sum of order log(2/h).
     """
     if n_grid < 3:
         raise ParameterViolation(f"n_grid {n_grid} must be at least 3")
     w, h = _cell_weights(n_grid)
-    m = n_grid - 2  # interior unknowns
-    diag = w[:-1] + w[1:]
-    off = -w[1:-1]
-    rhs = np.zeros(m)
-    rhs[-1] = w[-1] * 1.0
-    # The closed form (increments proportional to 1/w_i) gives the same minimum
-    # to 1 ulp, but squeeze then runs about 20% slower: without the banded solve's
-    # large frees, field._cone_sections depends on the heap's state (ROADMAP item 4).
-    if m == 1:  # solveh_banded refuses a single unknown
-        interior = rhs / diag
-    else:
-        import scipy.linalg
-        ab = np.zeros((2, m))
-        ab[0, 1:] = off
-        ab[1, :] = diag
-        interior = scipy.linalg.solveh_banded(ab, rhs)
-    values = np.concatenate(([0.0], interior, [1.0]))
-    profile = DiscreteCutoff(values)
-    return profile, discrete_energy(values)
+    step = h / w
+    values = np.concatenate(([0.0], np.cumsum(step)[:-1] / np.sum(step), [1.0]))
+    return DiscreteCutoff(values), discrete_energy(values)

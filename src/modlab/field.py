@@ -63,11 +63,10 @@ class BumpFunction:
 
     def profile(self, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Value v = amplitude * exp(1 - 1/q) and factor f = -2 v / q^2, q = 1 - s^2,
-        at scaled squared radii s2, so that grad = f (x - c)/w^2; both are
-        exactly zero on and outside s^2 = 1."""
-        inside = s2 < 1.0
-        q = np.where(inside, 1.0 - s2, 1.0)
-        value = self.amplitude * inside * np.exp(1.0 - 1.0 / q)
+        at scaled squared radii s2, so that grad = f (x - c)/w^2.  q is floored at
+        1/800, where exp(1 - 1/q) underflows to 0: both are 0 from s^2 = 1 - 1/800 on."""
+        q = np.maximum(1.0 - s2, 1.0 / 800.0)
+        value = self.amplitude * np.exp(1.0 - 1.0 / q)
         return value, -2.0 * value / (q * q)
 
     def support_box(self) -> list[tuple[float, float]]:
@@ -218,25 +217,26 @@ def _wedge_sections(g: InitialData, x1: np.ndarray, quad: FieldQuad) -> dict:
     P = int |grad_perp g0|^2, Q = int g1^2; for d = 1 there is nothing to
     integrate over and P = 0.  The g0 terms and the g1 term are integrated
     over their own per-slice supports so neither sees the other's dead zone.
+    Slices go in blocks of BLOCK_ELEMENTS // (nodes per slice).
     """
     d = g.dimension
     x1 = np.asarray(x1, dtype=float)
-    n_x = x1.size
 
     def integral(f, w):
-        return np.add.reduce((f * w).reshape(n_x, -1), axis=1)
-    zeros = np.zeros(n_x)
-    out = {"A": zeros, "B": zeros, "C": zeros, "P": zeros, "Q": zeros}
-    if g.g0:
-        axes, w = _slice_grid(g.g0, x1, d, quad.cross_order)
-        g0, (d1, *perp) = _on_axes(g.g0, axes)
-        out.update(A=integral(g0 * g0, w), B=integral(g0 * d1, w),
-                   C=integral(d1 * d1, w),
-                   P=integral(sum((p * p for p in perp), np.zeros_like(d1)), w))
-    if g.g1:
-        axes, w = _slice_grid(g.g1, x1, d, quad.cross_order)
-        g1 = _on_axes(g.g1, axes)[0]
-        out["Q"] = integral(g1 * g1, w)
+        return np.add.reduce((f * w).reshape(x.size, -1), axis=1)
+    out = {key: np.zeros(x1.size) for key in "ABCPQ"}
+    for blk in blocks(x1.size, _composite01(quad.cross_order)[0].size ** (d - 1)):
+        x = x1[blk]
+        if g.g0:
+            axes, w = _slice_grid(g.g0, x, d, quad.cross_order)
+            g0, (d1, *perp) = _on_axes(g.g0, axes)
+            for key, f in (("A", g0 * g0), ("B", g0 * d1), ("C", d1 * d1),
+                           ("P", sum((p * p for p in perp), np.zeros_like(d1)))):
+                out[key][blk] = integral(f, w)
+        if g.g1:
+            axes, w = _slice_grid(g.g1, x, d, quad.cross_order)
+            g1 = _on_axes(g.g1, axes)[0]
+            out["Q"][blk] = integral(g1 * g1, w)
     return out
 
 
@@ -269,37 +269,57 @@ def _cone_sections(g: InitialData, rho: np.ndarray, quad: FieldQuad) -> dict:
     a bump's s^2 is (alpha rho - 2 beta) rho + gamma, with alpha = |u/w|^2,
     beta = u.c/w^2 and gamma = |c/w|^2; its gradient f (x - c)/w^2 has radial
     part f (alpha rho - beta), and the dot product of two such gradients is
-    again a quadratic in rho, so no point arrays are built.
+    f_k f_l ((a rho - b) rho + c), a, b, c built alike from 1/(w_k w_l)^2, once
+    per call.  Rays go in blocks of BLOCK_ELEMENTS // directions, each radius
+    summed on its own row, so no value depends on the block size.
     """
     dirs, w = _sphere_rule(g.dimension, quad.n_mu, quad.n_phi)
-    r, uu = rho[:, None], dirs * dirs
+    uu = dirs * dirs
 
-    def on_rays(bumps):
-        """Per bump: c, 1/w^2, and on the rays v, f and f (alpha rho - beta)."""
-        rays = []
-        for b in bumps:
-            c, iw2 = np.array(b.center), 1.0 / np.square(b.width)
-            alpha, beta = uu @ iw2, dirs @ (c * iw2)
-            v, f = b.profile((alpha * r - 2.0 * beta) * r + c @ (c * iw2))
-            rays.append((c, iw2, v, f, f * (alpha * r - beta)))
-        return rays
+    def quadratic(ck, cl, iw):
+        """a, b, c with (rho u - ck) . (rho u - cl) iw = (a rho - b) rho + c on each ray."""
+        return uu @ iw, dirs @ ((ck + cl) * iw), ck @ (cl * iw)
 
-    def gradient_product(k, l):
-        """grad g_k . grad g_l on the rays, f_k f_l ((a rho - b) rho + c)."""
-        (ck, iwk, _, fk, _), (cl, iwl, _, fl, _) = k, l
-        iw4 = iwk * iwl
-        return fk * fl * (((uu @ iw4) * r - dirs @ ((ck + cl) * iw4)) * r + ck @ (cl * iw4))
+    def scaled(bumps):
+        """Each bump with its centre, 1/w^2 and the a, b, c of its s^2."""
+        cw = [(b, np.array(b.center), 1.0 / np.square(b.width)) for b in bumps]
+        return [(b, c, iw, quadratic(c, c, iw)) for b, c, iw in cw]
 
-    out = dict.fromkeys("ABCQ", np.zeros(rho.size))
-    if g.g0:
-        rays = on_rays(g.g0)
-        g0 = reduce(add, (v for _, _, v, _, _ in rays))
-        radial = reduce(add, (dv for *_, dv in rays))
-        grad_sq = reduce(add, (gradient_product(k, l) for k in rays for l in rays))
-        out.update(A=(g0 * g0) @ w, B=(g0 * radial) @ w, C=grad_sq @ w)
-    if g.g1:
-        g1 = reduce(add, (v for _, _, v, _, _ in on_rays(g.g1)))
-        out["Q"] = (g1 * g1) @ w
+    def on_rays(bumps, r):
+        """v and f of each bump on the rays at radii r (n, 1)."""
+        return [b.profile((a * r - bb) * r + cc) for b, _, _, (a, bb, cc) in bumps]
+
+    def row_sums(f, column):
+        # one row per radius, so a radius's sum does not depend on its neighbours
+        return np.einsum("ij,j->i", f, column)
+
+    # B and C contract g0 f_l and f_k f_l against the weight columns w alpha,
+    # w beta and w: the radial part f (alpha rho - beta) is f (a rho - b/2), and
+    # grad g_k . grad g_l is taken for l <= k, the pairs l < k counted twice
+    g0s, g1s = scaled(g.g0), scaled(g.g1)
+    radial = [(w * a, 0.5 * w * b) for *_, (a, b, _) in g0s]
+    pairs = []
+    for k, (_, ck, iwk, _) in enumerate(g0s):
+        for l, (_, cl, iwl, _) in enumerate(g0s[:k + 1]):
+            a, b, c = quadratic(ck, cl, iwk * iwl)
+            m = 1.0 if l == k else 2.0
+            pairs.append((k, l, m * w * a, m * w * b, m * c))
+    out = {key: np.zeros(rho.size) for key in "ABCQ"}
+    for blk in blocks(rho.size, w.size):
+        r = rho[blk]
+        if g0s:
+            vf = on_rays(g0s, r[:, None])
+            g0 = reduce(add, (v for v, _ in vf))
+            out["A"][blk] = row_sums(g0 * g0, w)
+            for g0f, (wa, wb) in zip((g0 * f for _, f in vf), radial):
+                out["B"][blk] += row_sums(g0f, wa) * r - row_sums(g0f, wb)
+            for k, l, wa, wb, c in pairs:
+                ff = vf[k][1] * vf[l][1]
+                out["C"][blk] += ((row_sums(ff, wa) * r - row_sums(ff, wb)) * r
+                                  + c * row_sums(ff, w))
+        if g1s:
+            g1 = reduce(add, (v for v, _ in on_rays(g1s, r[:, None])))
+            out["Q"][blk] = row_sums(g1 * g1, w)
     return out
 
 
@@ -314,9 +334,8 @@ def _data_splits(g: InitialData, axis: int = 0) -> list[float]:
 def _radial_splits(g: InitialData) -> list[float]:
     pts = []
     for b in g.g0 + g.g1:
-        c = np.array(b.center)
-        rad = np.linalg.norm(b.width)
-        dist = np.linalg.norm(c)
+        # max(width) reaches the ellipsoid's farthest point from its centre
+        dist, rad = np.linalg.norm(b.center), max(b.width)
         pts.extend((max(dist - rad, 0.0), dist, dist + rad))
     return pts
 
@@ -369,7 +388,6 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
         # V = {x^1 > shift}, with weight x^1 - shift
         shift = 0.0 if cutoff is None else -sign * 2.0 * epsilon
         sections, splits, edge, normal = _wedge_sections, _data_splits(g), 0.0, 1.0
-        width = _composite01(quad.cross_order)[0].size ** (g.dimension - 1)
         lo, hi = max(box[0][0], min(edge, shift)), box[0][1]
         jacobian_power, curvature = 0, 0.0
 
@@ -378,7 +396,6 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
     else:
         v = region if cutoff is None else Ball(region.radius + sign * 2.0 * epsilon)
         sections, splits, edge, normal = _cone_sections, _radial_splits(g), region.radius, -1.0
-        width = _sphere_rule(g.dimension, quad.n_mu, quad.n_phi)[1].size
         reach = math.sqrt(sum(max(abs(a), abs(b)) ** 2 for a, b in box))
         lo, hi = 0.0, min(max(edge, v.radius), reach)
         jacobian_power = g.dimension - 1
@@ -401,9 +418,7 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
             if sign < 0:
                 eta = 1.0 - eta
             etap = normal * etap / epsilon
-        # each node expands into `width` floats per section array
-        parts = [sections(g, y[b], quad) for b in blocks(y.size, width)]
-        s = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+        s = sections(g, y, quad)
         dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
                 + eta * eta * (s["C"] + s.get("P", 0.0) + m2 * s["A"] + s["Q"]))
         out = weight(y) * dens + curvature * eta * eta * s["A"]

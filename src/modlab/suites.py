@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, modular
+from .errors import ParameterViolation
 from .linalg import dagger
 
 # Every gate below is empirical at the acceptance configuration: seed 20260810,
@@ -30,8 +31,10 @@ CLOSED_FORM_TOL = 1e-9  # relative: worst 7.6e-15
 # so no trial leans on it
 THEOREM_MARGIN_TOL = 1e-8
 
-# Fock: truncation and finite-difference residuals, fixed for cutoff 12 only
-# (at cutoff 8 and 10 weyl_relation reaches 8.1e-5 and 5.1e-6 at seed 0)
+# Fock: truncation and finite-difference residuals, fixed for cutoff 12.  At seeds
+# 0-19 weyl_relation stays within 0.35 WEYL_TOL at cutoff 11 and fails at cutoff 10
+# at every one (5.1e-6 at seed 0; 8.1e-5 at cutoff 8), so cutoffs below 11 are refused.
+MIN_FOCK_CUTOFF = 11
 WEYL_TOL = 1e-6  # worst 7.0e-7
 # No derived bound fits under WEYL_TOL: with T the sector walk (entries sqrt(n+1))
 # and s = |chi|/sqrt(2), the majorant ||[e^{s1 T} e^{s2 T} - e^{s1 T_N} e^{s2 T_N}]_{<=m}||
@@ -158,6 +161,9 @@ def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
 def run_fock_suite(seed: int = 0, modes: int = 2, cutoff_n: int = 12) -> SuiteResult:
     """Displacement-relation, conjugation, generator-shift, derivative,
     particle-bound and coherent-entropy checks at |chi| <= 0.5."""
+    if not cutoff_n >= MIN_FOCK_CUTOFF:
+        raise ParameterViolation(f"cutoff {cutoff_n} is below {MIN_FOCK_CUTOFF}, where the "
+                                 f"weyl_relation gate WEYL_TOL = {WEYL_TOL:g} first holds")
     rows = []
     tf = fock.TruncatedFock(modes, cutoff_n)
     rng = np.random.default_rng(seed)

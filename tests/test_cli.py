@@ -79,6 +79,8 @@ class TestConfigHandling:
                      ["scalar", "bound", "geometry=cone", "d=3", "mass=1"],
                      ["scalar", "sweep", "geometry=cone", "d=3", "mass=1"],
                      ["fock", "suite", "--cutoff", "6"],
+                     # the suite's fixed weyl_relation gate fails below cutoff 11
+                     ["fock", "suite", "--cutoff", "10"],
                      ["fock", "suite", "modes=3"],
                      ["signalling", "check", "--d1", "64", "--d2", "128"],
                      # eta_{s,t} needs t >= s/(s-1) = 101 at s = 1.01
@@ -297,12 +299,23 @@ class TestSuitesThroughCli:
         assert run(["fock", "suite"]) == 1
 
 
-def test_import_loads_no_scipy():
-    # every command pays the package import; scipy is imported where it is used
+def scipy_modules_after(statement):
+    """The scipy modules a fresh interpreter holds after running statement."""
     import modlab
     src = str(Path(modlab.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import modlab; "
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); {statement}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    # every command pays the package import; scipy is imported where it is used
+    assert scipy_modules_after("import modlab") == "[]"
+
+
+def test_cutoff_minimize_loads_no_scipy():
+    # the discrete minimizer is a closed form in numpy
+    assert scipy_modules_after(
+        "from modlab.cli import main; assert main(['cutoff', 'minimize']) == 0") == "[]"

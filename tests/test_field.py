@@ -138,6 +138,27 @@ class TestBumpFunction:
         assert np.array_equal(profile_at(b, np.array([[1.0, 0.0], [1.5, 0.0], [1.6, 0.0]]))[0],
                               value)
 
+    @pytest.mark.parametrize("amplitude", [3.0, -1.7])
+    def test_floored_profile_is_the_masked_formula(self, amplitude):
+        # the masked formula: v = a exp(1 - 1/q) and f = -2 v/q^2 with q = 1 - s^2
+        # inside s^2 < 1, and v = a * 0 outside, where q is taken as 1
+        b = BumpFunction((0.0,), (1.0,), amplitude)
+        edge = 1.0 - 1.0 / 800.0
+        s2 = np.concatenate([np.linspace(0.0, 1.5, 301),
+                             np.linspace(edge - 1e-4, edge + 1e-4, 201),
+                             [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0),
+                              1.0 - 1.0 / 744.0, np.nextafter(1.0, 0.0), 1.0,
+                              np.nextafter(1.0, 2.0), 1e300]])
+        inside = s2 < 1.0
+        q = np.where(inside, 1.0 - s2, 1.0)
+        value = amplitude * inside * np.exp(1.0 - 1.0 / q)
+        v, f = b.profile(s2)
+        assert np.array_equal(v, value) and np.array_equal(f, -2.0 * value / (q * q))
+        assert np.array_equal(np.signbit(v), np.signbit(value))
+        assert np.array_equal(np.signbit(f), np.signbit(-2.0 * value / (q * q)))
+        # above the floor q = 1/744 still gives a nonzero (subnormal) value
+        assert v[s2 == 1.0 - 1.0 / 744.0][0] != 0.0
+
     def test_gradient_matches_finite_differences(self):
         b = BumpFunction((0.5, -0.3), (0.8, 1.1), amplitude=-1.7)
         rng = np.random.default_rng(0)
