@@ -33,7 +33,6 @@ from .field import (
     tau0,
 )
 from .fock import (
-    FockVector,
     StandardSubspaceData,
     TruncatedFock,
     coherent_entropy_check,
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntilinearMap", "AnalyticCutoff", "Ball", "BoundSweepRecord", "BumpFunction",
-    "ChiKernel", "DensityMatrix", "DiscreteCutoff", "FockVector", "HermitianEig",
+    "ChiKernel", "DensityMatrix", "DiscreteCutoff", "HermitianEig",
     "InitialData", "ModularData", "PurifiedBipartite", "StandardSubspaceData",
     "TruncatedCuntz", "TruncatedFock", "Wedge",
     "boundary_term_prediction", "certify_no_product_form",

@@ -64,9 +64,7 @@ FIELD_KEYS = {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
 # its key accepts every value (lambda v: True), and the library refuses it.
 SCHEMAS = {
     ("findim", "suite"): {"trials": (int, lambda v: 1 <= v <= 10 ** 6, 1000)},
-    # the coherent-entropy check is built for two modes
-    ("fock", "suite"): {"modes": (int, lambda v: v == 2, 2),
-                        "cutoff": (int, lambda v: v <= 20, 12)},
+    ("fock", "suite"): {"cutoff": (int, lambda v: v <= 20, 12)},
     ("scalar", "exact"): FIELD_KEYS,
     ("scalar", "bound"): {**FIELD_KEYS,
                           "side": (str, lambda v: v in ("upper", "lower"), "upper"),
@@ -279,8 +277,7 @@ def cmd_suite(group: str, params: dict, out_dir: str | None) -> suites.SuiteResu
                   "lhs", "rhs", "margin", "pass"]
         _emit(out_dir, rows, summary, header)
         return merged
-    result = suites.run_fock_suite(seed=seed, modes=params["modes"],
-                                   cutoff_n=params["cutoff"])
+    result = suites.run_fock_suite(seed=seed, cutoff_n=params["cutoff"])
     _emit(out_dir, result.rows, result.summary)
     return result
 

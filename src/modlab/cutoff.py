@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -250,9 +250,6 @@ class DiscreteCutoff:
         return [-1.0, 1.0]
 
 
-CutoffProfile = Union[AnalyticCutoff, DiscreteCutoff]
-
-
 # --------------------------------------------------------------------------
 # the energy functional and its limits
 # --------------------------------------------------------------------------
@@ -262,10 +259,8 @@ def eta_st(s: float, t: float) -> AnalyticCutoff:
     return AnalyticCutoff(s, t)
 
 
-def energy(eta: CutoffProfile) -> float:
+def energy(eta: AnalyticCutoff) -> float:
     """E[eta] = int_{-1}^{1} (x + 1) eta'(x)^2 dx."""
-    if isinstance(eta, DiscreteCutoff):
-        return discrete_energy(eta.values)
     splits = eta.feature_points()
     inner = []
     for c in splits:

@@ -104,10 +104,6 @@ def matrix_inv_positive(a) -> np.ndarray:
     return matrix_function(a, lambda w: 1.0 / w, positive_domain=True)
 
 
-def matrix_power_positive(a, p: float) -> np.ndarray:
-    return matrix_function(a, lambda w: w ** p, positive_domain=(p < 0))
-
-
 def expi_hermitian(a) -> np.ndarray:
     """Unitary exp(iA) for Hermitian A, exactly unitary up to eigensolver error."""
     eig = hermitian_eig(a)

@@ -91,7 +91,7 @@ class ModularData:
     K: np.ndarray
 
     def s_reconstruction_residual(self) -> float | np.ndarray:
-        delta_sqrt = linalg.matrix_power_positive(self.Delta, 0.5)
+        delta_sqrt = matrix_sqrt(self.Delta)
         rebuilt = self.J.linear_part @ np.conj(delta_sqrt)
         return _scalar(np.linalg.norm(rebuilt - self.S.linear_part, 2, axis=(-2, -1)))
 
@@ -273,8 +273,8 @@ def check_commutant_cancellation(u_r: np.ndarray, v_r: np.ndarray,
 def theorem_entropy_bounds(pb: PurifiedBipartite,
                            u: np.ndarray, v: np.ndarray,
                            u_b: np.ndarray, v_b: np.ndarray,
-                           trial_seed: int = 0,
-                           tol: float = 1e-8) -> tuple[InequalityReport, InequalityReport]:
+                           trial_seed: int = 0, *,
+                           tol: float) -> tuple[InequalityReport, InequalityReport]:
     """Entropy-level inequalities for nested algebras A subset AB.
 
     Upper form: the relative entropy of the A-reductions of (v'v Omega, u'u Omega)
@@ -317,8 +317,8 @@ def theorem_entropy_bounds(pb: PurifiedBipartite,
 
 
 def monotonicity_check(rho_ab: DensityMatrix, rho_t_ab: DensityMatrix,
-                       dims: tuple[int, int], trial_seed: int = 0,
-                       tol: float = 1e-8) -> InequalityReport:
+                       dims: tuple[int, int], trial_seed: int = 0, *,
+                       tol: float) -> InequalityReport:
     """Relative entropy does not increase under the partial trace over B."""
     if rho_ab.dim != rho_t_ab.dim or rho_ab.dim != dims[0] * dims[1]:
         raise DimensionMismatch("bipartite dimensions inconsistent")

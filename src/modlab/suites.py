@@ -158,12 +158,13 @@ def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
 # truncated Fock suite
 # --------------------------------------------------------------------------
 
-def run_fock_suite(seed: int = 0, modes: int = 2, cutoff_n: int = 12) -> SuiteResult:
+def run_fock_suite(seed: int = 0, cutoff_n: int = 12) -> SuiteResult:
     """Displacement-relation, conjugation, generator-shift, derivative,
-    particle-bound and coherent-entropy checks at |chi| <= 0.5."""
+    particle-bound and coherent-entropy checks at |chi| <= 0.5 on two modes."""
     if not cutoff_n >= MIN_FOCK_CUTOFF:
         raise ParameterViolation(f"cutoff {cutoff_n} is below {MIN_FOCK_CUTOFF}, where the "
                                  f"weyl_relation gate WEYL_TOL = {WEYL_TOL:g} first holds")
+    modes = 2  # the coherent-entropy check is built on StandardSubspaceData.two_mode
     rows = []
     tf = fock.TruncatedFock(modes, cutoff_n)
     rng = np.random.default_rng(seed)
@@ -195,17 +196,17 @@ def run_fock_suite(seed: int = 0, modes: int = 2, cutoff_n: int = 12) -> SuiteRe
         record("generator_shift", fock.wdgamma_identity_check(tf, k_one, rand_amp(0.4)),
                GENERATOR_SHIFT_TOL, f"generator_{k}")
 
-    psi_list = [fock.FockVector.from_array(tf, tf.vacuum)]
+    psi_list = [tf.vacuum]
+    idx = np.flatnonzero(tf.totals == 3)
     for _ in range(3):
-        idx = tf.sector_slice(3)
         v = np.zeros(tf.dim, dtype=complex)
         v[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
         v /= np.linalg.norm(v)
-        psi_list.append(fock.FockVector.from_array(tf, v))
+        psi_list.append(v)
     for k, psi in enumerate(psi_list):
         chi = rand_amp(0.4)
         res = fock.weyl_derivative_check(tf, lambda t: t * chi, chi, psi)
-        record("derivative_lemma", res / (1.0 + psi.norm), DERIVATIVE_TOL, f"state_{k}")
+        record("derivative_lemma", res / (1.0 + np.linalg.norm(psi)), DERIVATIVE_TOL, f"state_{k}")
 
     bound_failures = 0
     for k in range(100):

@@ -56,7 +56,7 @@ def test_criterion_2_theorem_inequalities():
 def test_criterion_3_fock_identity_suite():
     budget = 300.0
     start = time.time()
-    result = suites.run_fock_suite(seed=20260810, modes=2, cutoff_n=12)
+    result = suites.run_fock_suite(seed=20260810, cutoff_n=12)
     pinned = [r for r in result.rows if r["check_name"] == "coherent_entropy_pinned"]
     pinned_ok = pinned and pinned[0]["params"].startswith("analytic_0.013863")
     elapsed = time.time() - start

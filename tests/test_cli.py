@@ -81,6 +81,8 @@ class TestConfigHandling:
                      ["fock", "suite", "--cutoff", "6"],
                      # the suite's fixed weyl_relation gate fails below cutoff 11
                      ["fock", "suite", "--cutoff", "10"],
+                     # the suite runs on two modes, with no key to choose them
+                     ["fock", "suite", "modes=2"],
                      ["fock", "suite", "modes=3"],
                      ["signalling", "check", "--d1", "64", "--d2", "128"],
                      # eta_{s,t} needs t >= s/(s-1) = 101 at s = 1.01

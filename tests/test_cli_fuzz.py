@@ -47,11 +47,10 @@ def test_findim_suite_runs_or_refuses(trials, seed):
 
 
 @settings(max_examples=20, **SETTINGS)
-@given(cutoff=st.one_of(st.integers(11, 20), st.integers(0, 24)),
-       modes=st.one_of(st.just(2), st.integers(-1, 4)), seed=SEEDS)
-def test_fock_suite_runs_or_refuses(cutoff, modes, seed):
-    code = exit_code(["fock", "suite", f"cutoff={cutoff}", f"modes={modes}", f"--seed={seed}"])
-    accepted = modes == 2 and 11 <= cutoff <= 20 and seed_ok(seed)
+@given(cutoff=st.one_of(st.integers(11, 20), st.integers(0, 24)), seed=SEEDS)
+def test_fock_suite_runs_or_refuses(cutoff, seed):
+    code = exit_code(["fock", "suite", f"cutoff={cutoff}", f"--seed={seed}"])
+    accepted = 11 <= cutoff <= 20 and seed_ok(seed)
     event(f"accepted={accepted}")
     assert code in ((EXIT_OK, EXIT_TOLERANCE) if accepted else (EXIT_CONFIG,))
 

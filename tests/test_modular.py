@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modlab import modular
+from modlab import modular, suites
 from modlab.errors import DimensionMismatch, NonHermitian, NonUnitary, RankDeficient
 from modlab.linalg import dagger, kron, matrix_inv_positive
 from modlab.modular import (
@@ -214,7 +214,8 @@ class TestTheoremBounds:
         rng = np.random.default_rng(19)
         pb = PurifiedBipartite(2, 2, random_density(4, rng))
         eye2, eye4 = np.eye(2), np.eye(4)
-        upper, lower = theorem_entropy_bounds(pb, eye4, eye4, eye2, eye2)
+        upper, lower = theorem_entropy_bounds(pb, eye4, eye4, eye2, eye2,
+                                              tol=suites.THEOREM_MARGIN_TOL)
         assert abs(upper.lhs) <= 1e-9 and abs(upper.rhs) <= 1e-9
         assert upper.passed and lower.passed
 
@@ -224,7 +225,8 @@ class TestTheoremBounds:
             pb = PurifiedBipartite(2, 2, random_density(4, rng))
             u, v = random_unitary(4, rng), random_unitary(4, rng)
             u_b, v_b = random_unitary(2, rng), random_unitary(2, rng)
-            upper, lower = theorem_entropy_bounds(pb, u, v, u_b, v_b, trial_seed=k)
+            upper, lower = theorem_entropy_bounds(pb, u, v, u_b, v_b, trial_seed=k,
+                                                  tol=suites.THEOREM_MARGIN_TOL)
             assert upper.passed, f"upper bound failed: {upper}"
             assert lower.passed, f"lower bound failed: {lower}"
 
@@ -232,13 +234,15 @@ class TestTheoremBounds:
         rng = np.random.default_rng(21)
         pb = PurifiedBipartite(2, 2, random_density(4, rng))
         u = kron(random_unitary(2, rng), np.eye(2))
-        upper, lower = theorem_entropy_bounds(pb, u, np.eye(4), np.eye(2), np.eye(2))
+        upper, lower = theorem_entropy_bounds(pb, u, np.eye(4), np.eye(2), np.eye(2),
+                                              tol=suites.THEOREM_MARGIN_TOL)
         assert upper.passed and lower.passed
 
     def test_report_serializes(self):
         rng = np.random.default_rng(22)
         pb = PurifiedBipartite(2, 2, random_density(4, rng))
-        upper, _ = theorem_entropy_bounds(pb, np.eye(4), np.eye(4), np.eye(2), np.eye(2))
+        upper, _ = theorem_entropy_bounds(pb, np.eye(4), np.eye(4), np.eye(2), np.eye(2),
+                                          tol=suites.THEOREM_MARGIN_TOL)
         assert upper.passed
 
 
@@ -249,7 +253,7 @@ class TestMonotonicity:
         sigma = random_density(2, rng)
         rep = monotonicity_check(DensityMatrix(kron(rho_a.matrix, sigma.matrix)),
                                  DensityMatrix(kron(rho_ta.matrix, sigma.matrix)),
-                                 (2, 2))
+                                 (2, 2), tol=suites.THEOREM_MARGIN_TOL)
         assert rep.passed
         assert abs(rep.margin) <= 1e-9
 
@@ -257,13 +261,13 @@ class TestMonotonicity:
         rng = np.random.default_rng(24)
         for k in range(100):
             rep = monotonicity_check(random_density(4, rng), random_density(4, rng),
-                                     (2, 2), trial_seed=k)
+                                     (2, 2), trial_seed=k, tol=suites.THEOREM_MARGIN_TOL)
             assert rep.passed, f"monotonicity failed: {rep}"
 
     def test_equal_states(self):
         rng = np.random.default_rng(25)
         rho = random_density(4, rng)
-        rep = monotonicity_check(rho, rho, (2, 2))
+        rep = monotonicity_check(rho, rho, (2, 2), tol=suites.THEOREM_MARGIN_TOL)
         assert rep.passed and abs(rep.lhs) <= 1e-10 and abs(rep.rhs) <= 1e-10
 
 
