@@ -45,9 +45,6 @@ from .linalg import (
     HermitianEig,
     hermitian_eig,
     kron,
-    matrix_function,
-    matrix_log,
-    matrix_sqrt,
     partial_trace,
 )
 from .modular import (
@@ -73,8 +70,7 @@ __all__ = [
     "boundary_term_prediction", "certify_no_product_form",
     "coherent_entropy_check", "dgamma", "energy", "energy_limit", "entropy_bound",
     "eta_st", "exact_entropy", "gamma", "gap_floor", "hermitian_eig", "kron",
-    "matrix_function", "matrix_log", "matrix_sqrt", "minimize_discrete",
-    "modular_data", "modular_flow_point", "monotonicity_check",
+    "minimize_discrete", "modular_data", "modular_flow_point", "monotonicity_check",
     "nonsignalling_check", "norm_gap_experiment", "partial_trace", "polar_modular",
     "product_reconstruction", "rel_entropy_dm", "rel_tomita", "segal_field",
     "squeeze_sweep", "tau0", "theorem_entropy_bounds", "weyl",

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationBudgetExceeded
-from .linalg import dagger, expi_hermitian, hermitian_eig
+from .linalg import HermitianEig, dagger, expi_hermitian, hermitian_eig
 from .modular import AntilinearMap
 
 CHI_MAX = 0.5  # guard on |chi| for displacements built on the truncated space
@@ -103,10 +103,12 @@ class StandardSubspaceData:
 
     delta_h: np.ndarray
     j_h: AntilinearMap
+    eig: HermitianEig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.asarray(self.delta_h, dtype=complex)
-        if np.linalg.eigvalsh(d).min() <= 0:
+        object.__setattr__(self, "eig", hermitian_eig(d))
+        if self.eig.eigenvalues[0] <= 0:
             raise DimensionMismatch("Delta_H must be positive")
         if self.j_h.antiunitarity_defect() > 1e-10:
             raise DimensionMismatch("J_H must be antiunitary")
@@ -119,8 +121,7 @@ class StandardSubspaceData:
 
     @property
     def k_h(self) -> np.ndarray:
-        eig = hermitian_eig(self.delta_h)
-        return -eig.apply(np.log)
+        return -self.eig.apply(np.log)
 
     @classmethod
     def two_mode(cls, lam: float) -> "StandardSubspaceData":

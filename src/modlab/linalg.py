@@ -1,8 +1,9 @@
 """Dense complex linear algebra substrate.
 
-Hermitian eigendecomposition, spectral matrix functions, Kronecker products
-and partial traces.  Operators on H become Hilbert-Schmidt vectors through the
-row-major `modular.hs_vec`.
+Hermitian eigendecomposition, Kronecker products and partial traces.  The one
+spectral calculus is `HermitianEig.apply`: f(A) = V f(Lambda) V^dag from a
+decomposition that its owner keeps.  Operators on H become Hilbert-Schmidt
+vectors through the row-major `modular.hs_vec`.
 
 Each function also takes a stack (..., n, n) and acts on every matrix of it, as
 LAPACK and matmul do, so a stacked result does not depend on the stack.
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import DimensionMismatch, DomainViolation, NonConvergence, NonHermitian
 
 TOL_HERM = 1e-10
-SUPPORT_CUT_REL = 1e-12
 
 
 def _as_complex_matrix(a) -> np.ndarray:
@@ -72,36 +72,6 @@ def hermitian_eig(a) -> HermitianEig:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NonConvergence(str(exc)) from exc
     return HermitianEig(eigenvalues=w, eigenvectors=v)
-
-
-def matrix_function(a, f: Callable[[np.ndarray], np.ndarray],
-                    positive_domain: bool = False) -> np.ndarray:
-    """Spectral calculus f(A) = V f(Lambda) V^dag for Hermitian A.
-
-    With positive_domain=True (log, inverse, negative powers) eigenvalues must
-    exceed SUPPORT_CUT_REL times the largest eigenvalue, else DomainViolation.
-    """
-    eig = hermitian_eig(a)
-    if positive_domain:
-        low = eig.eigenvalues[..., 0]
-        cut = SUPPORT_CUT_REL * np.maximum(eig.eigenvalues[..., -1], 0.0)
-        if np.any(low <= cut):
-            raise DomainViolation(
-                f"eigenvalue {np.min(low):.3e} at or below support cut {np.max(cut):.3e}"
-            )
-    return eig.apply(f)
-
-
-def matrix_log(a) -> np.ndarray:
-    return matrix_function(a, np.log, positive_domain=True)
-
-
-def matrix_sqrt(a) -> np.ndarray:
-    return matrix_function(a, np.sqrt, positive_domain=False)
-
-
-def matrix_inv_positive(a) -> np.ndarray:
-    return matrix_function(a, lambda w: 1.0 / w, positive_domain=True)
 
 
 def expi_hermitian(a) -> np.ndarray:

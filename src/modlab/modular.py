@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionMismatch, NonUnitary, RankDeficient, SingularS
-from .linalg import dagger, hermitian_eig, hermitian_part, kron, matrix_sqrt, partial_trace
+from .linalg import HermitianEig, dagger, hermitian_eig, hermitian_part, kron, partial_trace
 
 FULL_RANK_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -39,32 +38,37 @@ WELL_CONDITIONED_EIG = 1e-8
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian positive unit-trace matrix (or stack) with support metadata."""
+    """Hermitian positive unit-trace matrix (or stack) with its eigendecomposition,
+    computed once: every spectral function of the state reads `eig`."""
 
     matrix: np.ndarray
-    min_eigenvalue: float | np.ndarray = field(init=False)
+    eig: HermitianEig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = hermitian_part(self.matrix)
-        w = np.linalg.eigvalsh(m)[..., 0]
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eig", hermitian_eig(m))
+        w = self.eig.eigenvalues[..., 0]
         if np.any(w < -1e-12):
             raise RankDeficient(f"negative eigenvalue {np.min(w):.3e}")
         trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
         if np.any(trace_dev > 1e-12):
             raise RankDeficient(f"trace deviates from 1 by {np.max(trace_dev):.3e}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "min_eigenvalue", _scalar(w))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
     @property
+    def min_eigenvalue(self) -> float | np.ndarray:
+        return _scalar(self.eig.eigenvalues[..., 0])
+
+    @property
     def full_rank(self) -> bool:
         return self.min_eigenvalue > FULL_RANK_TOL
 
     def sqrt(self) -> np.ndarray:
-        return matrix_sqrt(self.matrix)
+        return self.eig.apply(np.sqrt)
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,17 @@ class AntilinearMap:
 
 @dataclass(frozen=True)
 class ModularData:
-    """Polar data of a relative Tomita map: S = J Delta^{1/2}, K = -log Delta."""
+    """Polar data of a relative Tomita map: S = J Delta^{1/2}, K = -log Delta,
+    with the eigendecomposition of Delta that built them."""
 
     S: AntilinearMap
     J: AntilinearMap
     Delta: np.ndarray
     K: np.ndarray
+    delta_eig: HermitianEig = field(repr=False, compare=False)
 
     def s_reconstruction_residual(self) -> float | np.ndarray:
-        delta_sqrt = matrix_sqrt(self.Delta)
+        delta_sqrt = self.delta_eig.apply(np.sqrt)
         rebuilt = self.J.linear_part @ np.conj(delta_sqrt)
         return _scalar(np.linalg.norm(rebuilt - self.S.linear_part, 2, axis=(-2, -1)))
 
@@ -167,10 +173,8 @@ def rel_entropy_dm(rho: DensityMatrix, rho_t: DensityMatrix) -> float | np.ndarr
     of rho is not contained in the support of rho_t."""
     if rho.dim != rho_t.dim:
         raise DimensionMismatch("states have different dimensions")
-    ep = hermitian_eig(rho.matrix)
-    eq = hermitian_eig(rho_t.matrix)
-    p, vp = ep.eigenvalues, ep.eigenvectors
-    q, vq = eq.eigenvalues, eq.eigenvectors
+    p, vp = rho.eig.eigenvalues, rho.eig.eigenvectors
+    q, vq = rho_t.eig.eigenvalues, rho_t.eig.eigenvectors
     sup_p = p > SUPPORT_TOL * np.maximum(p[..., -1:], 1e-300)
     sup_q = q > SUPPORT_TOL * np.maximum(q[..., -1:], 1e-300)
     p = np.where(sup_p, p, 0.0)
@@ -224,7 +228,7 @@ def polar_modular(s: AntilinearMap) -> ModularData:
     k = (k + dagger(k)) / 2.0
     inv_sqrt = eig.apply(lambda w: w ** -0.5)
     j = AntilinearMap(m @ np.conj(inv_sqrt))
-    return ModularData(S=s, J=j, Delta=delta, K=k)
+    return ModularData(S=s, J=j, Delta=delta, K=k, delta_eig=eig)
 
 
 def modular_data(rho: DensityMatrix, rho_t: DensityMatrix) -> ModularData:
@@ -232,8 +236,11 @@ def modular_data(rho: DensityMatrix, rho_t: DensityMatrix) -> ModularData:
 
 
 def delta_closed_form(rho: DensityMatrix, rho_t: DensityMatrix) -> np.ndarray:
-    """kron(rho_t, (rho^{-1})^T), the relative modular operator on HS vectors."""
-    rho_inv = linalg.matrix_inv_positive(rho.matrix)
+    """kron(rho_t, (rho^{-1})^T), the relative modular operator on HS vectors;
+    rho must be full rank, as in `rel_tomita`."""
+    if not np.all(rho.full_rank):
+        raise RankDeficient(f"full rank required (min eigenvalue {np.min(rho.min_eigenvalue):.2e})")
+    rho_inv = rho.eig.apply(lambda w: 1.0 / w)
     return kron(rho_t.matrix, rho_inv.swapaxes(-1, -2))
 
 

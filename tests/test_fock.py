@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modlab.errors import DimensionMismatch, TruncationBudgetExceeded
+from modlab.errors import DimensionMismatch, NonHermitian, TruncationBudgetExceeded
 from modlab.fock import (
     StandardSubspaceData,
     TruncatedFock,
@@ -323,9 +323,14 @@ class TestCoherentEntropy:
 
     def test_modular_relation_enforced(self):
         from modlab.modular import AntilinearMap
+        swap = AntilinearMap(np.array([[0, 1], [1, 0]], dtype=complex))
         with pytest.raises(DimensionMismatch):
-            StandardSubspaceData(np.diag([2.0, 2.0]).astype(complex),
-                                 AntilinearMap(np.array([[0, 1], [1, 0]], dtype=complex)))
+            StandardSubspaceData(np.diag([2.0, 2.0]).astype(complex), swap)
+        # a rotation meets the modular relation, and its lower triangle is positive
+        # definite, but it is not Hermitian
+        rotation = np.array([[0.8, 0.6], [-0.6, 0.8]], dtype=complex)
+        with pytest.raises(NonHermitian):
+            StandardSubspaceData(rotation, swap)
 
 
 class TestLeadingBlock:

@@ -7,7 +7,7 @@ import pytest
 
 from modlab import modular, suites
 from modlab.errors import DimensionMismatch, NonHermitian, NonUnitary, RankDeficient
-from modlab.linalg import dagger, kron, matrix_inv_positive
+from modlab.linalg import dagger, kron
 from modlab.modular import (
     AntilinearMap,
     DensityMatrix,
@@ -136,6 +136,30 @@ class TestPolarModular:
         md = modular_data(rho, rho_t)
         ref = delta_closed_form(rho, rho_t)
         assert np.linalg.norm(md.Delta - ref, 2) <= 1e-9 * np.linalg.norm(ref, 2)
+
+    def test_delta_closed_form_rank_deficient(self):
+        with pytest.raises(RankDeficient):
+            delta_closed_form(diag_state(1.0, 0.0), diag_state(0.5, 0.5))
+
+    def test_one_decomposition_per_state(self, monkeypatch):
+        # each state keeps the eigendecomposition it was built with, and the modular
+        # data keeps that of Delta: past construction only Delta itself is decomposed
+        rng = np.random.default_rng(15)
+        rho, rho_t = random_density(3, rng), random_density(3, rng)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        rel_entropy_dm(rho, rho_t)
+        md = modular_data(rho, rho_t)
+        delta_closed_form(rho, rho_t)
+        rho.sqrt()
+        md.s_reconstruction_residual()
+        assert shapes == [(9, 9)]
 
     def test_entropy_cross_formula(self):
         rng = np.random.default_rng(9)
