@@ -13,7 +13,6 @@ from .cuntz import (
 from .cutoff import (
     AnalyticCutoff,
     ChiKernel,
-    DiscreteCutoff,
     energy,
     energy_limit,
     eta_st,
@@ -64,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntilinearMap", "AnalyticCutoff", "Ball", "BoundSweepRecord", "BumpFunction",
-    "ChiKernel", "DensityMatrix", "DiscreteCutoff", "HermitianEig",
+    "ChiKernel", "DensityMatrix", "HermitianEig",
     "InitialData", "ModularData", "PurifiedBipartite", "StandardSubspaceData",
     "TruncatedCuntz", "TruncatedFock", "Wedge",
     "boundary_term_prediction", "certify_no_product_form",

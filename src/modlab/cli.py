@@ -230,11 +230,11 @@ def write_plot_script(path: Path, csv_name: str, curves: list[tuple[int, int, st
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_manifest(out_dir: Path) -> None:
+def write_manifest(out_dir: Path, names: list[str]) -> None:
+    """manifest.json: digest and size of each named file, the files this run wrote."""
     entries = []
-    for p in sorted(out_dir.iterdir()):
-        if p.name == "manifest.json" or not p.is_file():
-            continue
+    for name in sorted(names):
+        p = out_dir / name
         digest = hashlib.sha256(p.read_bytes()).hexdigest()
         entries.append({"file": p.name, "sha256": digest, "bytes": p.stat().st_size})
     manifest = {"created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -256,10 +256,12 @@ def _emit(out_dir: str | None, rows: list, summary: dict,
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "results.csv", rows, header)
     write_summary(out / "summary.json", summary)
+    names = ["results.csv", "summary.json"]
     if plot is not None:
         curves, notes = plot
         write_plot_script(out / "plot.txt", "results.csv", curves, notes)
-    write_manifest(out)
+        names.append("plot.txt")
+    write_manifest(out, names)
 
 
 def cmd_suite(group: str, params: dict, out_dir: str | None) -> suites.SuiteResult:
@@ -356,11 +358,10 @@ def cmd_cutoff(action: str, params: dict, out_dir: str | None) -> dict:
         _emit(out_dir, rows, summary, ["s", "t", "E", "E_limit", "gap"])
         print(_fmt(e_val))
         return summary
-    profile, minimum = minimize_discrete(params["n_grid"])
-    grid = profile.grid
-    rows = [{"x": float(x), "eta": float(v)} for x, v in
-            zip(grid[:: max(1, grid.size // 2000)],
-                profile.values[:: max(1, grid.size // 2000)])]
+    values, minimum = minimize_discrete(params["n_grid"])
+    step = max(1, values.size // 2000)
+    grid = np.linspace(-1.0, 1.0, values.size)
+    rows = [{"x": float(x), "eta": float(v)} for x, v in zip(grid[::step], values[::step])]
     summary = {"n_grid": params["n_grid"], "minimum": minimum, "passed": True}
     plot = ([(1, 2, "eta")], "discrete transition minimizer")
     _emit(out_dir, rows, summary, ["x", "eta"], plot)

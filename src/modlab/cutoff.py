@@ -94,9 +94,6 @@ class ChiKernel:
                         np.where(x >= edge, 1.0, 0.0))
         return value, anti
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_antiderivative(x)[0]
-
 
 # --------------------------------------------------------------------------
 # cutoff profiles
@@ -218,37 +215,6 @@ class AnalyticCutoff:
     def eta_prime(self, x) -> np.ndarray:
         return self.eta_and_prime(x)[1]
 
-@dataclass(frozen=True)
-class DiscreteCutoff:
-    """Grid transition on [-1, 1], pinned to 0 and 1 at the endpoints."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 3:
-            raise ParameterViolation(f"grid of shape {v.shape} is not a vector of 3 or more")
-        if abs(v[0]) > 1e-14 or abs(v[-1] - 1.0) > 1e-14:
-            raise ParameterViolation(f"grid ends {v[0]!r}, {v[-1]!r} must be pinned to 0 and 1")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, self.values.size)
-
-    def eta_and_prime(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Linear interpolation and its cell slope; outside [-1, 1] the profile
-        is constant 0 or 1, so its slope there is 0."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        h = 2.0 / (self.values.size - 1)
-        cell = np.clip(((x + 1.0) / h).astype(int), 0, self.values.size - 2)
-        slope = (self.values[cell + 1] - self.values[cell]) / h
-        return np.interp(x, self.grid, self.values), np.where(np.abs(x) > 1.0, 0.0, slope)
-
-    def feature_points(self) -> list[float]:
-        """The kinks where the grid meets the constant ends."""
-        return [-1.0, 1.0]
-
 
 # --------------------------------------------------------------------------
 # the energy functional and its limits
@@ -304,8 +270,9 @@ def discrete_energy(values: np.ndarray) -> float:
     return float(np.sum(w * d * d) / h)
 
 
-def minimize_discrete(n_grid: int) -> tuple[DiscreteCutoff, float]:
-    """Exact minimizer of the discrete transition energy on n_grid points.
+def minimize_discrete(n_grid: int) -> tuple[np.ndarray, float]:
+    """Exact minimizer of the discrete transition energy on n_grid points: its
+    values on np.linspace(-1, 1, n_grid), pinned to 0 and 1, and the minimum.
 
     For the quadratic form sum_i w_i (eta_{i+1} - eta_i)^2 / h with pinned
     endpoints, Cauchy-Schwarz gives the minimizer in closed form: increments
@@ -317,4 +284,4 @@ def minimize_discrete(n_grid: int) -> tuple[DiscreteCutoff, float]:
     w, h = _cell_weights(n_grid)
     step = h / w
     values = np.concatenate(([0.0], np.cumsum(step)[:-1] / np.sum(step), [1.0]))
-    return DiscreteCutoff(values), discrete_energy(values)
+    return values, discrete_energy(values)

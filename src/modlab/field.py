@@ -107,9 +107,6 @@ class InitialData:
 class Wedge:
     """Half-space base {x^1 > 0}; weight x^1."""
 
-    def weight(self, pts: np.ndarray) -> np.ndarray:
-        return pts[..., 0]
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -449,10 +446,9 @@ def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
     return _weighted_integral(g, region, quad, cutoff, side, epsilon)
 
 
-def _graded(center: float, epsilon: float, cutoff) -> list[float]:
+def _graded(center: float, epsilon: float, cutoff: AnalyticCutoff) -> list[float]:
     """Panel edges geometrically accumulating at a mollified jump image."""
-    t = getattr(cutoff, "t", None)
-    width = epsilon / t if t else epsilon / 16.0
+    width = epsilon / cutoff.t
     pts = [center]
     for k in range(7):
         h = width * 2.0 ** k

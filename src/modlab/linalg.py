@@ -87,19 +87,12 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def partial_trace(x, which: str, dims: tuple[int, int]) -> np.ndarray:
-    """Partial trace of x on H_A (x) H_B over the factor not kept.
-
-    which='A' keeps subsystem A (traces out B), which='B' keeps B.
-    """
+def partial_trace(x, dims: tuple[int, int]) -> np.ndarray:
+    """Partial trace of x on H_A (x) H_B over B: the reduced operator on A."""
     d_a, d_b = dims
     x = _as_complex_matrix(x)
     if x.shape[-2:] != (d_a * d_b, d_a * d_b):
         raise DimensionMismatch(f"matrix shape {x.shape} does not match dims {dims}")
     t = x.reshape(x.shape[:-2] + (d_a, d_b, d_a, d_b))
-    if which == "A":
-        return np.einsum("...ijkj->...ik", t)
-    if which == "B":
-        return np.einsum("...ijil->...jl", t)
-    raise DimensionMismatch(f"which must be 'A' or 'B', got {which!r}")
+    return np.einsum("...ijkj->...ik", t)
 

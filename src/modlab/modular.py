@@ -77,9 +77,6 @@ class AntilinearMap:
 
     linear_part: np.ndarray
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.linear_part @ np.conj(x)
-
     def antiunitarity_defect(self) -> float:
         m = self.linear_part
         return float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[0]), 2))
@@ -305,8 +302,8 @@ def theorem_entropy_bounds(pb: PurifiedBipartite,
     # upper form: A-entropy of (v'v Omega, u'u Omega) vs the AB quadratic form
     rho_v = vb_full @ v @ rho @ dagger(v) @ dagger(vb_full)
     rho_u = ub_full @ u @ rho @ dagger(u) @ dagger(ub_full)
-    lhs_a = rel_entropy_dm(DensityMatrix(partial_trace(rho_v, "A", dims)),
-                           DensityMatrix(partial_trace(rho_u, "A", dims)))
+    lhs_a = rel_entropy_dm(DensityMatrix(partial_trace(rho_v, dims)),
+                           DensityMatrix(partial_trace(rho_u, dims)))
     md = modular_data(pb.rho_ab, pb.rho_ab)
     rhs_ab = _quadratic_form(md.K, dagger(u) @ v @ pb.omega)
     upper = InequalityReport(trial_seed, lhs_a, rhs_ab,
@@ -316,8 +313,8 @@ def theorem_entropy_bounds(pb: PurifiedBipartite,
     rho_v2 = v @ vb_full @ rho @ dagger(vb_full) @ dagger(v)
     rho_u2 = u @ ub_full @ rho @ dagger(ub_full) @ dagger(u)
     lhs_ab = rel_entropy_dm(DensityMatrix(rho_v2), DensityMatrix(rho_u2))
-    rhs_a = rel_entropy_dm(DensityMatrix(partial_trace(rho_v2, "A", dims)),
-                           DensityMatrix(partial_trace(rho_u2, "A", dims)))
+    rhs_a = rel_entropy_dm(DensityMatrix(partial_trace(rho_v2, dims)),
+                           DensityMatrix(partial_trace(rho_u2, dims)))
     lower = InequalityReport(trial_seed, lhs_ab, rhs_a,
                              lhs_ab - rhs_a, lhs_ab >= rhs_a - tol)
     return upper, lower
@@ -329,8 +326,8 @@ def monotonicity_check(rho_ab: DensityMatrix, rho_t_ab: DensityMatrix,
     """Relative entropy does not increase under the partial trace over B."""
     if rho_ab.dim != rho_t_ab.dim or rho_ab.dim != dims[0] * dims[1]:
         raise DimensionMismatch("bipartite dimensions inconsistent")
-    lhs = rel_entropy_dm(DensityMatrix(partial_trace(rho_ab.matrix, "A", dims)),
-                         DensityMatrix(partial_trace(rho_t_ab.matrix, "A", dims)))
+    lhs = rel_entropy_dm(DensityMatrix(partial_trace(rho_ab.matrix, dims)),
+                         DensityMatrix(partial_trace(rho_t_ab.matrix, dims)))
     rhs = rel_entropy_dm(rho_ab, rho_t_ab)
     return InequalityReport(trial_seed, lhs, rhs, rhs - lhs, lhs <= rhs + tol)
 

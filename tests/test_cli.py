@@ -226,6 +226,15 @@ class TestSweepArtifacts:
             digest = hashlib.sha256((out / entry["file"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
 
+    def test_manifest_lists_only_this_runs_files(self, tmp_path):
+        # a sweep leaves plot.txt behind; the exact entropy written after it
+        # into the same directory emits no plot, so its manifest names none
+        out = str(tmp_path / "m")
+        assert run(["scalar", "sweep", "schedule=1e-2:1.8:40", "--out", out]) == 0
+        assert run(["scalar", "exact", "--out", out]) == 0
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert {e["file"] for e in manifest["files"]} == {"results.csv", "summary.json"}
+
 
 class TestOtherCommands:
     def test_scalar_exact(self, capsys):

@@ -12,7 +12,6 @@ from modlab.cutoff import (
     MAX_SHARPNESS,
     AnalyticCutoff,
     ChiKernel,
-    DiscreteCutoff,
     discrete_energy,
     energy,
     energy_dominating_bound,
@@ -30,7 +29,8 @@ class TestChiKernel:
     def test_normalized(self):
         for s in (1.2, 1.5, 3.0):
             k = ChiKernel(s)
-            res = integrate_1d(k, -1.0, 1.0, splits=[-1 / s, 1 / s], order=16)
+            res = integrate_1d(lambda x: k.value_and_antiderivative(x)[0], -1.0, 1.0,
+                               splits=[-1 / s, 1 / s], order=16)
             assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_antiderivative_consistency(self):
@@ -38,12 +38,13 @@ class TestChiKernel:
         xs = np.linspace(-0.9, 0.9, 7)
         _, anti = k.value_and_antiderivative(xs)
         for x, expected in zip(xs, anti):
-            res = integrate_1d(k, -1.0, x, splits=[-1 / 1.5, 1 / 1.5], order=16)
+            res = integrate_1d(lambda y: k.value_and_antiderivative(y)[0], -1.0, x,
+                               splits=[-1 / 1.5, 1 / 1.5], order=16)
             assert res.value == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative(self):
         k = ChiKernel(2.0)
-        assert np.all(k(np.linspace(-1, 1, 101)) >= 0.0)
+        assert np.all(k.value_and_antiderivative(np.linspace(-1, 1, 101))[0] >= 0.0)
 
     def test_invalid_s(self):
         with pytest.raises(ParameterViolation):
@@ -287,8 +288,8 @@ class TestDiscreteMinimizer:
             normal = np.diag(w[:-1] + w[1:]) - np.diag(w[1:-1], 1) - np.diag(w[1:-1], -1)
             rhs = np.zeros(n - 2)
             rhs[-1] = w[-1]
-            prof, val = minimize_discrete(n)
-            assert np.max(np.abs(prof.values[1:-1] - np.linalg.solve(normal, rhs))) <= 1e-13
+            values, val = minimize_discrete(n)
+            assert np.max(np.abs(values[1:-1] - np.linalg.solve(normal, rhs))) <= 1e-13
             assert val == pytest.approx(1.0 / np.sum(h / w), rel=1e-12)
         w, h = self.weights(20000)
         _, val = minimize_discrete(20000)
@@ -305,8 +306,8 @@ class TestDiscreteMinimizer:
         assert v3 < v2 < v1
 
     def test_euler_lagrange_relation(self):
-        prof, _ = minimize_discrete(64)
-        d = np.diff(prof.values)
+        values, _ = minimize_discrete(64)
+        d = np.diff(values)
         w = np.linspace(-1.0, 1.0, 64)[1:] + 1.0
         ratio = d * w
         assert np.ptp(ratio) <= 1e-10 * np.abs(ratio).max()
@@ -315,9 +316,9 @@ class TestDiscreteMinimizer:
         eta = eta_st(1.5, 200)
         n = 2001
         _, minimum = minimize_discrete(n)
-        sampled = DiscreteCutoff(eta.eta(np.linspace(-1.0, 1.0, n)))
+        sampled = eta.eta(np.linspace(-1.0, 1.0, n))
         assert energy(eta) >= minimum
-        assert discrete_energy(sampled.values) >= minimum
+        assert discrete_energy(sampled) >= minimum
 
     def test_too_few_points(self):
         with pytest.raises(ParameterViolation):
@@ -330,8 +331,7 @@ class TestRampEnergy:
         # ramp converges to that value as the mesh refines
         for n, tol in ((101, 2e-2), (1001, 2e-3), (10001, 2e-4)):
             xs = np.linspace(-1.0, 1.0, n)
-            ramp = DiscreteCutoff((xs + 1.0) / 2.0)
-            assert abs(discrete_energy(ramp.values) - 0.5) <= tol
+            assert abs(discrete_energy((xs + 1.0) / 2.0) - 0.5) <= tol
 
     def test_any_transition_nonnegative(self):
         rng = np.random.default_rng(0)

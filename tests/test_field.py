@@ -429,31 +429,6 @@ class TestEntropyBound:
                 assert hm.value <= h.value + slack
                 assert h.value <= hp.value + slack
 
-    def test_discrete_profile_bounds(self):
-        # grid-sampled transitions drive both sides of the squeeze as well
-        from modlab.cutoff import DiscreteCutoff
-        ref = eta_st(1.5, 50)
-        disc = DiscreteCutoff(ref.eta(np.linspace(-1.0, 1.0, 4001)))
-        g = interior_wedge_data(1, 0.0)
-        h = exact_entropy(g, Wedge())
-        hp = entropy_bound(g, Wedge(), "upper", disc, 0.01)
-        hm = entropy_bound(g, Wedge(), "lower", disc, 0.01)
-        assert hm.value <= h.value <= hp.value
-
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("eps", [0.1, 0.01])
-    def test_discrete_minimizer_bounds_are_ordered(self, d, eps):
-        # the lemma's own near-optimal grid profile has steep end cells, so its
-        # slope must read 0 outside [-1, 1], not the end cell's slope
-        from modlab.cli import preset_data
-        from modlab.cutoff import minimize_discrete
-        profile, _ = minimize_discrete(2000)
-        g = preset_data("wedge", d, 0.0, "interior")
-        h = exact_entropy(g, Wedge()).value
-        hm = entropy_bound(g, Wedge(), "lower", profile, eps).value
-        hp = entropy_bound(g, Wedge(), "upper", profile, eps).value
-        assert hm <= h <= hp
-
     def test_cone_epsilon_guard(self):
         g = central_cone_data(0.5)
         with pytest.raises(GeometryViolation):
@@ -494,10 +469,6 @@ class TestEntropyBound:
 
 
 class TestRegions:
-    def test_wedge_weight(self):
-        pts = np.array([[1.5, 0.0], [-0.2, 3.0]])
-        assert np.array_equal(Wedge().weight(pts), pts[:, 0])
-
     def test_ball_weight_positive_inside(self):
         ball = Ball(1.0)
         rng = np.random.default_rng(5)

@@ -100,19 +100,18 @@ class TestPartialTrace:
         rho_a /= np.trace(rho_a)
         rho_b = gb @ dagger(gb)
         rho_b /= np.trace(rho_b)
-        out = partial_trace(kron(rho_a, rho_b), "A", (2, 3))
+        out = partial_trace(kron(rho_a, rho_b), (2, 3))
         assert np.linalg.norm(out - rho_a) <= 1e-13
 
     def test_maximally_entangled(self):
         psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
         proj = np.outer(psi, psi.conj())
-        assert np.allclose(partial_trace(proj, "A", (2, 2)), np.eye(2) / 2.0)
-        assert np.allclose(partial_trace(proj, "B", (2, 2)), np.eye(2) / 2.0)
+        assert np.allclose(partial_trace(proj, (2, 2)), np.eye(2) / 2.0)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(9)
         x = random_matrix(4, rng)
-        assert abs(np.trace(partial_trace(x, "B", (2, 2))) - np.trace(x)) <= 1e-13
+        assert abs(np.trace(partial_trace(x, (2, 2))) - np.trace(x)) <= 1e-13
 
     def test_positivity(self):
         rng = np.random.default_rng(13)
@@ -120,17 +119,17 @@ class TestPartialTrace:
             g = random_matrix(6, rng)
             rho = g @ dagger(g)
             rho /= np.trace(rho)
-            red = partial_trace(rho, "A", (2, 3))
+            red = partial_trace(rho, (2, 3))
             assert np.linalg.eigvalsh(red).min() >= -1e-12
 
     def test_linearity(self):
         rng = np.random.default_rng(17)
         x, y = random_matrix(6, rng), random_matrix(6, rng)
-        lhs = partial_trace(2.0 * x + 3.0j * y, "B", (2, 3))
-        rhs = 2.0 * partial_trace(x, "B", (2, 3)) + 3.0j * partial_trace(y, "B", (2, 3))
+        lhs = partial_trace(2.0 * x + 3.0j * y, (2, 3))
+        rhs = 2.0 * partial_trace(x, (2, 3)) + 3.0j * partial_trace(y, (2, 3))
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            partial_trace(np.eye(5), "A", (2, 3))
+            partial_trace(np.eye(5), (2, 3))
 
