@@ -155,7 +155,8 @@ def sandwich_op(u: np.ndarray) -> np.ndarray:
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
-    defect = np.linalg.norm(dagger(u) @ u - np.eye(u.shape[-1]), 2, axis=(-2, -1))
+    # the Frobenius norm bounds the spectral norm from above, with no SVD
+    defect = np.linalg.norm(dagger(u) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
     if np.any(defect > UNITARY_TOL):
         raise NonUnitary(f"unitarity defect {np.max(defect):.3e} exceeds {UNITARY_TOL:.1e}")
     return u
@@ -195,6 +196,12 @@ def tomita_pair(psi: np.ndarray, phi: np.ndarray) -> AntilinearMap:
     sv = np.linalg.svd(psi, compute_uv=False)
     if np.any(sv[..., -1] < FULL_RANK_TOL * sv[..., 0]):
         raise RankDeficient("reference vector is not separating (rank deficient)")
+    return _tomita_map(psi, phi)
+
+
+def _tomita_map(psi: np.ndarray, phi: np.ndarray) -> AntilinearMap:
+    """X -> (Psi^dag)^{-1} X^dag Phi for an invertible Psi."""
+    d = psi.shape[-1]
     # hs_vec(X^T) = hs_vec(X)[perm], so X -> X^T composed on the right permutes columns
     perm = np.arange(d * d).reshape(d, d).T.ravel()
     return AntilinearMap(kron(np.linalg.inv(dagger(psi)), phi.swapaxes(-1, -2))[..., perm])
@@ -209,15 +216,28 @@ def rel_tomita(rho: DensityMatrix, rho_t: DensityMatrix) -> AntilinearMap:
             f"full rank required (min eigenvalues {np.min(rho.min_eigenvalue):.2e}, "
             f"{np.min(rho_t.min_eigenvalue):.2e})"
         )
-    return tomita_pair(rho.sqrt(), rho_t.sqrt())
+    # sqrt(rho) has singular values sqrt(eig rho), so with eig rho in
+    # (FULL_RANK_TOL, 1] it passes tomita_pair's guard and needs no SVD
+    return _tomita_map(rho.sqrt(), rho_t.sqrt())
 
 
 def polar_modular(s: AntilinearMap) -> ModularData:
-    """Polar decomposition S = J Delta^{1/2} with Delta = S*S and K = -log Delta."""
-    m = s.linear_part
-    sv = np.linalg.svd(m, compute_uv=False)
+    """Polar decomposition S = J Delta^{1/2} with Delta = S*S and K = -log Delta;
+    raises SingularS when S is numerically singular.
+
+    The guard reads the singular values of S, not the eigenvalues w = sigma^2
+    of Delta: `eigh` resolves w only to about n u w_max, and pairs of states
+    that `random_density` draws (eigenvalues above WELL_CONDITIONED_EIG) reach
+    w_min / w_max = 1e-16 at d = 4 with S far from singular.
+    """
+    sv = np.linalg.svd(s.linear_part, compute_uv=False)
     if np.any(sv[..., -1] <= np.maximum(1e-13 * sv[..., 0], 1e-300)):
         raise SingularS("Tomita map numerically singular")
+    return _polar(s)
+
+
+def _polar(s: AntilinearMap) -> ModularData:
+    m = s.linear_part
     delta = m.swapaxes(-1, -2) @ np.conj(m)
     delta = (delta + dagger(delta)) / 2.0
     eig = hermitian_eig(delta)
@@ -229,7 +249,10 @@ def polar_modular(s: AntilinearMap) -> ModularData:
 
 
 def modular_data(rho: DensityMatrix, rho_t: DensityMatrix) -> ModularData:
-    return polar_modular(rel_tomita(rho, rho_t))
+    # the singular values of S are sqrt(q_j / p_i) over the eigenvalues p of rho
+    # and q of rho_t; rel_tomita keeps both in (FULL_RANK_TOL, 1], so they spread
+    # by less than 1 / FULL_RANK_TOL and polar_modular's guard cannot fire
+    return _polar(rel_tomita(rho, rho_t))
 
 
 def delta_closed_form(rho: DensityMatrix, rho_t: DensityMatrix) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 import modlab
+from modlab import cuntz
 from modlab.cuntz import (
     TruncatedCuntz,
     align_product,
@@ -28,6 +29,7 @@ from modlab.cuntz import (
 from modlab.errors import DimensionTooSmall, ParameterViolation
 from modlab.linalg import dagger, kron
 from modlab.modular import random_unitary
+from modlab.quadrature import BLOCK_ELEMENTS
 
 
 class TestTruncatedCuntz:
@@ -223,3 +225,91 @@ class TestProductReconstruction:
         assert rep["certified_floor"] > 0.1
         assert rep["best_alignment_gap"] >= rep["certified_floor"]
         assert rep["pass"]
+
+
+def _sequential_alignment(omega, target, rng, iters, restarts):
+    """align_product written out one restart after another."""
+    d = omega.shape[0]
+    best = math.inf
+    for _ in range(restarts):
+        u = random_unitary(d, rng)
+        u_prime = random_unitary(d, rng)
+        for _ in range(iters):
+            uu, _, vv = np.linalg.svd(target @ np.conj(u) @ dagger(omega))
+            u_prime = uu @ vv
+            uu, _, vv = np.linalg.svd(np.conj(dagger(omega) @ dagger(u_prime) @ target))
+            u = dagger(vv) @ dagger(uu)
+        best = min(best, float(np.linalg.norm(u_prime @ omega @ u.T - target)))
+    return best
+
+
+def _sequential_norm_gap(epsilon, samples, d_factor, seed):
+    """The min_gap of norm_gap_experiment, drawing one sample after another."""
+    fam = TruncatedCuntz(2, d_factor)
+    omega, _ = cuntz._reference_state(fam, epsilon, i_max=12)
+    target = cuntz._apply_w(omega, fam)
+    rng = np.random.default_rng(seed)
+    gap = math.inf
+    for _ in range(samples):
+        u = random_unitary(d_factor, rng)
+        u_prime = random_unitary(d_factor, rng)
+        gap = min(gap, float(np.linalg.norm(u_prime @ omega @ u.T - target)))
+    return min(gap, _sequential_alignment(omega, target, rng, 60, 4))
+
+
+class TestStackedSampling:
+    """The stacked restarts and the blocked samples give the bits of the
+    one-at-a-time loops they replace."""
+
+    @pytest.mark.parametrize("d_factor", [26, 32, 64])
+    def test_norm_gap_equals_sequential(self, d_factor):
+        # 9 samples: blocks of 6 at d = 26, 4 at d = 32 (the last one short), 1 at d = 64
+        rep = norm_gap_experiment(0.01, samples=9, d_factor=d_factor, seed=5)
+        assert rep["min_gap"] == _sequential_norm_gap(0.01, 9, d_factor, seed=5)
+
+    @pytest.mark.parametrize("d_factor", [26, 32, 64])
+    def test_alignment_equals_sequential(self, d_factor):
+        fam = TruncatedCuntz(2, d_factor)
+        omega, _ = cuntz._reference_state(fam, 0.01, i_max=6)
+        target = cuntz._apply_w(omega, fam)
+        stacked = align_product(omega, target, np.random.default_rng(3), iters=12, restarts=5)
+        reference = _sequential_alignment(omega, target, np.random.default_rng(3), 12, 5)
+        assert stacked == reference
+
+
+class TestDecompositionCounts:
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return calls
+
+    def test_norm_gap_svds(self, svd_calls):
+        # two stacked SVDs per alignment step, 60 steps; the samples need none
+        norm_gap_experiment(0.01, samples=200, d_factor=32, seed=20260810)
+        assert svd_calls == [(4, 32, 32)] * 120
+
+    def test_certificate_svds(self, svd_calls):
+        certify_no_product_form()
+        assert svd_calls == [(6, 16, 16)] * 160
+
+    def test_sample_stacks_are_capped(self, monkeypatch):
+        sizes = []
+
+        def spy(dim, rng):
+            u = random_unitary(dim, rng)
+            sizes.append(u.size)
+            return u
+
+        monkeypatch.setattr(cuntz, "random_unitary", spy)
+        for d_factor in (26, 32, 64):
+            norm_gap_experiment(0.01, samples=9, d_factor=d_factor, adversarial=False)
+        assert max(sizes) <= BLOCK_ELEMENTS
+        assert sizes == ([12 * 26 ** 2, 6 * 26 ** 2] + [8 * 32 ** 2] * 2 + [2 * 32 ** 2]
+                         + [2 * 64 ** 2] * 9)

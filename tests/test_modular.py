@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modlab import modular, suites
-from modlab.errors import DimensionMismatch, NonHermitian, NonUnitary, RankDeficient
+from modlab.errors import DimensionMismatch, NonHermitian, NonUnitary, RankDeficient, SingularS
 from modlab.linalg import dagger, kron
 from modlab.modular import (
     AntilinearMap,
@@ -161,6 +161,44 @@ class TestPolarModular:
         md.s_reconstruction_residual()
         assert shapes == [(9, 9)]
 
+    def test_modular_data_takes_no_svd(self, monkeypatch):
+        # rel_tomita's full-rank check implies both the Tomita and the polar guard
+        rng = np.random.default_rng(15)
+        rho, rho_t = random_density(3, rng), random_density(3, rng)
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        modular_data(rho, rho_t)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_singular_tomita_map_rejected(self, n):
+        rng = np.random.default_rng(n)
+        u, v = random_unitary(n, rng), random_unitary(n, rng)
+        with pytest.raises(SingularS):
+            polar_modular(AntilinearMap((u * np.geomspace(1.0, 1e-14, n)) @ v))
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_delta_of_condition_1e12_accepted(self, n):
+        rng = np.random.default_rng(n)
+        u, v = random_unitary(n, rng), random_unitary(n, rng)
+        md = polar_modular(AntilinearMap((u * np.geomspace(1.0, 1e-6, n)) @ v))
+        w = md.delta_eig.eigenvalues
+        assert w[0] / w[-1] == pytest.approx(1e-12, rel=1e-2)
+
+    def test_delta_below_eigh_resolution_accepted(self):
+        # eigenvalues above random_density's 1e-8 floor: S spreads its singular
+        # values by 2.5e7 only, while Delta's w_min / w_max = 1.6e-15 is at the
+        # rounding of eigh, so a cut on Delta's spectrum would refuse the pair
+        rho = DensityMatrix(np.diag([0.5, 0.3, 0.2 - 2e-8, 2e-8]).astype(complex))
+        for md in (modular_data(rho, rho), polar_modular(rel_tomita(rho, rho))):
+            assert np.all(np.isfinite(md.K))
+
     def test_entropy_cross_formula(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -211,6 +249,20 @@ class TestUnitaryCovariance:
         rho, rho_t = random_density(2, rng), random_density(2, rng)
         with pytest.raises(NonUnitary):
             check_unitary_covariance(np.diag([1.0, 2.0]), rho, rho_t)
+
+
+class TestUnitarityGuard:
+    def test_defect_2e10_rejected(self):
+        u = random_unitary(4, np.random.default_rng(19)) @ np.diag([1.0 + 1e-10, 1.0, 1.0, 1.0])
+        # u^dag u - I = diag(2e-10 + 1e-20, 0, 0, 0)
+        with pytest.raises(NonUnitary):
+            modular._check_unitary(u)
+
+    def test_haar_accepted(self):
+        rng = np.random.default_rng(20)
+        for d in (2, 3, 4, 8, 16, 32):
+            modular._check_unitary(random_unitary(d, rng))
+            modular._check_unitary(random_unitary(d, [rng] * 4))
 
 
 class TestCommutantCancellation:
@@ -338,6 +390,5 @@ class TestAntilinearPlumbing:
             tomita_pair(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_polar_rejects_singular(self):
-        from modlab.errors import SingularS
         with pytest.raises(SingularS):
             polar_modular(AntilinearMap(np.zeros((4, 4))))
