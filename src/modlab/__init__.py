@@ -53,7 +53,6 @@ from .modular import (
     PurifiedBipartite,
     modular_data,
     monotonicity_check,
-    polar_modular,
     rel_entropy_dm,
     rel_tomita,
     theorem_entropy_bounds,
@@ -70,7 +69,7 @@ __all__ = [
     "coherent_entropy_check", "dgamma", "energy", "energy_limit", "entropy_bound",
     "eta_st", "exact_entropy", "gamma", "gap_floor", "hermitian_eig", "kron",
     "minimize_discrete", "modular_data", "modular_flow_point", "monotonicity_check",
-    "nonsignalling_check", "norm_gap_experiment", "partial_trace", "polar_modular",
+    "nonsignalling_check", "norm_gap_experiment", "partial_trace",
     "product_reconstruction", "rel_entropy_dm", "rel_tomita", "segal_field",
     "squeeze_sweep", "tau0", "theorem_entropy_bounds", "weyl",
 ]

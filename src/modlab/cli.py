@@ -183,8 +183,18 @@ def parse_schedule(text: str) -> list[tuple[float, float, float]]:
 # artifact writing
 # --------------------------------------------------------------------------
 
+_FLOAT = "{:.17g}".format
+_BOOL = {True: "true", False: "false"}.__getitem__
+# formatter by exact type, one lookup for nearly every CSV cell; the isinstance
+# rule below takes every other type (subclasses too) to the same text
+_FORMATTERS = {float: _FLOAT, np.float64: _FLOAT, bool: _BOOL, np.bool_: _BOOL, int: str, str: str}
+
+
 def _fmt(value) -> str:
-    if isinstance(value, bool) or isinstance(value, (np.bool_,)):
+    formatter = _FORMATTERS.get(type(value))
+    if formatter is not None:
+        return formatter(value)
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
@@ -197,7 +207,7 @@ def write_csv(path: Path, rows: list, header: list[str] | None = None) -> None:
         header = header or list(rows[0].keys())
         lines.append(",".join(header))
         for row in rows:
-            lines.append(",".join(_fmt(row.get(col, "")) for col in header))
+            lines.append(",".join([_fmt(row.get(col, "")) for col in header]))
     elif header:
         lines.append(",".join(header))
     path.write_text("\n".join(lines) + "\n")

@@ -35,10 +35,6 @@ class RankDeficient(ModlabError):
     """State is not full rank where full rank is required."""
 
 
-class SingularS(ModlabError):
-    """Relative Tomita map is numerically singular."""
-
-
 class NonUnitary(ModlabError):
     """Matrix violates the unitarity tolerance."""
 

@@ -2,8 +2,9 @@
 
 Hermitian eigendecomposition, Kronecker products and partial traces.  The one
 spectral calculus is `HermitianEig.apply`: f(A) = V f(Lambda) V^dag from a
-decomposition that its owner keeps.  Operators on H become Hilbert-Schmidt
-vectors through the row-major `modular.hs_vec`.
+decomposition that its owner keeps, and every decomposition is `_eigh`'s, of
+a matrix symmetrised once.  Operators on H become Hilbert-Schmidt vectors
+through the row-major `modular.hs_vec`.
 
 Each function also takes a stack (..., n, n) and acts on every matrix of it, as
 LAPACK and matmul do, so a stacked result does not depend on the stack.
@@ -66,7 +67,12 @@ def hermitian_eig(a) -> HermitianEig:
     Raises NonHermitian as `hermitian_part` does and NonConvergence when the
     LAPACK iteration fails.
     """
-    a = hermitian_part(a)
+    return _eigh(hermitian_part(a))
+
+
+def _eigh(a: np.ndarray) -> HermitianEig:
+    """`eigh` of an exactly Hermitian matrix, as `hermitian_part` returns it; a
+    second symmetrisation would give it back bit for bit."""
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger

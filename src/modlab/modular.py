@@ -14,6 +14,9 @@ tr rho (log rho - log rho_t).
 Every function also takes stacks (..., d, d) of states, unitaries or maps and
 then returns arrays over the leading axes: one pair is the unstacked view of
 the same formula that the seeded suites run on blocks of trials.
+
+Each state and each Delta is symmetrised once and decomposed once, by
+`linalg._eigh`; no SVD guard is taken: full rank bounds a Tomita map's.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitary, RankDeficient, SingularS
-from .linalg import HermitianEig, dagger, hermitian_eig, hermitian_part, kron, partial_trace
+from .errors import DimensionMismatch, NonUnitary, RankDeficient
+from .linalg import HermitianEig, _eigh, dagger, hermitian_part, kron, partial_trace
 
 FULL_RANK_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -39,19 +42,21 @@ WELL_CONDITIONED_EIG = 1e-8
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian positive unit-trace matrix (or stack) with its eigendecomposition,
-    computed once: every spectral function of the state reads `eig`."""
+    computed once: every spectral function of the state reads `eig`.  Only a
+    caller that has decomposed the `hermitian_part` itself passes `eig`."""
 
     matrix: np.ndarray
-    eig: HermitianEig = field(init=False, repr=False, compare=False)
+    eig: HermitianEig | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
-        m = hermitian_part(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eig", hermitian_eig(m))
+        if self.eig is None:
+            m = hermitian_part(self.matrix)
+            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "eig", _eigh(m))
         w = self.eig.eigenvalues[..., 0]
         if np.any(w < -1e-12):
             raise RankDeficient(f"negative eigenvalue {np.min(w):.3e}")
-        trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
+        trace_dev = np.abs(np.trace(self.matrix, axis1=-2, axis2=-1).real - 1.0)
         if np.any(trace_dev > 1e-12):
             raise RankDeficient(f"trace deviates from 1 by {np.max(trace_dev):.3e}")
 
@@ -185,30 +190,17 @@ def rel_entropy_dm(rho: DensityMatrix, rho_t: DensityMatrix) -> float | np.ndarr
     return _scalar(np.where(bad_mass > 1e-12, math.inf, h))
 
 
-def tomita_pair(psi: np.ndarray, phi: np.ndarray) -> AntilinearMap:
-    """Relative Tomita map for standard HS vectors given as full-rank matrices.
-
-    Sends a*Psi to a^dag*Phi, i.e. X -> (Psi^dag)^{-1} X^dag Phi on matrices.
-    """
-    d = psi.shape[-1]
-    if psi.shape[-2:] != (d, d) or phi.shape != psi.shape:
-        raise DimensionMismatch("vectors must be square matrices of equal size")
-    sv = np.linalg.svd(psi, compute_uv=False)
-    if np.any(sv[..., -1] < FULL_RANK_TOL * sv[..., 0]):
-        raise RankDeficient("reference vector is not separating (rank deficient)")
-    return _tomita_map(psi, phi)
-
-
 def _tomita_map(psi: np.ndarray, phi: np.ndarray) -> AntilinearMap:
-    """X -> (Psi^dag)^{-1} X^dag Phi for an invertible Psi."""
+    """Tomita map a*Psi -> a^dag*Phi: X -> (Psi^dag)^{-1} X^dag Phi for an invertible Psi."""
     d = psi.shape[-1]
     # hs_vec(X^T) = hs_vec(X)[perm], so X -> X^T composed on the right permutes columns
     perm = np.arange(d * d).reshape(d, d).T.ravel()
     return AntilinearMap(kron(np.linalg.inv(dagger(psi)), phi.swapaxes(-1, -2))[..., perm])
 
 
-def rel_tomita(rho: DensityMatrix, rho_t: DensityMatrix) -> AntilinearMap:
-    """Relative Tomita map of a pair of full-rank density matrices."""
+def _require_full_rank(rho: DensityMatrix, rho_t: DensityMatrix) -> None:
+    """The one guard of a Tomita map: with both spectra in (FULL_RANK_TOL, 1] its
+    singular values sqrt(q_j / p_i) spread by less than 1 / FULL_RANK_TOL."""
     if rho.dim != rho_t.dim:
         raise DimensionMismatch("states have different dimensions")
     if not (np.all(rho.full_rank) and np.all(rho_t.full_rank)):
@@ -216,31 +208,23 @@ def rel_tomita(rho: DensityMatrix, rho_t: DensityMatrix) -> AntilinearMap:
             f"full rank required (min eigenvalues {np.min(rho.min_eigenvalue):.2e}, "
             f"{np.min(rho_t.min_eigenvalue):.2e})"
         )
-    # sqrt(rho) has singular values sqrt(eig rho), so with eig rho in
-    # (FULL_RANK_TOL, 1] it passes tomita_pair's guard and needs no SVD
+
+
+def rel_tomita(rho: DensityMatrix, rho_t: DensityMatrix) -> AntilinearMap:
+    """Relative Tomita map of a pair of full-rank density matrices."""
+    _require_full_rank(rho, rho_t)
     return _tomita_map(rho.sqrt(), rho_t.sqrt())
 
 
-def polar_modular(s: AntilinearMap) -> ModularData:
-    """Polar decomposition S = J Delta^{1/2} with Delta = S*S and K = -log Delta;
-    raises SingularS when S is numerically singular.
-
-    The guard reads the singular values of S, not the eigenvalues w = sigma^2
-    of Delta: `eigh` resolves w only to about n u w_max, and pairs of states
-    that `random_density` draws (eigenvalues above WELL_CONDITIONED_EIG) reach
-    w_min / w_max = 1e-16 at d = 4 with S far from singular.
-    """
-    sv = np.linalg.svd(s.linear_part, compute_uv=False)
-    if np.any(sv[..., -1] <= np.maximum(1e-13 * sv[..., 0], 1e-300)):
-        raise SingularS("Tomita map numerically singular")
-    return _polar(s)
-
-
 def _polar(s: AntilinearMap) -> ModularData:
+    """S = J Delta^{1/2} with Delta = S*S and K = -log Delta, for the Tomita map of
+    a pair that passed `_require_full_rank`.  No cut on Delta's spectrum: `eigh`
+    resolves it only to about n u w_max, and drawn pairs reach w_min / w_max =
+    1e-16 at d = 4 with S far from singular."""
     m = s.linear_part
     delta = m.swapaxes(-1, -2) @ np.conj(m)
     delta = (delta + dagger(delta)) / 2.0
-    eig = hermitian_eig(delta)
+    eig = _eigh(delta)
     k = -eig.apply(np.log)
     k = (k + dagger(k)) / 2.0
     inv_sqrt = eig.apply(lambda w: w ** -0.5)
@@ -249,9 +233,6 @@ def _polar(s: AntilinearMap) -> ModularData:
 
 
 def modular_data(rho: DensityMatrix, rho_t: DensityMatrix) -> ModularData:
-    # the singular values of S are sqrt(q_j / p_i) over the eigenvalues p of rho
-    # and q of rho_t; rel_tomita keeps both in (FULL_RANK_TOL, 1], so they spread
-    # by less than 1 / FULL_RANK_TOL and polar_modular's guard cannot fire
     return _polar(rel_tomita(rho, rho_t))
 
 
@@ -291,9 +272,12 @@ def check_commutant_cancellation(u_r: np.ndarray, v_r: np.ndarray,
     unitaries v', u'; commutant dressings must cancel."""
     u_r = _check_unitary(u_r)
     v_r = _check_unitary(v_r)
+    # near-unitary right factors move the singular values of sqrt(rho) and
+    # sqrt(rho_t) by 1 +- UNITARY_TOL, so full rank still bounds those of S
+    _require_full_rank(rho, rho_t)
     psi = rho.sqrt() @ v_r
     phi = rho_t.sqrt() @ u_r
-    md = polar_modular(tomita_pair(psi, phi))
+    md = _polar(_tomita_map(psi, phi))
     return abs(_quadratic_form(md.K, psi) - rel_entropy_dm(rho, rho_t))
 
 
@@ -365,16 +349,20 @@ def random_density(dim: int, rng: np.random.Generator | list) -> DensityMatrix:
     of generators draws a stack, each state redrawn from its own generator."""
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     out = np.empty((len(rngs), dim, dim), dtype=complex)
+    w, v = np.empty((len(rngs), dim)), np.empty_like(out)
     todo = np.arange(len(rngs))
     for _ in range(64):
         g = _gaussians(dim, [rngs[k] for k in todo])
         m = g @ dagger(g)
-        m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
-        ok = np.linalg.eigvalsh(m)[:, 0] > WELL_CONDITIONED_EIG
-        out[todo[ok]] = m[ok]
+        m = hermitian_part(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
+        eig = _eigh(m)  # the rejection test reads what the kept state keeps
+        ok = eig.eigenvalues[:, 0] > WELL_CONDITIONED_EIG
+        done = todo[ok]
+        out[done], w[done], v[done] = m[ok], eig.eigenvalues[ok], eig.eigenvectors[ok]
         todo = todo[~ok]
         if not todo.size:
-            return DensityMatrix(out if rngs is rng else out[0])
+            k = slice(None) if rngs is rng else 0
+            return DensityMatrix(out[k], eig=HermitianEig(w[k], v[k]))
     raise RankDeficient("could not draw a well-conditioned state")  # pragma: no cover
 
 

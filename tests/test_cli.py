@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modlab import cli
@@ -234,6 +236,38 @@ class TestSweepArtifacts:
         assert run(["scalar", "exact", "--out", out]) == 0
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert {e["file"] for e in manifest["files"]} == {"results.csv", "summary.json"}
+
+
+class NumpyBool(np.bool_):
+    pass
+
+
+class TestFormatting:
+    # the text of every cell and of every printed value: a change here moves
+    # every artifact and every command's stdout
+    GOLDEN = [
+        (True, "true"), (np.bool_(False), "false"), (NumpyBool(True), "true"),
+        (0.1, "0.10000000000000001"), (np.float64(1 / 3), "0.33333333333333331"),
+        (7, "7"), (np.int64(-3), "-3"), ("klein", "klein"), ("", ""),
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (np.float64("nan"), "nan"),
+        (-0.0, "-0"), (1e-300, "1e-300"), (np.float64(1e-300), "1e-300"),
+        (np.float32(0.1), "0.1"), (None, "None"),
+    ]
+
+    @pytest.mark.parametrize("value, text", GOLDEN)
+    def test_fmt_golden(self, value, text):
+        assert cli._fmt(value) == text
+
+    def test_write_csv_golden(self, tmp_path):
+        path = tmp_path / "r.csv"
+        cli.write_csv(path, [{"a": True, "b": 0.1, "c": "x"},
+                             {"a": np.bool_(False), "c": np.int64(2), "b": -0.0},
+                             {"b": 1e-300}], ["a", "b", "c"])
+        assert path.read_bytes() == b"a,b,c\ntrue,0.10000000000000001,x\nfalse,-0,2\n,1e-300,\n"
+        cli.write_csv(path, [{"b": np.float64(1e-300), "a": math.nan}])
+        assert path.read_bytes() == b"b,a\n1e-300,nan\n"
+        cli.write_csv(path, [], ["a", "b"])
+        assert path.read_bytes() == b"a,b\n"
 
 
 class TestOtherCommands:

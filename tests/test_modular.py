@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modlab import modular, suites
-from modlab.errors import DimensionMismatch, NonHermitian, NonUnitary, RankDeficient, SingularS
+from modlab.errors import DimensionMismatch, NonHermitian, NonUnitary, RankDeficient
 from modlab.linalg import dagger, kron
 from modlab.modular import (
     AntilinearMap,
@@ -19,13 +19,11 @@ from modlab.modular import (
     hs_vec,
     modular_data,
     monotonicity_check,
-    polar_modular,
     random_density,
     random_unitary,
     rel_entropy_dm,
     rel_tomita,
     theorem_entropy_bounds,
-    tomita_pair,
 )
 
 # frozen closed-form oracle: sum_i p_i (log p_i - log q_i) for the diagonal pair
@@ -177,17 +175,10 @@ class TestPolarModular:
         assert calls == []
 
     @pytest.mark.parametrize("n", [4, 9, 16])
-    def test_singular_tomita_map_rejected(self, n):
-        rng = np.random.default_rng(n)
-        u, v = random_unitary(n, rng), random_unitary(n, rng)
-        with pytest.raises(SingularS):
-            polar_modular(AntilinearMap((u * np.geomspace(1.0, 1e-14, n)) @ v))
-
-    @pytest.mark.parametrize("n", [4, 9, 16])
     def test_delta_of_condition_1e12_accepted(self, n):
         rng = np.random.default_rng(n)
         u, v = random_unitary(n, rng), random_unitary(n, rng)
-        md = polar_modular(AntilinearMap((u * np.geomspace(1.0, 1e-6, n)) @ v))
+        md = modular._polar(AntilinearMap((u * np.geomspace(1.0, 1e-6, n)) @ v))
         w = md.delta_eig.eigenvalues
         assert w[0] / w[-1] == pytest.approx(1e-12, rel=1e-2)
 
@@ -196,7 +187,7 @@ class TestPolarModular:
         # values by 2.5e7 only, while Delta's w_min / w_max = 1.6e-15 is at the
         # rounding of eigh, so a cut on Delta's spectrum would refuse the pair
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2 - 2e-8, 2e-8]).astype(complex))
-        for md in (modular_data(rho, rho), polar_modular(rel_tomita(rho, rho))):
+        for md in (modular_data(rho, rho), modular._polar(rel_tomita(rho, rho))):
             assert np.all(np.isfinite(md.K))
 
     def test_entropy_cross_formula(self):
@@ -385,10 +376,61 @@ class TestAntilinearPlumbing:
         rhs = kron(a, b.T) @ hs_vec(x)
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
-    def test_tomita_pair_requires_square(self):
-        with pytest.raises(DimensionMismatch):
-            tomita_pair(np.zeros((2, 3)), np.zeros((2, 3)))
 
-    def test_polar_rejects_singular(self):
-        with pytest.raises(SingularS):
-            polar_modular(AntilinearMap(np.zeros((4, 4))))
+class TestWorkCounts:
+    """Each matrix is decomposed once, and no SVD guards what full rank implies."""
+
+    @staticmethod
+    def spy(monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_random_density_one_eigh_per_draw_round(self, monkeypatch, stacked):
+        # a floor this high redraws about 4 in 10 states, so some take several rounds
+        monkeypatch.setattr(modular, "WELL_CONDITIONED_EIG", 0.02)
+        calls = []
+        for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (modular, "_gaussians")):
+            self.spy(monkeypatch, owner, name, calls)
+        rng = [np.random.default_rng(k) for k in range(8)] if stacked else np.random.default_rng(3)
+        state = random_density(3, rng)
+        rounds = calls.count("_gaussians")
+        assert rounds > 1
+        assert calls == ["_gaussians", "eigh"] * rounds
+        assert np.all(state.min_eigenvalue > 0.02)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_random_density_keeps_the_eigh_of_its_matrix(self, stacked):
+        rng = [np.random.default_rng(k) for k in range(5)] if stacked else np.random.default_rng(4)
+        state = random_density(4, rng)
+        w, v = np.linalg.eigh(state.matrix)
+        assert np.array_equal(state.eig.eigenvalues, w)
+        assert np.array_equal(state.eig.eigenvectors, v)
+        assert np.array_equal(state.matrix, (state.matrix + dagger(state.matrix)) / 2.0)
+
+    def test_commutant_cancellation_takes_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        rngs = [np.random.default_rng(k) for k in range(4)]
+        calls = []
+        self.spy(monkeypatch, np.linalg, "svd", calls)
+        check_commutant_cancellation(random_unitary(3, rng), random_unitary(3, rng),
+                                     random_density(3, rng), random_density(3, rng))
+        check_commutant_cancellation(random_unitary(3, rngs), random_unitary(3, rngs),
+                                     random_density(3, rngs), random_density(3, rngs))
+        assert calls == []
+
+    def test_commutant_cancellation_requires_full_rank(self):
+        # the Tomita map of this pair is far from singular, but rho is not full rank
+        rng = np.random.default_rng(33)
+        rho = diag_state(0.6, 0.4 - 1e-12, 1e-12)
+        rho_t = random_density(3, rng)
+        u_r, v_r = random_unitary(3, rng), random_unitary(3, rng)
+        with pytest.raises(RankDeficient):
+            check_commutant_cancellation(u_r, v_r, rho, rho_t)
+        with pytest.raises(RankDeficient):
+            check_commutant_cancellation(u_r, v_r, rho_t, rho)
