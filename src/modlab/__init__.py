@@ -50,7 +50,6 @@ from .modular import (
     AntilinearMap,
     DensityMatrix,
     ModularData,
-    PurifiedBipartite,
     modular_data,
     monotonicity_check,
     rel_entropy_dm,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AntilinearMap", "AnalyticCutoff", "Ball", "BoundSweepRecord", "BumpFunction",
     "ChiKernel", "DensityMatrix", "HermitianEig",
-    "InitialData", "ModularData", "PurifiedBipartite", "StandardSubspaceData",
+    "InitialData", "ModularData", "StandardSubspaceData",
     "TruncatedCuntz", "TruncatedFock", "Wedge",
     "boundary_term_prediction", "certify_no_product_form",
     "coherent_entropy_check", "dgamma", "energy", "energy_limit", "entropy_bound",

@@ -1,19 +1,23 @@
-"""Configuration-driven command line.
+"""Configuration-driven command line:
 
-Runs the check suites and the field sweeps, emitting deterministic artifacts:
-results.csv (17-significant-digit values), summary.json, plot.txt where a
-plot is meaningful, and manifest.json listing every emitted file with its
-SHA-256 digest (timestamps live only in the manifest).
+    modlab GROUP ACTION [--config FILE] [--out DIR] [key=value ...]
 
-Configuration is a flat key=value text file; command-line --key value flags
-override the file.  Unknown keys are rejected.
+The two bare words name one (group, action) of `SCHEMAS`; every other token,
+anywhere on the line, is a setting `--key value`, `--key=value` or `key=value`.
+`config` names a flat key=value file of parameters that the other settings
+override, `out` the artifact directory; unknown keys are rejected.
+
+Each command returns its results and `main` alone writes them: results.csv
+(17-significant-digit values), summary.json, plot.txt where a plot is
+meaningful, and manifest.json listing every emitted file with its SHA-256
+digest (timestamps live only in the manifest).
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -45,10 +49,6 @@ EXIT_COMPUTATION = 3
 # parameter schemas
 # --------------------------------------------------------------------------
 
-def _positive(x):
-    return x > 0
-
-
 def _point(text: str) -> tuple:
     return tuple(float(p) for p in text.split(","))
 
@@ -57,7 +57,7 @@ def _point(text: str) -> tuple:
 FIELD_KEYS = {"geometry": (str, lambda v: v in ("wedge", "cone"), "wedge"),
               "d": (int, lambda v: v in (1, 2, 3), 1),
               "mass": (float, lambda v: 0 <= v <= 1e100, 0.0),
-              "r": (float, _positive, 1.0),
+              "r": (float, lambda v: v > 0, 1.0),
               "data": (str, lambda v: v in ("interior", "boundary"), "interior")}
 
 # A rule the library enforces itself, with a ConfigError, is not repeated here:
@@ -98,6 +98,10 @@ SCHEMAS = {
 }
 
 COMMON_KEYS = {"seed": (int, lambda v: 0 <= v < 2 ** 63, 0)}
+
+USAGE = ("usage: modlab GROUP ACTION [--config FILE] [--out DIR] "
+         "[--key value | --key=value | key=value ...]\n"
+         "commands: " + ", ".join(f"{group} {action}" for group, action in SCHEMAS))
 
 
 def parse_config_file(path: str) -> dict:
@@ -202,14 +206,9 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, rows: list, header: list[str] | None = None) -> None:
-    lines = []
-    if rows:
-        header = header or list(rows[0].keys())
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join([_fmt(row.get(col, "")) for col in header]))
-    elif header:
-        lines.append(",".join(header))
+    header = header or (list(rows[0]) if rows else [])
+    lines = [",".join(header)]
+    lines += [",".join([_fmt(row.get(col, "")) for col in header]) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -257,9 +256,8 @@ def write_manifest(out_dir: Path, names: list[str]) -> None:
 # command implementations
 # --------------------------------------------------------------------------
 
-def _emit(out_dir: str | None, rows: list, summary: dict,
-          header: list[str] | None = None,
-          plot: tuple[list[tuple[int, int, str]], str] | None = None) -> None:
+def _emit(out_dir: str | None, rows: list, summary: dict, header: list[str] | None,
+          plot: tuple[list[tuple[int, int, str]], str] | None) -> None:
     if out_dir is None:
         return
     out = Path(out_dir)
@@ -268,15 +266,20 @@ def _emit(out_dir: str | None, rows: list, summary: dict,
     write_summary(out / "summary.json", summary)
     names = ["results.csv", "summary.json"]
     if plot is not None:
-        curves, notes = plot
-        write_plot_script(out / "plot.txt", "results.csv", curves, notes)
+        write_plot_script(out / "plot.txt", "results.csv", *plot)
         names.append("plot.txt")
     write_manifest(out, names)
 
 
-def cmd_suite(group: str, params: dict, out_dir: str | None) -> suites.SuiteResult:
+# Each command returns (rows, summary, header, plot, line): CSV records, a summary with
+# "passed", the CSV columns (None: the first row's keys), a plot recipe and a line, or None.
+def cmd_suite(group: str, params: dict) -> tuple:
+    """The suite of a suite group: its one action is `suite`, its group names it."""
     seed = params["seed"]
-    if group == "findim":
+    if group == "fock":
+        result = suites.run_fock_suite(seed=seed, cutoff_n=params["cutoff"])
+        rows, summary, header = result.rows, result.summary, None
+    else:
         result = suites.run_findim_suite(seed=seed, trials=params["trials"])
         theorem = suites.run_theorem_suite(seed=seed,
                                            theorem_trials=max(params["trials"] // 2, 1),
@@ -284,17 +287,14 @@ def cmd_suite(group: str, params: dict, out_dir: str | None) -> suites.SuiteResu
         rows = result.rows + theorem.rows
         summary = {"findim": result.summary, "theorem": theorem.summary,
                    "passed": result.passed and theorem.passed}
-        merged = suites.SuiteResult(rows, summary)
         header = ["check", "trial_seed", "residual", "tolerance",
                   "lhs", "rhs", "margin", "pass"]
-        _emit(out_dir, rows, summary, header)
-        return merged
-    result = suites.run_fock_suite(seed=seed, cutoff_n=params["cutoff"])
-    _emit(out_dir, result.rows, result.summary)
-    return result
+    line = (f"{group} suite: {summary.get('checks', len(rows))} checks, "
+            f"passed={summary['passed']}")
+    return rows, summary, header, None, line
 
 
-def cmd_scalar(action: str, params: dict, out_dir: str | None) -> dict:
+def cmd_scalar(action: str, params: dict) -> tuple:
     geometry = params["geometry"]
     if action == "flow":
         point = np.array(params["point"])
@@ -308,27 +308,20 @@ def cmd_scalar(action: str, params: dict, out_dir: str | None) -> dict:
                    "factor": factor, "passed": True}
         rows = [{"coordinate": i, "before": float(point[i]), "after": float(mapped[i])}
                 for i in range(point.size)]
-        _emit(out_dir, rows, summary)
-        print(f"flow({params['s']:g}) -> {mapped.tolist()} factor {_fmt(factor)}")
-        return summary
+        line = f"flow({params['s']:g}) -> {mapped.tolist()} factor {_fmt(factor)}"
+        return rows, summary, None, None, line
     g = preset_data(geometry, params["d"], params["mass"], params["data"])
     region = preset_region(geometry, params["r"])
     if action == "exact":
         res = exact_entropy(g, region)
-        summary = {"value": res.value, "quad_error": res.error, "passed": True}
-        _emit(out_dir, [{"value": res.value, "quad_error": res.error}], summary)
-        print(_fmt(res.value))
-        return summary
+        row = {"value": res.value, "quad_error": res.error}
+        return [row], {**row, "passed": True}, None, None, _fmt(res.value)
     if action == "bound":
         prof = eta_st(params["s"], params["t"])
         res = entropy_bound(g, region, params["side"], prof, params["epsilon"])
-        pred = boundary_term_prediction(g, region, prof, params["side"])
-        summary = {"value": res.value, "quad_error": res.error,
-                   "boundary_prediction": pred, "passed": True}
-        _emit(out_dir, [{"value": res.value, "quad_error": res.error,
-                         "boundary_prediction": pred}], summary)
-        print(_fmt(res.value))
-        return summary
+        row = {"value": res.value, "quad_error": res.error,
+               "boundary_prediction": boundary_term_prediction(g, region, prof, params["side"])}
+        return [row], {**row, "passed": True}, None, None, _fmt(res.value)
     # sweep
     records = squeeze_sweep(g, region, parse_schedule(params["schedule"]))
     rows = [{"epsilon": r.epsilon, "s": r.s, "t": r.t, "H_minus": r.h_minus,
@@ -346,40 +339,29 @@ def cmd_scalar(action: str, params: dict, out_dir: str | None) -> dict:
     header = ["epsilon", "s", "t", "H_minus", "H_exact", "H_plus", "gap", "quad_err"]
     plot = ([(1, 4, "H_minus"), (1, 5, "H_exact"), (1, 6, "H_plus"), (1, 7, "gap")],
             "squeeze sweep; epsilon on the x axis")
-    _emit(out_dir, rows, summary, header, plot)
-    return summary
+    return rows, summary, header, plot, None
 
 
-def cmd_cutoff(action: str, params: dict, out_dir: str | None) -> dict:
+def cmd_cutoff(action: str, params: dict) -> tuple:
     if action == "limit":
-        value = energy_limit(params["s"])
-        summary = {"s": params["s"], "limit": value, "passed": True}
-        _emit(out_dir, [{"s": params["s"], "limit": value}], summary)
-        print(_fmt(value))
-        return summary
+        row = {"s": params["s"], "limit": energy_limit(params["s"])}
+        return [row], {**row, "passed": True}, None, None, _fmt(row["limit"])
     if action == "energy":
-        prof = eta_st(params["s"], params["t"])
-        e_val = energy(prof)
+        e_val = energy(eta_st(params["s"], params["t"]))
         limit = energy_limit(params["s"])
-        summary = {"s": params["s"], "t": params["t"], "E": e_val,
-                   "E_limit": limit, "gap": e_val - limit, "passed": True}
-        rows = [{"s": params["s"], "t": params["t"], "E": e_val,
-                 "E_limit": limit, "gap": e_val - limit}]
-        _emit(out_dir, rows, summary, ["s", "t", "E", "E_limit", "gap"])
-        print(_fmt(e_val))
-        return summary
+        row = {"s": params["s"], "t": params["t"], "E": e_val,
+               "E_limit": limit, "gap": e_val - limit}
+        return [row], {**row, "passed": True}, None, None, _fmt(e_val)
     values, minimum = minimize_discrete(params["n_grid"])
     step = max(1, values.size // 2000)
     grid = np.linspace(-1.0, 1.0, values.size)
     rows = [{"x": float(x), "eta": float(v)} for x, v in zip(grid[::step], values[::step])]
     summary = {"n_grid": params["n_grid"], "minimum": minimum, "passed": True}
     plot = ([(1, 2, "eta")], "discrete transition minimizer")
-    _emit(out_dir, rows, summary, ["x", "eta"], plot)
-    print(_fmt(minimum))
-    return summary
+    return rows, summary, ["x", "eta"], plot, _fmt(minimum)
 
 
-def cmd_signalling(action: str, params: dict, out_dir: str | None) -> dict:
+def cmd_signalling(action: str, params: dict) -> tuple:
     from . import cuntz
     if action == "check":
         # the cuntz-sum scenario holds a dense (d1 d2)^2 complex unitary
@@ -388,19 +370,15 @@ def cmd_signalling(action: str, params: dict, out_dir: str | None) -> dict:
         scenario = cuntz.make_scenario(params["n"], params["d1"], params["d2"],
                                        seed=params["seed"])
         rep = cuntz.nonsignalling_check(scenario)
-        rep["passed"] = rep["pass"]
-        _emit(out_dir, [rep], rep)
-        print(f"max commutator {_fmt(rep['max_commutator'])}")
-        return rep
+        line = f"max commutator {_fmt(rep['max_commutator'])}"
+        return [rep], {**rep, "passed": rep["pass"]}, None, None, line
     if action == "gap":
         rep = cuntz.norm_gap_experiment(params["epsilon"], params["samples"],
                                         d_factor=params["d_factor"],
                                         seed=params["seed"])
-        rep["passed"] = rep["pass"]
-        _emit(out_dir, [rep], rep,
-              ["epsilon", "samples", "floor", "min_gap", "slack", "pass"])
-        print(f"floor {_fmt(rep['floor'])} min gap {_fmt(rep['min_gap'])}")
-        return rep
+        header = ["epsilon", "samples", "floor", "min_gap", "slack", "pass"]
+        line = f"floor {_fmt(rep['floor'])} min gap {_fmt(rep['min_gap'])}"
+        return [rep], {**rep, "passed": rep["pass"]}, header, None, line
     # the factorization acts on a sparse outer^2 middle dimensional space
     size = params["outer_dim"] ** 2 * params["middle_dim"]
     if size > 2 ** 20:
@@ -410,68 +388,73 @@ def cmd_signalling(action: str, params: dict, out_dir: str | None) -> dict:
     cert = cuntz.certify_no_product_form(seed=params["seed"])
     summary = {"reconstruction": rep, "no_middle_certificate": cert,
                "passed": rep["pass"] and cert["pass"]}
-    _emit(out_dir, [rep], summary)
-    print(f"factorization residual {_fmt(rep['factorization_residual'])}")
-    return summary
+    line = f"factorization residual {_fmt(rep['factorization_residual'])}"
+    return [rep], summary, None, None, line
 
 
 # --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="modlab",
-                                     description=__doc__.splitlines()[0],
-                                     allow_abbrev=False)
-    parser.add_argument("group", choices=["findim", "fock", "scalar", "cutoff",
-                                          "signalling"])
-    parser.add_argument("action")
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--out", help="artifact output directory")
-    return parser
+def _tokenize(argv: list[str]) -> tuple[list[str], dict]:
+    """argv's bare words, and its settings `--key value`, `--key=value`, `key=value`."""
+    words, raw = [], {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("--") and "=" not in token:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"flag {token} is missing a value")
+            token = f"{token}={value}"
+        if "=" not in token:
+            words.append(token)
+            continue
+        key, value = token.split("=", 1)
+        raw[key.strip().removeprefix("--").replace("-", "_")] = value.strip()
+    return words, raw
+
+
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse, creating nothing, an artifact directory that cannot be made: an existing
+    non-directory, or one whose nearest existing ancestor is no writable directory."""
+    ancestor = Path(out_dir).absolute()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write artifacts to {out_dir}: "
+                          f"{ancestor} is not a writable directory")
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return EXIT_OK
     try:
-        ns, leftover = parser.parse_known_args(argv)
-    except SystemExit:
-        return EXIT_CONFIG
-    try:
-        group, action = ns.group, ns.action
+        words, raw = _tokenize(argv)
+        if len(words) < 2 or words[0] not in {group for group, _ in SCHEMAS}:
+            print(USAGE, file=sys.stderr)
+            return EXIT_CONFIG
+        group, action = words[:2]
         if (group, action) not in SCHEMAS:
             raise ConfigError(
                 f"unknown action {action!r} for {group}; "
                 f"expected one of {sorted(a for g, a in SCHEMAS if g == group)}")
-        raw: dict = {}
-        if ns.config:
-            raw.update(parse_config_file(ns.config))
-        # leftover tokens: --key value, --key=value and bare key=value overrides
-        i = 0
-        while i < len(leftover):
-            token = leftover[i]
-            if token.startswith("--") and "=" not in token:
-                if i + 1 >= len(leftover):
-                    raise ConfigError(f"flag {token} is missing a value")
-                i += 1
-                token = f"{token}={leftover[i]}"
-            if "=" not in token:
-                raise ConfigError(f"unparseable argument {token!r}")
-            key, value = token.split("=", 1)
-            raw[key.strip().removeprefix("--").replace("-", "_")] = value.strip()
-            i += 1
-        params = resolve_params(group, action, raw)
-
-        if action == "suite":
-            result = cmd_suite(group, params, ns.out)
-            print(f"{group} suite: {result.summary.get('checks', len(result.rows))} "
-                  f"checks, passed={result.passed}")
-            return EXIT_OK if result.passed else EXIT_TOLERANCE
-        command = {"scalar": cmd_scalar, "cutoff": cmd_cutoff,
-                   "signalling": cmd_signalling}[group]
-        summary = command(action, params, ns.out)
-        return EXIT_OK if summary.get("passed", True) else EXIT_TOLERANCE
+        if len(words) > 2:
+            raise ConfigError(f"unparseable argument {words[2]!r}")
+        config, out_dir = raw.pop("config", None), raw.pop("out", None)
+        params = resolve_params(group, action,
+                                {**(parse_config_file(config) if config else {}), **raw})
+        if out_dir is not None:
+            _check_out_dir(out_dir)
+        command = {"findim": cmd_suite, "fock": cmd_suite, "scalar": cmd_scalar,
+                   "cutoff": cmd_cutoff, "signalling": cmd_signalling}[group]
+        rows, summary, header, plot, line = command(
+            group if action == "suite" else action, params)
+        _emit(out_dir, rows, summary, header, plot)
+        if line is not None:
+            print(line)
+        return EXIT_OK if summary["passed"] else EXIT_TOLERANCE
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

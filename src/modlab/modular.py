@@ -105,25 +105,6 @@ class ModularData:
 
 
 @dataclass(frozen=True)
-class PurifiedBipartite:
-    """Full-rank bipartite state with its canonical HS purification sqrt(rho_AB)."""
-
-    d_a: int
-    d_b: int
-    rho_ab: DensityMatrix
-
-    def __post_init__(self):
-        if self.rho_ab.dim != self.d_a * self.d_b:
-            raise DimensionMismatch("rho_AB dimension does not factor as d_A * d_B")
-        if not np.all(self.rho_ab.full_rank):
-            raise RankDeficient("purified bipartite state must be full rank")
-
-    @property
-    def omega(self) -> np.ndarray:
-        return self.rho_ab.sqrt()
-
-
-@dataclass(frozen=True)
 class InequalityReport:
     """One inequality check; for stacked inputs every field is an array."""
 
@@ -281,38 +262,39 @@ def check_commutant_cancellation(u_r: np.ndarray, v_r: np.ndarray,
     return abs(_quadratic_form(md.K, psi) - rel_entropy_dm(rho, rho_t))
 
 
-def theorem_entropy_bounds(pb: PurifiedBipartite,
+def theorem_entropy_bounds(rho_ab: DensityMatrix, dims: tuple[int, int],
                            u: np.ndarray, v: np.ndarray,
                            u_b: np.ndarray, v_b: np.ndarray,
                            trial_seed: int = 0, *,
                            tol: float) -> tuple[InequalityReport, InequalityReport]:
-    """Entropy-level inequalities for nested algebras A subset AB.
+    """Entropy-level inequalities for nested algebras A subset AB, on a full-rank
+    rho_AB over H_A (x) H_B of dims (d_A, d_B), purified by Omega = sqrt(rho_AB).
 
     Upper form: the relative entropy of the A-reductions of (v'v Omega, u'u Omega)
     is bounded by <u^dag v Omega, K_Omega u^dag v Omega> for the AB modular
     generator of rho_AB.  Lower form: the AB-level relative entropy of
     (v v'Omega, u u'Omega) dominates the relative entropy of its A-reductions.
     """
-    for w in (u, v):
-        if w.shape[-2:] != (pb.rho_ab.dim, pb.rho_ab.dim):
-            raise DimensionMismatch("u, v must act on H_A (x) H_B")
+    d_a, d_b = dims
+    for w in (rho_ab.matrix, u, v):
+        if w.shape[-2:] != (d_a * d_b, d_a * d_b):
+            raise DimensionMismatch("rho_AB, u and v must act on H_A (x) H_B")
     for w in (u_b, v_b):
-        if w.shape[-2:] != (pb.d_b, pb.d_b):
+        if w.shape[-2:] != (d_b, d_b):
             raise DimensionMismatch("u_B, v_B must act on H_B")
+    md = modular_data(rho_ab, rho_ab)  # refuses a rank-deficient rho_AB
     u = _check_unitary(u)
     v = _check_unitary(v)
-    ub_full = kron(np.eye(pb.d_a), _check_unitary(u_b))
-    vb_full = kron(np.eye(pb.d_a), _check_unitary(v_b))
-    rho = pb.rho_ab.matrix
-    dims = (pb.d_a, pb.d_b)
+    ub_full = kron(np.eye(d_a), _check_unitary(u_b))
+    vb_full = kron(np.eye(d_a), _check_unitary(v_b))
+    rho = rho_ab.matrix
 
     # upper form: A-entropy of (v'v Omega, u'u Omega) vs the AB quadratic form
     rho_v = vb_full @ v @ rho @ dagger(v) @ dagger(vb_full)
     rho_u = ub_full @ u @ rho @ dagger(u) @ dagger(ub_full)
     lhs_a = rel_entropy_dm(DensityMatrix(partial_trace(rho_v, dims)),
                            DensityMatrix(partial_trace(rho_u, dims)))
-    md = modular_data(pb.rho_ab, pb.rho_ab)
-    rhs_ab = _quadratic_form(md.K, dagger(u) @ v @ pb.omega)
+    rhs_ab = _quadratic_form(md.K, dagger(u) @ v @ rho_ab.sqrt())
     upper = InequalityReport(trial_seed, lhs_a, rhs_ab,
                              rhs_ab - lhs_a, lhs_a <= rhs_ab + tol)
 

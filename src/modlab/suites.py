@@ -138,10 +138,10 @@ def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
                              "margin": float(rep.margin[k]), "pass": bool(rep.passed[k])})
 
     for idx, rngs in _blocks(seed, np.arange(theorem_trials)):
-        pb = modular.PurifiedBipartite(2, 2, modular.random_density(4, rngs))
+        rho_ab = modular.random_density(4, rngs)
         u, v = modular.random_unitary(4, rngs), modular.random_unitary(4, rngs)
         u_b, v_b = modular.random_unitary(2, rngs), modular.random_unitary(2, rngs)
-        upper, lower = modular.theorem_entropy_bounds(pb, u, v, u_b, v_b,
+        upper, lower = modular.theorem_entropy_bounds(rho_ab, (2, 2), u, v, u_b, v_b,
                                                       trial_seed=idx, tol=THEOREM_MARGIN_TOL)
         record([("theorem_upper", upper), ("theorem_lower", lower)])
     for idx, rngs in _blocks(seed + 10_000, np.arange(monotonicity_trials)):

@@ -54,6 +54,9 @@ class TestConfigHandling:
 
     def test_unknown_action_rejected(self, capsys):
         assert run(["cutoff", "explode"]) == 2
+        assert capsys.readouterr().err == ("configuration error: unknown action 'explode' "
+                                           "for cutoff; expected one of "
+                                           "['energy', 'limit', 'minimize']\n")
 
     def test_out_of_range_rejected(self, capsys):
         for argv in (["cutoff", "limit", "--s", "0.5"],
@@ -170,6 +173,62 @@ class TestConfigHandling:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("a = 1 # trailing comment\n\nb=two\n")
         assert parse_config_file(str(cfg)) == {"a": "1", "b": "two"}
+
+
+class TestCommandLine:
+    def test_settings_anywhere_write_identical_bytes(self, tmp_path, capsys):
+        # the two bare words may stand anywhere; --out is a setting in each spelling
+        spellings = [
+            lambda d: ["cutoff", "minimize", "--n_grid", "100", "--seed", "3", "--out", d],
+            lambda d: ["--n_grid=100", "cutoff", f"--out={d}", "minimize", "seed=3"],
+            lambda d: [f"out={d}", "seed=3", "cutoff", "n_grid=100", "minimize"],
+            lambda d: ["--out", d, "--seed=3", "n_grid=100", "cutoff", "minimize"],
+        ]
+        written, printed = [], []
+        for k, argv in enumerate(spellings):
+            out = tmp_path / str(k)
+            assert run(argv(str(out))) == 0
+            printed.append(capsys.readouterr().out)
+            written.append([(out / name).read_bytes()
+                            for name in ("results.csv", "summary.json", "plot.txt")])
+        assert all(files == written[0] for files in written)
+        assert all(text == printed[0] for text in printed)
+
+    @pytest.mark.parametrize("argv", [[], ["cutoff"], ["bogus", "run"], ["--s", "3", "fock"]])
+    def test_usage_on_malformed_invocation(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: modlab GROUP ACTION")
+        for group, action in SCHEMAS:
+            assert f"{group} {action}" in captured.err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cutoff", "limit", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out == cli.USAGE + "\n"
+
+    def test_unusable_out_refused_before_computing(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "cmd_cutoff", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        for out in (blocker, blocker / "x"):
+            assert run(["cutoff", "limit", "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "cannot write artifacts" in captured.err
+        # a flag that swallows --out is missing its value; no directory is made
+        assert run(["cutoff", "limit", "--s", "--out", str(tmp_path / "d")]) == 2
+        assert "flag --s is missing a value" in capsys.readouterr().err
+        # out and config are command-line settings only; a config file may not set them
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"out = {tmp_path / 'd'}\n")
+        assert run(["cutoff", "limit", "--config", str(cfg)]) == 2
+        assert "unknown parameter 'out'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "out.cfg"]
+        assert blocker.read_text() == "x"
 
 
 class TestSweepArtifacts:
@@ -317,9 +376,14 @@ class TestOtherCommands:
         assert lines[0] == "epsilon,samples,floor,min_gap,slack,pass"
         assert capsys.readouterr().out.startswith("floor 0.474870")
 
-    def test_signalling_check(self, capsys):
-        assert run(["signalling", "check", "--d1", "8", "--d2", "16"]) == 0
+    def test_signalling_check(self, tmp_path, capsys):
+        out = tmp_path / "check"
+        assert run(["signalling", "check", "--d1", "8", "--d2", "16", "--out", str(out)]) == 0
         assert "max commutator 0" in capsys.readouterr().out
+        # one pass column in the CSV; the summary also carries "passed"
+        lines = (out / "results.csv").read_text().splitlines()
+        assert lines[0] == "max_commutator,tolerance,pass,commutation_defect"
+        assert json.loads((out / "summary.json").read_text())["passed"] is True
 
 
 class TestSuitesThroughCli:

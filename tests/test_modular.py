@@ -11,7 +11,6 @@ from modlab.linalg import dagger, kron
 from modlab.modular import (
     AntilinearMap,
     DensityMatrix,
-    PurifiedBipartite,
     check_commutant_cancellation,
     check_unitary_covariance,
     delta_closed_form,
@@ -279,9 +278,9 @@ class TestCommutantCancellation:
 class TestTheoremBounds:
     def test_trivial_case_both_zero(self):
         rng = np.random.default_rng(19)
-        pb = PurifiedBipartite(2, 2, random_density(4, rng))
+        rho_ab = random_density(4, rng)
         eye2, eye4 = np.eye(2), np.eye(4)
-        upper, lower = theorem_entropy_bounds(pb, eye4, eye4, eye2, eye2,
+        upper, lower = theorem_entropy_bounds(rho_ab, (2, 2), eye4, eye4, eye2, eye2,
                                               tol=suites.THEOREM_MARGIN_TOL)
         assert abs(upper.lhs) <= 1e-9 and abs(upper.rhs) <= 1e-9
         assert upper.passed and lower.passed
@@ -289,27 +288,27 @@ class TestTheoremBounds:
     def test_random_trials(self):
         rng = np.random.default_rng(20)
         for k in range(50):
-            pb = PurifiedBipartite(2, 2, random_density(4, rng))
+            rho_ab = random_density(4, rng)
             u, v = random_unitary(4, rng), random_unitary(4, rng)
             u_b, v_b = random_unitary(2, rng), random_unitary(2, rng)
-            upper, lower = theorem_entropy_bounds(pb, u, v, u_b, v_b, trial_seed=k,
-                                                  tol=suites.THEOREM_MARGIN_TOL)
+            upper, lower = theorem_entropy_bounds(rho_ab, (2, 2), u, v, u_b, v_b,
+                                                  trial_seed=k, tol=suites.THEOREM_MARGIN_TOL)
             assert upper.passed, f"upper bound failed: {upper}"
             assert lower.passed, f"lower bound failed: {lower}"
 
     def test_local_a_unitary(self):
         rng = np.random.default_rng(21)
-        pb = PurifiedBipartite(2, 2, random_density(4, rng))
+        rho_ab = random_density(4, rng)
         u = kron(random_unitary(2, rng), np.eye(2))
-        upper, lower = theorem_entropy_bounds(pb, u, np.eye(4), np.eye(2), np.eye(2),
-                                              tol=suites.THEOREM_MARGIN_TOL)
+        upper, lower = theorem_entropy_bounds(rho_ab, (2, 2), u, np.eye(4), np.eye(2),
+                                              np.eye(2), tol=suites.THEOREM_MARGIN_TOL)
         assert upper.passed and lower.passed
 
     def test_report_serializes(self):
         rng = np.random.default_rng(22)
-        pb = PurifiedBipartite(2, 2, random_density(4, rng))
-        upper, _ = theorem_entropy_bounds(pb, np.eye(4), np.eye(4), np.eye(2), np.eye(2),
-                                          tol=suites.THEOREM_MARGIN_TOL)
+        rho_ab = random_density(4, rng)
+        upper, _ = theorem_entropy_bounds(rho_ab, (2, 2), np.eye(4), np.eye(4), np.eye(2),
+                                          np.eye(2), tol=suites.THEOREM_MARGIN_TOL)
         assert upper.passed
 
 
@@ -355,15 +354,17 @@ class TestDomainTypes:
 
     def test_purified_bipartite_invariants(self):
         rng = np.random.default_rng(30)
-        pb = PurifiedBipartite(2, 2, random_density(4, rng))
-        omega = pb.omega
-        # unit HS norm and exact reduction back to rho_AB
+        rho_ab = random_density(4, rng)
+        omega = rho_ab.sqrt()
+        # the purification Omega = sqrt(rho_AB): unit HS norm, exact reduction back to rho_AB
         assert abs(np.vdot(hs_vec(omega), hs_vec(omega)) - 1.0) <= 1e-12
-        assert np.linalg.norm(omega @ dagger(omega) - pb.rho_ab.matrix) <= 1e-12
+        assert np.linalg.norm(omega @ dagger(omega) - rho_ab.matrix) <= 1e-12
 
     def test_purified_bipartite_requires_full_rank(self):
+        eye2, eye4 = np.eye(2), np.eye(4)
         with pytest.raises(RankDeficient):
-            PurifiedBipartite(2, 2, diag_state(0.5, 0.5, 0.0, 0.0))
+            theorem_entropy_bounds(diag_state(0.5, 0.5, 0.0, 0.0), (2, 2), eye4, eye4, eye2, eye2,
+                                   tol=suites.THEOREM_MARGIN_TOL)
 
 
 class TestAntilinearPlumbing:

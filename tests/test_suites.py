@@ -7,7 +7,6 @@ from modlab import modular, suites
 from modlab.linalg import dagger
 from modlab.modular import (
     DensityMatrix,
-    PurifiedBipartite,
     check_commutant_cancellation,
     delta_closed_form,
     modular_data,
@@ -60,10 +59,11 @@ def theorem_reference(seed, theorem_trials, monotonicity_trials):
 
     for trial in range(theorem_trials):
         rng = np.random.default_rng(seed + trial)
-        pb = PurifiedBipartite(2, 2, random_density(4, rng))
+        rho_ab = random_density(4, rng)
         u, v = random_unitary(4, rng), random_unitary(4, rng)
         u_b, v_b = random_unitary(2, rng), random_unitary(2, rng)
-        upper, lower = theorem_entropy_bounds(pb, u, v, u_b, v_b, trial_seed=trial, tol=tol)
+        upper, lower = theorem_entropy_bounds(rho_ab, (2, 2), u, v, u_b, v_b,
+                                              trial_seed=trial, tol=tol)
         add("theorem_upper", upper)
         add("theorem_lower", lower)
     for trial in range(monotonicity_trials):
