@@ -10,8 +10,9 @@ the mirrored transition variable, eta_-(u) = 1 - eta(-u).
 
 All spatial integrals reduce to a one-dimensional adaptive integral in the
 coordinate the weights and cutoffs depend on (the first axis for wedges, the
-radius for balls) times smooth cross-section quadratures, with panel splits
-seeded at the cutoff's sharp features.
+radius for balls) times smooth cross-section quadratures (on balls one exact
+ray for radial data, a sphere rule otherwise), with panel splits seeded at
+the cutoff's sharp features.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ Region = Wedge | Ball
 
 @dataclass(frozen=True)
 class FieldQuad:
-    """Resolution knobs for the field integrals."""
+    """Resolution knobs for the field integrals; n_mu and n_phi act only on
+    ball data that are not radial, since radial data take one exact ray."""
 
     outer_order: int = 12
     cross_order: int = 24
@@ -267,10 +269,17 @@ def _cone_sections(g: InitialData, rho: np.ndarray, quad: FieldQuad) -> dict:
     beta = u.c/w^2 and gamma = |c/w|^2; its gradient f (x - c)/w^2 has radial
     part f (alpha rho - beta), and the dot product of two such gradients is
     f_k f_l ((a rho - b) rho + c), a, b, c built alike from 1/(w_k w_l)^2, once
-    per call.  Rays go in blocks of BLOCK_ELEMENTS // directions, each radius
-    summed on its own row, so no value depends on the block size.
+    per call.  Radial data (every bump centred at 0 with equal widths) give
+    every ray the same integrands, so the ray e_1 weighted |S^{d-1}| = 2, 2 pi
+    or 4 pi is exact; other data take `_sphere_rule`.  Rays go in blocks of
+    BLOCK_ELEMENTS // directions, each radius summed on its own row, so no
+    value depends on the block size.
     """
-    dirs, w = _sphere_rule(g.dimension, quad.n_mu, quad.n_phi)
+    d = g.dimension
+    if all(not any(b.center) and min(b.width) == max(b.width) for b in g.g0 + g.g1):
+        dirs, w = np.eye(1, d), np.array([(2.0, 2.0 * math.pi, 4.0 * math.pi)[d - 1]])
+    else:
+        dirs, w = _sphere_rule(d, quad.n_mu, quad.n_phi)
     uu = dirs * dirs
 
     def quadratic(ck, cl, iw):

@@ -19,11 +19,11 @@ import numpy as np
 from .errors import QuadratureBudgetExceeded
 
 ABS_TOL = 1e-13
-# The most floats one array built in a call may hold: 16 radii of a d = 3 cone
-# times its 512 sphere directions, 64 KiB of float64, half of glibc's default
-# 128 KiB mmap threshold, so per-call temporaries come from the heap whatever
-# earlier frees did to that threshold.  Code that expands each point into a
-# row of w floats takes points in blocks of BLOCK_ELEMENTS // w.
+# The most floats one array built in a call may hold: 16 radii of off-centre
+# d = 3 ball data times 512 sphere directions, 64 KiB of float64, half of
+# glibc's default 128 KiB mmap threshold, so per-call temporaries come from the
+# heap whatever earlier frees did to that threshold.  Code that expands each
+# point into a row of w floats takes points in blocks of BLOCK_ELEMENTS // w.
 BLOCK_ELEMENTS = 16 * 512
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from modlab import field
 from modlab.cutoff import eta_st
 from modlab.errors import (
     DimensionMismatch,
@@ -59,6 +60,35 @@ def off_centre_data(d, shift=0.0, mass=0.0):
     bumps = [BumpFunction((c[0] + shift,) + c[1:d], w[:d], a)
              for c, w, a in zip(centers, widths, (1.0, -0.8, 0.6))]
     return InitialData(tuple(bumps[:2]), (bumps[2],), d, mass)
+
+
+def radial_data(d, shift=0.0, last_width=0.5):
+    """Two centred isotropic g0 bumps of opposite sign and unequal widths and a
+    centred g1 bump; `shift` moves the first bump's centre along x^1 and
+    `last_width` replaces its last width, either of which makes it non-radial."""
+    zero = (0.0,) * d
+    first = BumpFunction((shift,) + zero[1:], (0.5,) * (d - 1) + (last_width,))
+    return InitialData((first, BumpFunction(zero, (0.8,) * d, -0.7)),
+                       (BumpFunction(zero, (0.6,) * d, 0.5),), d)
+
+
+def radial_sections(g, rho):
+    """A, B, C and Q of radially symmetric data in closed form: |S^{d-1}| times
+    v^2, v v', v'^2 and v1^2, where v = sum_k a_k exp(1 - 1/q_k), q_k = 1 - rho^2/w_k^2,
+    and v' = sum_k -2 rho v_k/(w_k^2 q_k^2), all 0 from rho = w_k on."""
+    def profile(bumps):
+        v, dv = 0.0, 0.0
+        for b in bumps:
+            w = b.width[0]
+            q = 1.0 - (rho / w) ** 2
+            safe = np.where(q > 0.0, q, 1.0)
+            vk = np.where(q > 0.0, b.amplitude * np.exp(1.0 - 1.0 / safe), 0.0)
+            v, dv = v + vk, dv - 2.0 * rho * vk / (w * w * safe * safe)
+        return v, dv
+
+    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[g.dimension]
+    (v, dv), (v1, _) = profile(g.g0), profile(g.g1)
+    return {"A": area * v * v, "B": area * v * dv, "C": area * dv * dv, "Q": area * v1 * v1}
 
 
 def _bump_sum(bumps, pts):
@@ -238,11 +268,58 @@ class TestExactCone:
         assert h.value == pytest.approx(0.5 * math.pi * ref, rel=1e-9)
 
     def test_refined_quadrature_oracle_d3(self):
+        # central data take one exact ray under both rules, so this compares
+        # the outer rules only; TestOffCentreData covers the sphere rule
         g = central_cone_data(0.5)
         h = exact_entropy(g, Ball(1.0))
         h_ref = exact_entropy(g, Ball(1.0), DEFAULT_QUAD.refined())
         assert abs(h.value - h_ref.value) <= 1e-7 * h_ref.value
         assert h.value > 0.0
+
+
+class TestConeSections:
+    # up to and past every support edge; near an edge v is ill-conditioned in
+    # rho, so values are compared relative to each section's largest value
+    RHO = np.linspace(0.0, 0.9, 91)
+
+    @staticmethod
+    def deviation(sections, reference):
+        return {key: float(np.max(np.abs(sections[key] - reference[key]))
+                           / np.max(np.abs(reference[key]))) for key in "ABCQ"}
+
+    @pytest.fixture
+    def sphere_calls(self, monkeypatch):
+        """The arguments of every `_sphere_rule` call that follows."""
+        calls, rule = [], field._sphere_rule
+
+        def spy(*args):
+            calls.append(args)
+            return rule(*args)
+        monkeypatch.setattr(field, "_sphere_rule", spy)
+        return calls
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_radial_data_match_the_closed_forms(self, d):
+        g = radial_data(d)
+        sections = field._cone_sections(g, self.RHO, DEFAULT_QUAD)
+        assert max(self.deviation(sections, radial_sections(g, self.RHO)).values()) <= 1e-14
+
+    @pytest.mark.parametrize("d, shift, last_width", [
+        (1, 1e-9, 0.5), (2, 1e-9, 0.5), (3, 1e-9, 0.5),
+        (2, 0.0, np.nextafter(0.5, 1.0)), (3, 0.0, np.nextafter(0.5, 1.0))])
+    def test_nearly_radial_data_take_the_sphere_rule_continuously(self, d, shift,
+                                                                 last_width, sphere_calls):
+        # a centre 1e-9 off the origin or one width one ulp wide is not radial;
+        # the sphere rule integrates such nearly constant integrands to rounding
+        sections = field._cone_sections(radial_data(d, shift, last_width), self.RHO, DEFAULT_QUAD)
+        assert sphere_calls == [(d, DEFAULT_QUAD.n_mu, DEFAULT_QUAD.n_phi)]
+        radial = field._cone_sections(radial_data(d), self.RHO, DEFAULT_QUAD)
+        assert len(sphere_calls) == 1
+        assert max(self.deviation(sections, radial).values()) <= 1e-13
+
+    def test_off_centre_data_take_the_sphere_rule(self, sphere_calls):
+        exact_entropy(off_centre_data(3), Ball(1.0))
+        assert sphere_calls and set(sphere_calls) == {(3, DEFAULT_QUAD.n_mu, DEFAULT_QUAD.n_phi)}
 
 
 class TestOffCentreData:

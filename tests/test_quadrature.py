@@ -12,6 +12,7 @@ from modlab.errors import QuadratureBudgetExceeded
 from modlab.field import (Ball, BumpFunction, FieldQuad, InitialData, Wedge, entropy_bound,
                           exact_entropy)
 from modlab.quadrature import BLOCK_ELEMENTS, gauss_rule, integrate_1d
+from test_field import off_centre_data
 
 
 def recording(f, sizes):
@@ -96,12 +97,16 @@ WEDGE_3D = InitialData((BumpFunction((0.0, 0.3, -0.2), (0.8, 0.9, 0.7)),),
 # 4 panels of order 8 per perpendicular axis: 1024 floats per d = 3 wedge node
 COARSE = FieldQuad(cross_order=8, rel_tol=1e-8)
 
-# data that straddles the collar, so the bounds reach the convolution bands
+# data that straddles the collar, so the bounds reach the convolution bands;
+# the radial cone preset takes one ray per radius, the off-centre ball data
+# the 512 directions of the sphere rule
+OFF_CENTRE_3D = off_centre_data(3)
 BOUNDS = {
     "wedge d=1": (preset_data("wedge", 1, 0.0, "boundary"), Wedge(), FieldQuad()),
     "wedge d=2": (preset_data("wedge", 2, 0.0, "boundary"), Wedge(), FieldQuad()),
     "wedge d=3": (WEDGE_3D, Wedge(), COARSE),
     "cone d=3": (preset_data("cone", 3, 0.0, "boundary"), Ball(1.0), FieldQuad()),
+    "off-centre ball d=3": (OFF_CENTRE_3D, Ball(1.0), FieldQuad()),
 }
 
 
@@ -134,7 +139,8 @@ class TestElementCap:
         assert max(sizes["sections"]) <= BLOCK_ELEMENTS
         assert max(sizes["convolution"]) <= BLOCK_ELEMENTS
         # and some block is full: 64 band points of 128 floats, 128 slices of
-        # 64, 8 slices of 32^2 or 16 rays of 512
+        # 64, 8 slices of 32^2 or 16 radii of 512 rays; no round of the radial
+        # cone holds 8192 radii of one ray, so its full blocks are the band's
         assert BLOCK_ELEMENTS in sizes["sections"] + sizes["convolution"]
 
     @pytest.mark.parametrize("case", ["wedge d=1", "wedge d=2", "wedge d=3"])
@@ -147,12 +153,13 @@ class TestElementCap:
         assert max(sizes["sections"] + sizes["convolution"]) <= 1500
         assert capped == default
 
-    @pytest.mark.parametrize("data", ["interior", "boundary"])
-    def test_cone_values_do_not_depend_on_the_cap(self, data):
-        # under a cap of 1500 the cone takes its rays 2 at a time; each radius
-        # is summed over the 512 directions on its own row, so no bit moves
-        g = preset_data("cone", 3, 0.0, data)
-
+    @pytest.mark.parametrize("g", [preset_data("cone", 3, 0.0, "interior"),
+                                   preset_data("cone", 3, 0.0, "boundary"), OFF_CENTRE_3D],
+                             ids=["interior", "boundary", "off-centre"])
+    def test_cone_values_do_not_depend_on_the_cap(self, g):
+        # under a cap of 1500 the sphere rule takes its radii 2 at a time and
+        # the one-ray rule 1500 at a time; each radius is summed over its
+        # directions on its own row, so no bit moves
         def values():
             return [exact_entropy(g, Ball(1.0))] + [
                 entropy_bound(g, Ball(1.0), side, eta_st(1.5, 200.0), 1e-3)
