@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationBudgetExceeded
-from .linalg import HermitianEig, dagger, expi_hermitian, hermitian_eig
+from .linalg import HermitianEig, _eigh, dagger, hermitian_eig
 from .modular import AntilinearMap
 
 CHI_MAX = 0.5  # guard on |chi| for displacements built on the truncated space
@@ -38,13 +38,15 @@ class TruncatedFock:
     """n-mode bosonic Fock space truncated at `cutoff` total particles.
 
     The basis is ordered by particle total (`totals`), so the sectors up to m
-    are its first count(totals <= m) states."""
+    are its first count(totals <= m) states; `occupations` holds it as a
+    (dim, modes) array."""
 
     modes: int
     cutoff: int
     basis: list = field(init=False, repr=False)
     index: dict = field(init=False, repr=False)
     totals: np.ndarray = field(init=False, repr=False)
+    occupations: np.ndarray = field(init=False, repr=False)
     lower: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -64,7 +66,8 @@ class TruncatedFock:
             lower.append(a)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "totals", np.array([sum(occ) for occ in basis]))
+        object.__setattr__(self, "occupations", np.array(basis))
+        object.__setattr__(self, "totals", self.occupations.sum(axis=1))
         object.__setattr__(self, "lower", lower)
 
     @property
@@ -155,8 +158,22 @@ def segal_field(tf: TruncatedFock, chi) -> np.ndarray:
 
 def weyl(tf: TruncatedFock, chi) -> np.ndarray:
     """Displacement unitary W(chi) = exp(i phi(chi)), |chi| guarded by CHI_MAX."""
-    chi = tf._guard(chi)
-    return expi_hermitian(segal_field(tf, chi))
+    return _displacement(tf, tf._guard(chi))
+
+
+def _displacement(tf: TruncatedFock, chi: np.ndarray) -> np.ndarray:
+    """Unguarded W(chi) = D exp(i phi(|chi|)) D^dag with D = exp(i arg(chi) N):
+    D a_m^dag D^dag = e^{i arg chi_m} a_m^dag, and phi(|chi|) is real symmetric."""
+    c = create(tf, np.abs(chi)).real
+    d = np.exp(1j * (tf.occupations @ np.angle(chi)))
+    w = _eigh((c + c.T) / math.sqrt(2.0)).apply(lambda x: np.exp(1j * x))
+    return d[:, None] * w * d.conj()
+
+
+def _reflect(tf: TruncatedFock, w: np.ndarray) -> np.ndarray:
+    """W(-chi) from W(chi): the parity (-1)^N anticommutes with phi(chi)."""
+    parity = 1 - 2 * (tf.totals % 2)
+    return parity[:, None] * w * parity
 
 
 def dgamma(tf: TruncatedFock, h) -> np.ndarray:
@@ -219,7 +236,7 @@ def weyl_relation_residual(tf: TruncatedFock, chi, xi,
     phase = np.exp(-0.5j * np.imag(np.vdot(chi, xi)))
     lhs = weyl(tf, chi) @ weyl(tf, xi)
     # |chi + xi| may pass the guard, so W(chi + xi) is built unguarded
-    rhs = phase * expi_hermitian(segal_field(tf, chi + xi))
+    rhs = phase * _displacement(tf, chi + xi)
     return _compressed_norm(tf, lhs - rhs, max_particles)
 
 
@@ -274,7 +291,7 @@ def wdgamma_identity_check(tf: TruncatedFock, k_one, xi,
     k_one = np.asarray(k_one, dtype=complex)
     dg = dgamma(tf, k_one)
     w = weyl(tf, xi)
-    lhs = weyl(tf, -xi) @ dg @ w - dg
+    lhs = _reflect(tf, w) @ dg @ w - dg
     const = 0.5 * np.real(np.vdot(xi, k_one @ xi))
     rhs = const * np.eye(tf.dim) + segal_field(tf, 1j * (k_one @ xi))
     return _compressed_norm(tf, lhs - rhs, max_particles)
@@ -303,8 +320,8 @@ def coherent_entropy_check(tf: TruncatedFock, ssd: StandardSubspaceData,
     analytic = 0.5 * float(np.real(np.vdot(h, k_h @ h)))
     deviation = abs(matrix_value - analytic) / max(abs(analytic), 1e-10)
     # |chi - h| may pass the guard, so W(+-(chi - h)) are built unguarded
-    conjugated = (expi_hermitian(segal_field(tf, shift)) @ dg
-                  @ expi_hermitian(segal_field(tf, -shift)))
+    w = _displacement(tf, shift)
+    conjugated = w @ dg @ _reflect(tf, w)
     operator_residual = _compressed_norm(tf, assembled - conjugated)
     return {"matrix_value": matrix_value, "analytic": analytic,
             "relative_deviation": float(deviation),

@@ -80,12 +80,6 @@ def _eigh(a: np.ndarray) -> HermitianEig:
     return HermitianEig(eigenvalues=w, eigenvectors=v)
 
 
-def expi_hermitian(a) -> np.ndarray:
-    """Unitary exp(iA) for Hermitian A, exactly unitary up to eigensolver error."""
-    eig = hermitian_eig(a)
-    return eig.apply(lambda w: np.exp(1j * w))
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product (np.kron's convention and products) of broadcast stacks."""
     a, b = _as_complex_matrix(a), _as_complex_matrix(b)

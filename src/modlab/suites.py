@@ -39,10 +39,10 @@ WEYL_TOL = 1e-6  # worst 7.0e-7
 # No derived bound fits under WEYL_TOL: with T the sector walk (entries sqrt(n+1))
 # and s = |chi|/sqrt(2), the majorant ||[e^{s1 T} e^{s2 T} - e^{s1 T_N} e^{s2 T_N}]_{<=m}||
 # + ||[e^{s3 T} - e^{s3 T_N}]_{<=m}|| is 1.1e-6 to 2.2e-6 at N = 12, m = 6.
-GAMMA_CONJUGATION_TOL = 1e-6  # worst 3.8e-15: Gamma(u) is exact on every sector
+GAMMA_CONJUGATION_TOL = 1e-6  # worst 4.5e-15: Gamma(u) is exact on every sector
 GENERATOR_SHIFT_TOL = 1e-5  # worst 4.5e-9
 DERIVATIVE_TOL = 1e-6  # worst 5.2e-10: central difference at step 1e-4
-COHERENT_ENTROPY_TOL = 1e-4  # relative: worst 7.9e-15
+COHERENT_ENTROPY_TOL = 1e-4  # relative: worst 5.3e-15
 
 
 @dataclass(frozen=True)

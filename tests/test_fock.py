@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from modlab import fock
 from modlab.errors import DimensionMismatch, NonHermitian, TruncationBudgetExceeded
 from modlab.fock import (
     StandardSubspaceData,
@@ -21,8 +23,9 @@ from modlab.fock import (
     weyl_relation_residual,
     wdgamma_identity_check,
 )
-from modlab.linalg import dagger, expi_hermitian
+from modlab.linalg import dagger, hermitian_eig
 from modlab.modular import random_unitary
+from modlab.suites import run_fock_suite
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +163,52 @@ class TestWeyl:
         assert np.linalg.norm(p @ (comm - phase * np.eye(tf.dim)) @ p, 2) <= 1e-6
 
 
+class TestDisplacement:
+    """W(chi) = D exp(i phi(|chi|)) D^dag with D = exp(i arg(chi) N) and
+    W(-chi) = (-1)^N W(chi) (-1)^N; the exponential's oracle is scipy's Pade
+    `expm`, which takes no eigh."""
+
+    # a zero component, purely imaginary and negative ones, |chi| = 0.5
+    AMPLITUDES = [np.array([0.0, 0.5j]), np.array([0.3 - 0.4j, 0.0]),
+                  np.array([-0.3, 0.4j]), np.array([0.1 + 0.2j, -0.4 - 0.2j]),
+                  np.array([0.2, 0.1])]
+
+    @pytest.mark.parametrize("cutoff", [11, 12, 16])
+    def test_matches_pade_exponential(self, cutoff):
+        tf = TruncatedFock(2, cutoff)
+        for chi in self.AMPLITUDES:
+            oracle = expm(1j * segal_field(tf, chi))
+            assert np.max(np.abs(fock._displacement(tf, chi) - oracle)) <= 1e-13
+
+    def test_phase_gauge_of_the_field(self, tf):
+        # each phase e^{i n theta} rounds by about n |theta| u, 4e-15 at n = 12
+        # and |theta| near pi, so the gate is 1e-14 on entries of size about 1
+        for chi in self.AMPLITUDES:
+            # D from the basis: D a_m^dag D^dag = e^{i arg chi_m} a_m^dag
+            d = np.array([np.exp(1j * sum(n * np.angle(c) for n, c in zip(occ, chi)))
+                          for occ in tf.basis])
+            gauged = d[:, None] * segal_field(tf, np.abs(chi)) * d.conj()
+            assert np.max(np.abs(gauged - segal_field(tf, chi))) <= 1e-14
+
+    def test_reflection_is_the_opposite_displacement(self, tf):
+        for chi in self.AMPLITUDES:
+            got = fock._reflect(tf, weyl(tf, chi))
+            assert np.max(np.abs(got - fock._displacement(tf, -chi))) <= 1e-14
+
+    def test_suite_takes_49_real_decompositions(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append((a.shape, a.dtype))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        run_fock_suite(20260810, 12)
+        full = [dtype for shape, dtype in calls if shape == (91, 91)]
+        assert full == [np.dtype(np.float64)] * 49
+
+
 class TestDGamma:
     def test_number_operator(self, tf):
         assert np.allclose(dgamma(tf, np.eye(2)), number_op(tf))
@@ -189,8 +238,8 @@ class TestDGamma:
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         h = (g + dagger(g)) / 2
         t = 0.7
-        lhs = expi_hermitian(t * dgamma(tf, h))
-        rhs = gamma(tf, expi_hermitian(t * h))
+        lhs = hermitian_eig(t * dgamma(tf, h)).apply(lambda w: np.exp(1j * w))
+        rhs = gamma(tf, hermitian_eig(t * h).apply(lambda w: np.exp(1j * w)))
         p = low_projector(tf, tf.cutoff - 2)
         assert np.linalg.norm(p @ (lhs - rhs) @ p, 2) <= 1e-8
 
@@ -353,7 +402,7 @@ class TestLeadingBlock:
             chi, xi = (0.5 * v / np.linalg.norm(v) for v in
                        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
             phase = np.exp(-0.5j * np.imag(np.vdot(chi, xi)))
-            x = weyl(tf, chi) @ weyl(tf, xi) - phase * expi_hermitian(segal_field(tf, chi + xi))
+            x = weyl(tf, chi) @ weyl(tf, xi) - phase * fock._displacement(tf, chi + xi)
             assert weyl_relation_residual(tf, chi, xi, max_particles) == projected(x)
 
             u = random_unitary(2, rng)
@@ -364,7 +413,8 @@ class TestLeadingBlock:
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             k_one = (h + dagger(h)) / 2
             dg = dgamma(tf, k_one)
-            x = (weyl(tf, -xi) @ dg @ weyl(tf, xi) - dg
+            w = weyl(tf, xi)
+            x = (fock._reflect(tf, w) @ dg @ w - dg
                  - (0.5 * np.real(np.vdot(xi, k_one @ xi)) * np.eye(tf.dim)
                     + segal_field(tf, 1j * (k_one @ xi))))
             assert wdgamma_identity_check(tf, k_one, xi, max_particles) == projected(x)
