@@ -12,7 +12,8 @@ All spatial integrals reduce to a one-dimensional adaptive integral in the
 coordinate the weights and cutoffs depend on (the first axis for wedges, the
 radius for balls) times smooth cross-section quadratures (on balls one exact
 ray for radial data, a sphere rule otherwise), with panel splits seeded at
-the cutoff's sharp features.
+the data's support ends and centres and at the four images of the cutoff's
+feature points; the adaptive halving grades the panels towards them.
 """
 
 from __future__ import annotations
@@ -357,10 +358,11 @@ def _side_sign(side: str) -> float:
 
 
 def _check_collar(region: Region, epsilon: float) -> None:
-    """The collar half-width is positive and finite; on a ball of radius r
-    the inner ball of radius r - 2 epsilon must survive, so epsilon < r/2."""
-    if not 0.0 < epsilon < math.inf:
-        raise GeometryViolation(f"epsilon {epsilon!r} must be positive and finite")
+    """The collar half-width is finite and at least 1e-100, the floor of Ball
+    radii, which keeps (eta'/epsilon)^2 finite; on a ball of radius r the inner
+    ball of radius r - 2 epsilon must survive, so epsilon < r/2."""
+    if not 1e-100 <= epsilon < math.inf:
+        raise GeometryViolation(f"epsilon {epsilon!r} must be finite and at least 1e-100")
     if isinstance(region, Ball) and not epsilon < region.radius / 2.0:
         raise GeometryViolation(f"epsilon {epsilon!r} must be below r/2 = {region.radius / 2!r}")
 
@@ -411,8 +413,10 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
             return v.weight(y[:, None])
     m2 = g.mass ** 2
     if cutoff is not None:
-        for p in cutoff.feature_points():
-            splits.extend(_graded(edge + normal * epsilon * (sign * p - sign), epsilon, cutoff))
+        # the feature images only: integrate_1d's halving grades the panels
+        # towards them, as it does towards any endpoint feature
+        splits.extend(edge + normal * epsilon * (sign * p - sign)
+                      for p in cutoff.feature_points())
 
     def integrand(y):
         if cutoff is None:
@@ -453,16 +457,6 @@ def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
     plus the curvature term for cones.
     """
     return _weighted_integral(g, region, quad, cutoff, side, epsilon)
-
-
-def _graded(center: float, epsilon: float, cutoff: AnalyticCutoff) -> list[float]:
-    """Panel edges geometrically accumulating at a mollified jump image."""
-    width = epsilon / cutoff.t
-    pts = [center]
-    for k in range(7):
-        h = width * 2.0 ** k
-        pts.extend((center - h, center + h))
-    return pts
 
 
 # --------------------------------------------------------------------------

@@ -337,6 +337,27 @@ class TestOtherCommands:
     def test_scalar_bound_requires_valid_side(self):
         assert run(["scalar", "bound", "side=sideways"]) == 2
 
+    # below the 1e-100 collar floor (eta'/epsilon)^2 overflows: d = 1 exited 3
+    # and d = 2 printed inf with exit 0
+    @pytest.mark.parametrize("argv", [
+        ["scalar", "bound", "data=boundary", "epsilon=1e-160"],
+        ["scalar", "bound", "data=boundary", "d=2", "epsilon=1e-200"],
+        ["scalar", "bound", "data=boundary", "epsilon=9.9e-101"],
+        ["scalar", "sweep", "data=boundary", "schedule=1e-2:1.5:200;1e-160:1.5:200"],
+    ])
+    def test_collar_below_the_floor_refused(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1e-100" in captured.err
+
+    @pytest.mark.parametrize("geometry", [["d=1"], ["d=2"], ["geometry=cone", "d=3"]])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("transition", [["s=1.000000000001", "t=1e12"], ["s=1e6", "t=2"]])
+    def test_collar_at_the_floor_runs(self, capsys, geometry, side, transition):
+        assert run(["scalar", "bound", "data=boundary", "epsilon=1e-100", f"side={side}",
+                    *geometry, *transition]) == 0
+        assert math.isfinite(float(capsys.readouterr().out))
+
     def test_scalar_flow(self, capsys):
         assert run(["scalar", "flow", "geometry=cone", "point=0.0,0.5,0.0,0.0",
                     "s=1.0"]) == 0

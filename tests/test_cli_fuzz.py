@@ -136,7 +136,7 @@ def test_scalar_bound_prints_a_finite_value_or_refuses(geometry, d, r, broken, d
                                f"d={3 if geometry == 'cone' else d}", f"mass={mass!r}",
                                f"r={r!r}", f"s={s!r}", f"t={t!r}", f"epsilon={epsilon!r}",
                                f"side={side}"])
-    accepted = (side in ("upper", "lower") and transition_ok(s, t) and 0.0 < epsilon < math.inf
+    accepted = (side in ("upper", "lower") and transition_ok(s, t) and 1e-100 <= epsilon < math.inf
                 and (geometry == "wedge" or (epsilon < r / 2.0 and mass == 0.0)))
     event(f"accepted={accepted}")
     if accepted:
@@ -305,7 +305,7 @@ ANY_ENTRY = st.tuples(st.one_of(st.floats(0.9, 1.1), ANY_FLOAT),
 
 def squeezes(schedule, geometry, r):
     for eps, s, t in schedule:
-        if not (0.0 < eps < math.inf and transition_ok(s, t)):
+        if not (1e-100 <= eps < math.inf and transition_ok(s, t)):
             return False
         if geometry == "cone" and not (eps < r / 2.0 and 1e-100 <= r - 2.0 * eps
                                        and r + 2.0 * eps <= 1e100):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from modlab import field
 from modlab.cutoff import eta_st
@@ -543,6 +544,72 @@ class TestEntropyBound:
         with pytest.raises(GeometryViolation):
             entropy_bound(InitialData((), (), 1, 0.0), Wedge(), "above",
                           eta_st(1.5, 20), 0.01)
+
+
+# (epsilon, s, t) from a squeezed collar to a wide one: tiny epsilon, s near 1
+# with t far above its s/(s-1) threshold, a wide collar at small t, and a
+# near step at s = 1e6
+OUTER_CASES = [(1e-2, 1.5, 200.0), (1e-6, 1.5, 200.0), (1e-3, 1.001, 1e5),
+               (1e-4, 1.05, 1e6), (0.2, 3.0, 2.0), (1e-2, 1e6, 1.5)]
+
+
+class TestOuterRule:
+    """The adaptive outer rule of the d = 1 wedge bounds, which have no cross
+    section, against scipy's QUADPACK integral of an integrand built here."""
+
+    @staticmethod
+    def oracle(g, side, prof, eps):
+        """(pi/2) int (y - shift) [((eta g0)')^2 + m^2 (eta g0)^2 + (eta g1)^2] dy
+        over y > min(0, shift), shift = -+2 eps, with eta(y) = eta_{s,t}(y/eps + 1)
+        on the upper side and 1 - eta_{s,t}(1 - y/eps) on the lower side; quad
+        runs piecewise between the transition's feature images and the bumps'
+        support ends and centres.  Returns the value and quad's error sum."""
+        sign = 1.0 if side == "upper" else -1.0
+        shift, m2 = -sign * 2.0 * eps, g.mass ** 2
+
+        def density(y):
+            (eta,), (prime,) = prof.eta_and_prime(sign * (y / eps + sign))
+            eta = eta if sign > 0 else 1.0 - eta
+            (v0,), ((d0,),) = _bump_sum(g.g0, np.array([[y]]))
+            (v1,), _ = _bump_sum(g.g1, np.array([[y]]))
+            grad = prime / eps * v0 + eta * d0
+            return (y - shift) * (grad * grad + eta * eta * (m2 * v0 * v0 + v1 * v1))
+
+        lo = max(min(b.center[0] - b.width[0] for b in g.g0 + g.g1), min(0.0, shift))
+        hi = max(b.center[0] + b.width[0] for b in g.g0 + g.g1)
+        points = {eps * (sign * p - sign) for p in prof.feature_points()}
+        points |= {b.center[0] + k * b.width[0] for b in g.g0 + g.g1 for k in (-1, 0, 1)}
+        edges = [lo] + sorted(p for p in points if lo < p < hi) + [hi]
+        pieces = [quad(density, a, b, epsabs=1e-15, epsrel=1e-12, limit=200)
+                  for a, b in zip(edges, edges[1:])]
+        return (0.5 * math.pi * sum(v for v, _ in pieces),
+                0.5 * math.pi * sum(e for _, e in pieces))
+
+    @pytest.mark.parametrize("eps, s, t", OUTER_CASES)
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("data", [interior_wedge_data, boundary_wedge_data])
+    def test_d1_wedge_bound_matches_quad(self, data, side, eps, s, t):
+        g, prof = data(1, 1.0), eta_st(s, t)
+        res = entropy_bound(g, Wedge(), side, prof, eps)
+        value, error = self.oracle(g, side, prof, eps)
+        assert abs(res.value - value) <= res.error + error + 1e-14 * abs(value)
+
+    @pytest.mark.parametrize("g, region", [
+        (boundary_wedge_data(1, 0.0), Wedge()), (boundary_wedge_data(2, 0.0), Wedge()),
+        (central_cone_data(1.3), Ball(1.0))], ids=["wedge-d1", "wedge-d2", "cone-d3"])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_boundary_bound_work(self, monkeypatch, g, region, side):
+        # seeded only at the transition's feature images, each boundary preset
+        # bound takes 420-868 integrand points at (1e-2, 1.5, 200); a ladder of
+        # hand-graded splits around each image would take 1,764-2,184
+        points, integrate = [], field.integrate_1d
+
+        def counted(f, *args, **kwargs):
+            return integrate(lambda y: points.append(y.size) or f(y), *args, **kwargs)
+
+        monkeypatch.setattr(field, "integrate_1d", counted)
+        entropy_bound(g, region, side, eta_st(1.5, 200.0), 1e-2)
+        assert 0 < sum(points) <= 1000
 
 
 class TestRegions:
