@@ -359,12 +359,14 @@ def _side_sign(side: str) -> float:
 
 def _check_collar(region: Region, epsilon: float) -> None:
     """The collar half-width is finite and at least 1e-100, the floor of Ball
-    radii, which keeps (eta'/epsilon)^2 finite; on a ball of radius r the inner
-    ball of radius r - 2 epsilon must survive, so epsilon < r/2."""
+    radii, which keeps (eta'/epsilon)^2 finite; on a ball of radius r, epsilon < r/2
+    keeps the inner ball, and epsilon >= 1e-6 r the bound within its reported error:
+    the rounding of the nodes near r moves it by about 1e-16 r/epsilon."""
     if not 1e-100 <= epsilon < math.inf:
         raise GeometryViolation(f"epsilon {epsilon!r} must be finite and at least 1e-100")
-    if isinstance(region, Ball) and not epsilon < region.radius / 2.0:
-        raise GeometryViolation(f"epsilon {epsilon!r} must be below r/2 = {region.radius / 2!r}")
+    if isinstance(region, Ball) and not 1e-6 * region.radius <= epsilon < region.radius / 2.0:
+        raise GeometryViolation(f"epsilon {epsilon!r} must lie in [1e-6 r, r/2) "
+                                f"for r = {region.radius!r}")
 
 
 def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,

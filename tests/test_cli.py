@@ -350,13 +350,29 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and "at least 1e-100" in captured.err
 
-    @pytest.mark.parametrize("geometry", [["d=1"], ["d=2"], ["geometry=cone", "d=3"]])
+    # the floor is 1e-100 on wedges and 1e-6 r on the cone (here r = 1), below
+    # which the rounding of the radius moves a bound past its reported error
+    @pytest.mark.parametrize("geometry", [["d=1", "epsilon=1e-100"], ["d=2", "epsilon=1e-100"],
+                                          ["geometry=cone", "d=3", "epsilon=1e-06"]])
     @pytest.mark.parametrize("side", ["upper", "lower"])
     @pytest.mark.parametrize("transition", [["s=1.000000000001", "t=1e12"], ["s=1e6", "t=2"]])
     def test_collar_at_the_floor_runs(self, capsys, geometry, side, transition):
-        assert run(["scalar", "bound", "data=boundary", "epsilon=1e-100", f"side={side}",
+        assert run(["scalar", "bound", "data=boundary", f"side={side}",
                     *geometry, *transition]) == 0
         assert math.isfinite(float(capsys.readouterr().out))
+
+    @pytest.mark.parametrize("argv", [
+        ["scalar", "bound", "epsilon=9.9e-7"],
+        ["scalar", "bound", "r=2.5", "epsilon=2.4e-6", "side=lower"],
+        ["scalar", "bound", "epsilon=1e-100"],
+        ["scalar", "sweep", "schedule=1e-2:1.5:200;1e-12:1.5:200"],
+    ])
+    def test_cone_collar_below_its_relative_floor_refused(self, capsys, argv):
+        # unrefused, the cone boundary preset's upper gap is off by 4.7e-5 at
+        # 1e-12 r against a reported error of 1.9e-5, and exactly 0 at 1e-16 r
+        assert run(argv + ["geometry=cone", "d=3", "data=boundary"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "[1e-6 r, r/2)" in captured.err
 
     def test_scalar_flow(self, capsys):
         assert run(["scalar", "flow", "geometry=cone", "point=0.0,0.5,0.0,0.0",

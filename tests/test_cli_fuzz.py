@@ -111,13 +111,14 @@ def transition_ok(s, t):
     return 1.0 < s <= MAX_SHARPNESS and s / (s - 1.0) <= t < math.inf
 
 
-# scalar bound: the collar (epsilon < r/2 on the cone), the transition
+# scalar bound: the collar (1e-6 r <= epsilon < r/2 on the cone), the transition
 # (t >= s/(s-1)), the massless cone and the side are checked only where the
 # bound is computed; epsilon and t are drawn as multiples of r/2 and s/(s-1),
-# inside the rule, or around its edge and anywhere when the key is broken
+# inside the rule, or around its edges and anywhere when the key is broken
 BOUND_KEYS = {"s": (st.floats(1.01, 3.0), ANY_FLOAT),
               "t_ratio": (st.floats(1.0, 2.0), st.one_of(st.floats(0.5, 1.0), ANY_FLOAT)),
-              "eps_ratio": (st.floats(0.01, 0.99), st.one_of(st.floats(0.9, 1.1), ANY_FLOAT)),
+              "eps_ratio": (st.floats(0.01, 0.99), st.one_of(st.floats(0.9, 1.1),
+                                                             st.floats(1e-6, 4e-6), ANY_FLOAT)),
               "mass": (st.just(0.0), st.sampled_from([0.5, 1.0])),
               "side": (st.sampled_from(["upper", "lower"]),
                        st.sampled_from(["sideways", "UPPER", ""]))}
@@ -137,7 +138,7 @@ def test_scalar_bound_prints_a_finite_value_or_refuses(geometry, d, r, broken, d
                                f"r={r!r}", f"s={s!r}", f"t={t!r}", f"epsilon={epsilon!r}",
                                f"side={side}"])
     accepted = (side in ("upper", "lower") and transition_ok(s, t) and 1e-100 <= epsilon < math.inf
-                and (geometry == "wedge" or (epsilon < r / 2.0 and mass == 0.0)))
+                and (geometry == "wedge" or (1e-6 * r <= epsilon < r / 2.0 and mass == 0.0)))
     event(f"accepted={accepted}")
     if accepted:
         assert code == EXIT_OK and math.isfinite(float(out))
@@ -307,7 +308,7 @@ def squeezes(schedule, geometry, r):
     for eps, s, t in schedule:
         if not (1e-100 <= eps < math.inf and transition_ok(s, t)):
             return False
-        if geometry == "cone" and not (eps < r / 2.0 and 1e-100 <= r - 2.0 * eps
+        if geometry == "cone" and not (1e-6 * r <= eps < r / 2.0 and 1e-100 <= r - 2.0 * eps
                                        and r + 2.0 * eps <= 1e100):
             return False
     return all(e1 <= e0 and s1 <= s0 and t1 >= t0

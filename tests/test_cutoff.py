@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from modlab import cutoff
 from modlab.cutoff import (
     MAX_SHARPNESS,
     AnalyticCutoff,
@@ -26,25 +27,33 @@ from modlab.quadrature import integrate_1d
 
 
 class TestChiKernel:
+    # in_window is the kernel on its clip window |z| < 1/s, the only place any
+    # profile evaluates it; outside it is 0, and its antiderivative 0 or 1
     def test_normalized(self):
         for s in (1.2, 1.5, 3.0):
             k = ChiKernel(s)
-            res = integrate_1d(lambda x: k.value_and_antiderivative(x)[0], -1.0, 1.0,
-                               splits=[-1 / s, 1 / s], order=16)
+            res = integrate_1d(lambda z: k.in_window(z)[0], -1 / s, 1 / s, order=16)
             assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_antiderivative_consistency(self):
         k = ChiKernel(1.5)
-        xs = np.linspace(-0.9, 0.9, 7)
-        _, anti = k.value_and_antiderivative(xs)
-        for x, expected in zip(xs, anti):
-            res = integrate_1d(lambda y: k.value_and_antiderivative(y)[0], -1.0, x,
-                               splits=[-1 / 1.5, 1 / 1.5], order=16)
+        zs = np.linspace(-0.9, 0.9, 7) / 1.5
+        _, anti = k.in_window(zs)
+        for z, expected in zip(zs, anti):
+            res = integrate_1d(lambda y: k.in_window(y)[0], -1 / 1.5, z, order=16)
             assert res.value == pytest.approx(expected, abs=1e-12)
+
+    def test_meets_the_clip_values_at_the_window_ends(self):
+        # K runs from 0 to 1 across the window, so the clipped kernel's
+        # antiderivative is continuous at both ends
+        for s in (1.01, 1.5, 3.0, MAX_SHARPNESS):
+            _, anti = ChiKernel(s).in_window(np.array([-1 / s, 1 / s]))
+            assert anti[0] == 0.0 and anti[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_nonnegative(self):
         k = ChiKernel(2.0)
-        assert np.all(k.value_and_antiderivative(np.linspace(-1, 1, 101))[0] >= 0.0)
+        value, anti = k.in_window(np.linspace(-0.5, 0.5, 101))
+        assert np.all(value >= 0.0) and np.all(anti >= 0.0) and np.all(anti <= 1.0 + 1e-15)
 
     def test_invalid_s(self):
         with pytest.raises(ParameterViolation):
@@ -64,14 +73,14 @@ class TestChiKernel:
             edge = 1 / Decimal(s)
             c_s = ((1 + edge) / (1 - edge)).ln()
             ref = [float(((Decimal(xi) + 1) / (1 - edge)).ln() / c_s) for xi in x.tolist()]
-        assert ChiKernel(s).value_and_antiderivative(x)[1] == pytest.approx(ref, rel=1e-14)
+        assert ChiKernel(s).in_window(x)[1] == pytest.approx(ref, rel=1e-14)
 
     def test_huge_s_stays_finite(self):
         # c_s = log1p(2/(s-1)) stays positive where log((s+1)/(s-1)) rounds to 0
         s = 1e17
         k = ChiKernel(s)
         assert k.c_s == pytest.approx(2.0 / s, rel=1e-15)
-        value, anti = k.value_and_antiderivative(np.array([-0.5, 0.0, 0.5]))
+        value, anti = k.in_window(np.array([-0.5, 0.0, 0.5]) / s)
         assert np.all(np.isfinite(value)) and np.all(np.isfinite(anti))
         assert math.isfinite(energy_dominating_bound(s))
         assert energy_limit(s) == pytest.approx(s / 2.0, rel=1e-15)
@@ -85,6 +94,34 @@ class TestMollifier:
     def test_compact_support(self):
         f = standard_mollifier()
         assert np.all(f(np.array([-1.0, 1.0, 1.5])) == 0.0)
+
+    def test_floored_bump_equals_the_masked_formula_bitwise(self):
+        # exp(1 - 1/max(1 - y^2, 1/800)) against the masked exp(1 - 1/(1 - y^2)):
+        # below q = 1/800 both are exp of less than -798, which underflows to 0
+        edge = math.sqrt(1.0 - 1.0 / 800.0)
+        y = np.concatenate([[0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+                             np.nextafter(1.0, 2.0), -1.5, 2.0, 1e150, -1e150, edge,
+                             np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)],
+                            np.linspace(-1.2, 1.2, 2401), 1.0 - np.logspace(-17, -1, 200)])
+        inside = np.abs(y) < 1.0
+        masked = np.zeros_like(y)
+        masked[inside] = np.exp(1.0 - 1.0 / (1.0 - y[inside] ** 2))
+        assert np.array_equal(cutoff._bump_raw(y), masked)
+        assert np.array_equal(cutoff._bump_raw(-y), masked)
+
+    def test_cumulative_table_matches_quad(self):
+        # F(E_k) = int_{-1}^{E_k} f at the fixed panel edges, against quad of
+        # the bump written here
+        def bump(y):
+            return math.exp(1.0 - 1.0 / (1.0 - y * y)) if abs(y) < 1.0 else 0.0
+
+        edges = cutoff._MOLLIFIER_EDGES.tolist()
+        pieces = [quad(bump, a, b, epsabs=1e-16, epsrel=1e-13)[0]
+                  for a, b in zip(edges[:-1], edges[1:])]
+        ref = np.concatenate(([0.0], np.cumsum(pieces))) / sum(pieces)
+        table = cutoff._convolve_rules()[-1]
+        assert table.shape == (len(edges),) and table[0] == 0.0
+        assert np.max(np.abs(table - ref)) <= 1e-15
 
     def test_scaled_family_keeps_unit_mass(self):
         # eta' rescaled by eps stays normalized with support shrinking as eps
@@ -243,6 +280,29 @@ class TestFusedEvaluation:
         ref = np.array([at(xi) for xi in x])
         assert np.max(np.abs(eta - ref[:, 0])) <= 1e-13
         assert np.max(np.abs(prime - ref[:, 1])) <= 1e-13 * np.max(np.abs(ref[:, 1]))
+
+    @pytest.mark.parametrize("s, t", [(1.6, 256.0), (2.0, 4.0)])
+    def test_window_ends_on_the_panel_edges_match_the_quad_oracle(self, s, t):
+        # 1/s and t are binary, so t(x - 1/s) lands exactly on the edges 0 and
+        # +-3/4, where the tail's table lookup switches panels, and t(x + 1/s)
+        # does for the mirrored points; with their neighbours one ulp away, and
+        # the support's ends +-(1/s + 1/t) one ulp inside
+        prof, at = eta_st(s, t), quad_oracle(s, t)
+        on_edge = np.array([e / t + sign / s for e in (-0.75, 0.0, 0.75) for sign in (1.0, -1.0)])
+        ends = np.where(on_edge > 0, t * (on_edge - 1.0 / s), t * (on_edge + 1.0 / s))
+        assert ends.tolist() == [-0.75, -0.75, 0.0, 0.0, 0.75, 0.75]
+        hw = prof.support_halfwidth
+        x = np.concatenate([on_edge, np.nextafter(on_edge, -1.0), np.nextafter(on_edge, 1.0),
+                            np.nextafter([-hw, hw], 0.0)])
+        eta, prime = prof.eta_and_prime(x)
+        ref = np.array([at(xi) for xi in x])
+        assert np.max(np.abs(eta - ref[:, 0])) <= 1e-13
+        assert np.max(np.abs(prime - ref[:, 1])) <= 1e-13 * np.max(np.abs(ref[:, 1]))
+        # and no step where the lookup switches: a step would survive the second
+        # difference over the one-ulp neighbours, which cancels the slope
+        n = on_edge.size
+        for values in (eta, prime):
+            assert np.max(np.abs(values[n:2 * n] + values[2 * n:3 * n] - 2 * values[:n])) <= 1e-14
 
     @pytest.mark.parametrize("s, t", [(1.5, 200.0), (1.01, 101.0), (1.2, t_threshold(1.2)),
                                       (MAX_SHARPNESS, MAX_SHARPNESS + 10.0)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from modlab import field
+from modlab import cutoff, field
 from modlab.cutoff import eta_st
 from modlab.errors import (
     DimensionMismatch,
@@ -699,6 +699,24 @@ class TestBoundaryPrediction:
             a = np.vstack([np.ones(3), epss]).T
             coef, *_ = np.linalg.lstsq(a, np.array(diffs), rcond=None)
             assert abs(coef[0] - pred) <= 0.05 * abs(pred)
+
+    def test_one_energy_integral_per_profile(self, monkeypatch):
+        # criterion 5 makes 10 predictions with one profile; E[eta] is
+        # integrated on the first and kept, and every value stays the same
+        g = boundary_wedge_data(1, 0.0)
+        cases = [(Wedge(), side) for side in ("upper", "lower")] * 5
+        fresh = [boundary_term_prediction(g, region, eta_st(1.5, 200.0), side)
+                 for region, side in cases]
+        calls = []
+
+        def spy(*args, **kw):
+            calls.append(args)
+            return integrate_1d(*args, **kw)
+        monkeypatch.setattr(cutoff, "integrate_1d", spy)
+        prof = eta_st(1.5, 200.0)
+        kept = [boundary_term_prediction(g, region, prof, side) for region, side in cases]
+        assert kept == fresh and len(calls) == 1
+        assert cutoff.energy(prof) == prof.energy and len(calls) == 1
 
     def test_prediction_vanishes_as_s_to_one(self):
         # tracks the limit energy 1/log((s+1)/(s-1)), which decays to 0 as s -> 1+

@@ -7,7 +7,7 @@ import pytest
 
 from modlab import quadrature
 from modlab.cli import preset_data
-from modlab.cutoff import ChiKernel, eta_st
+from modlab.cutoff import _CONVOLVE_WIDTH, ChiKernel, eta_st
 from modlab.errors import QuadratureBudgetExceeded
 from modlab.field import (Ball, BumpFunction, FieldQuad, InitialData, Wedge, entropy_bound,
                           exact_entropy)
@@ -113,16 +113,24 @@ BOUNDS = {
 def expanded_arrays(run, cap=BLOCK_ELEMENTS):
     """run() with BLOCK_ELEMENTS set to cap, and the sizes of the arrays that
     nodes expand into: the bump profile runs on every slice grid or ray array
-    of the cross-sections, the kernel on every y-grid of the convolution."""
+    of the cross-sections, and the kernel on the window nodes of every block of
+    band points, each of which expands into _CONVOLVE_WIDTH floats (window and
+    tail); its 1-D calls are the middle piece's series, one float a point."""
     sizes = {"sections": [], "convolution": []}
+
+    def profile(self, s2, _f=BumpFunction.profile):
+        sizes["sections"].append(np.size(s2))
+        return _f(self, s2)
+
+    def in_window(self, z, _f=ChiKernel.in_window):
+        if np.ndim(z) == 2:
+            sizes["convolution"].append(len(z) * _CONVOLVE_WIDTH)
+        return _f(self, z)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "BLOCK_ELEMENTS", cap)
-        for owner, name, key in ((BumpFunction, "profile", "sections"),
-                                 (ChiKernel, "value_and_antiderivative", "convolution")):
-            def spy(self, x, _f=getattr(owner, name), _key=key):
-                sizes[_key].append(np.size(x))
-                return _f(self, x)
-            mp.setattr(owner, name, spy)
+        mp.setattr(BumpFunction, "profile", profile)
+        mp.setattr(ChiKernel, "in_window", in_window)
         return run(), sizes
 
 
@@ -138,10 +146,12 @@ class TestElementCap:
         assert sizes["sections"] and sizes["convolution"]
         assert max(sizes["sections"]) <= BLOCK_ELEMENTS
         assert max(sizes["convolution"]) <= BLOCK_ELEMENTS
-        # and some block is full: 64 band points of 128 floats, 128 slices of
-        # 64, 8 slices of 32^2 or 16 radii of 512 rays; no round of the radial
-        # cone holds 8192 radii of one ray, so its full blocks are the band's
-        assert BLOCK_ELEMENTS in sizes["sections"] + sizes["convolution"]
+        # and some block is full, within one row of the cap: 73 band points of
+        # 112 floats (8176), or exactly 128 slices of 64, 8 slices of 32^2 or 16
+        # radii of 512 rays; no round of the radial cone holds 8192 radii of one
+        # ray, so its full blocks are the band's, as are the d = 1 wedge's
+        assert (BLOCK_ELEMENTS in sizes["sections"]
+                or max(sizes["convolution"]) > BLOCK_ELEMENTS - _CONVOLVE_WIDTH)
 
     @pytest.mark.parametrize("case", ["wedge d=1", "wedge d=2", "wedge d=3"])
     @pytest.mark.parametrize("side", ["upper", "lower"])
