@@ -13,7 +13,11 @@ coordinate the weights and cutoffs depend on (the first axis for wedges, the
 radius for balls) times smooth cross-section quadratures (on balls one exact
 ray for radial data, a sphere rule otherwise), with panel splits seeded at
 the data's support ends and centres and at the four images of the cutoff's
-feature points; the adaptive halving grades the panels towards them.
+feature points; the adaptive halving grades the panels towards them.  One
+adaptive rule serves a vector of these integrals ("lanes") on shared panels:
+the cross-sections are evaluated once per node for all of them, and a squeeze
+sweep integrates its exact entropy with the bounds of up to 8 schedule
+entries in one call.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import (
     ParameterViolation,
     ScheduleViolation,
 )
-from .quadrature import QuadResult, blocks, gauss_rule, integrate_1d
+from .quadrature import MAX_LANES, QuadResult, blocks, gauss_rule, integrate_1d
 
 
 # --------------------------------------------------------------------------
@@ -370,22 +374,26 @@ def _check_collar(region: Region, epsilon: float) -> None:
 
 
 def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
-                       cutoff=None, side: str = "upper",
-                       epsilon: float = 0.0) -> QuadResult:
+                       lanes: Sequence[tuple | None]) -> list[QuadResult]:
     """(pi/2) int beta_V [ (grad(eta g0))^2 + m^2 (eta g0)^2 + (eta g1)^2 ] d^d x,
-    plus (d-1)/(2 R_V) (eta g0)^2 in the integrand when V is a ball of radius R_V.
+    plus (d-1)/(2 R_V) (eta g0)^2 in the integrand when V is a ball of radius R_V,
+    for each lane: None or a (cutoff, side, epsilon).
 
-    Without a cutoff, eta = 1 and V is the region itself: the exact entropy.
-    With one, V is the half-space x^1 > -+2*epsilon or the radius r +- 2*epsilon
+    A None lane has eta = 1 and V the region itself: the exact entropy.  With a
+    cutoff, V is the half-space x^1 > -+2*epsilon or the radius r +- 2*epsilon
     ball, and eta makes its 0-to-1 transition across the 2*epsilon collar
     between the boundaries of V and the region, as a function of the
     transition variable u = normal (y - edge)/epsilon +- 1; the lower side
     mirrors it, eta_-(u) = 1 - eta(-u), so a feature point p of eta sits at
-    u = sign * p.  The integral runs over the larger of the two regions.
+    u = sign * p.  Each lane's integral runs over the larger of its two
+    regions.  All lanes share one adaptive panel set and one cross-section
+    evaluation per node; each lane's integrand is zero outside its own range,
+    whose ends are panel splits.
     """
-    if cutoff is not None:
-        _check_collar(region, epsilon)
-        sign = _side_sign(side)
+    for lane in lanes:
+        if lane is not None:
+            _check_collar(region, lane[2])
+            _side_sign(lane[1])
     if isinstance(region, Ball) and g.mass != 0.0:
         raise MassNotZero(f"mass {g.mass!r} must be 0: the ball weight only "
                           f"generates the massless flow")
@@ -394,51 +402,77 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
     box = g.support_box()
     # outer coordinate y: x^1 on wedges, the radius on balls; the region's
     # boundary sits at y = edge and normal * (y - edge) grows into the region
-    if isinstance(region, Wedge):
-        # V = {x^1 > shift}, with weight x^1 - shift
-        shift = 0.0 if cutoff is None else -sign * 2.0 * epsilon
+    wedge = isinstance(region, Wedge)
+    if wedge:
         sections, splits, edge, normal = _wedge_sections, _data_splits(g), 0.0, 1.0
-        lo, hi = max(box[0][0], min(edge, shift)), box[0][1]
-        jacobian_power, curvature = 0, 0.0
+        jacobian_power = 0
+    else:
+        sections, splits, edge, normal = _cone_sections, _radial_splits(g), region.radius, -1.0
+        reach = math.sqrt(sum(max(abs(a), abs(b)) ** 2 for a, b in box))
+        jacobian_power = g.dimension - 1
+    m2 = g.mass ** 2
+
+    # per lane: V (the half-space x^1 > shift, or a ball), the lane's range,
+    # the sign and collar of its transition (an exact lane has none: its 1.0
+    # is never read); lanes that share a cutoff share its evaluation
+    shifts, balls, ranges, signs, collars, by_cutoff = [], [], [], [], [], {}
+    for k, (cutoff, side, epsilon) in enumerate(lane or (None, "upper", 1.0) for lane in lanes):
+        sign = _side_sign(side)
+        if wedge:
+            shift = 0.0 if cutoff is None else -sign * 2.0 * epsilon
+            shifts.append(shift)
+            ranges.append((max(box[0][0], min(edge, shift)), box[0][1]))
+        else:
+            v = region if cutoff is None else Ball(region.radius + sign * 2.0 * epsilon)
+            balls.append(v)
+            ranges.append((0.0, min(max(edge, v.radius), reach)))
+        splits.extend(ranges[-1])
+        signs.append(sign)
+        collars.append(epsilon)
+        if cutoff is not None:
+            by_cutoff.setdefault(cutoff, []).append(k)
+            # the feature images only: integrate_1d's halving grades the
+            # panels towards them, as it does towards any endpoint feature
+            splits.extend(edge + normal * epsilon * (sign * p - sign)
+                          for p in cutoff.feature_points())
+    a, b = min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
+    # a lane's integrand is zero outside its range: one that covers [a, b]
+    # keeps every node, and an empty one none
+    lo, hi = np.array([(-math.inf, math.inf) if lo <= a and hi >= b
+                       else (lo, hi) if lo < hi else (math.inf, -math.inf)
+                       for lo, hi in ranges]).T[:, :, None]
+    sign, collar = np.array(signs)[:, None], np.array(collars)[:, None]
+    groups = [(cutoff, np.array(k)) for cutoff, k in by_cutoff.items()]
+    if wedge:
+        shift, curvature = np.array(shifts)[:, None], 0.0
 
         def weight(y):
             return y - shift
     else:
-        v = region if cutoff is None else Ball(region.radius + sign * 2.0 * epsilon)
-        sections, splits, edge, normal = _cone_sections, _radial_splits(g), region.radius, -1.0
-        reach = math.sqrt(sum(max(abs(a), abs(b)) ** 2 for a, b in box))
-        lo, hi = 0.0, min(max(edge, v.radius), reach)
-        jacobian_power = g.dimension - 1
-        curvature = jacobian_power / (2.0 * v.radius)
+        curvature = np.array([jacobian_power / (2.0 * v.radius) for v in balls])[:, None]
 
         def weight(y):
-            return v.weight(y[:, None])
-    m2 = g.mass ** 2
-    if cutoff is not None:
-        # the feature images only: integrate_1d's halving grades the panels
-        # towards them, as it does towards any endpoint feature
-        splits.extend(edge + normal * epsilon * (sign * p - sign)
-                      for p in cutoff.feature_points())
+            return np.stack([v.weight(y[:, None]) for v in balls])
 
     def integrand(y):
-        if cutoff is None:
-            eta, etap = 1.0, 0.0
-        else:
+        eta, etap = np.ones((len(lanes), y.size)), np.zeros((len(lanes), y.size))
+        for cutoff, k in groups:
             # transition variable u = normal (y - edge)/eps +- 1, mirrored on
             # the lower side: eta_-(u) = 1 - eta(-u), eta_-'(u) = eta'(-u)
-            eta, etap = cutoff.eta_and_prime(sign * (normal * (y - edge) / epsilon + sign))
-            if sign < 0:
-                eta = 1.0 - eta
-            etap = normal * etap / epsilon
+            u = sign[k] * (normal * (y - edge) / collar[k] + sign[k])
+            e, p = (f.reshape(u.shape) for f in cutoff.eta_and_prime(u.ravel()))
+            eta[k] = np.where(sign[k] < 0, 1.0 - e, e)
+            etap[k] = normal * p / collar[k]
         s = sections(g, y, quad)
         dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
                 + eta * eta * (s["C"] + s.get("P", 0.0) + m2 * s["A"] + s["Q"]))
         out = weight(y) * dens + curvature * eta * eta * s["A"]
-        return y ** jacobian_power * out
+        return np.where((y >= lo) & (y <= hi), y ** jacobian_power * out, 0.0)
 
-    res = integrate_1d(integrand, lo, hi, splits=splits, order=quad.outer_order,
-                       rel_tol=quad.rel_tol, max_panels=quad.max_panels)
-    return QuadResult(0.5 * math.pi * res.value, 0.5 * math.pi * res.error)
+    res = integrate_1d(integrand, a, b, splits=splits, order=quad.outer_order,
+                       rel_tol=quad.rel_tol, max_panels=len(lanes) * quad.max_panels,
+                       lanes=len(lanes))
+    return [QuadResult(0.5 * math.pi * r.value, 0.5 * math.pi * r.error) for r in res]
 
 
 def exact_entropy(g: InitialData, region: Region,
@@ -446,7 +480,7 @@ def exact_entropy(g: InitialData, region: Region,
     """Wedge: (pi/2) int_{x^1 > 0} x^1 (|grad g0|^2 + m^2 g0^2 + g1^2) d^d x.
     Ball: (pi/2) int_B [beta (|grad g0|^2 + g1^2) + (d-1)/(2r) g0^2] for
     massless data.  Both are the bound integral with eta = 1 on the region."""
-    return _weighted_integral(g, region, quad)
+    return _weighted_integral(g, region, quad, [None])[0]
 
 
 def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
@@ -458,7 +492,7 @@ def entropy_bound(g: InitialData, region: Region, side: str, cutoff,
     (pi/2) int beta_pm [ (grad(eta_pm g0))^2 + m^2 (eta_pm g0)^2 + (eta_pm g1)^2 ]
     plus the curvature term for cones.
     """
-    return _weighted_integral(g, region, quad, cutoff, side, epsilon)
+    return _weighted_integral(g, region, quad, [(cutoff, side, epsilon)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -527,7 +561,14 @@ def squeeze_sweep(g: InitialData, region: Region,
     """Evaluate (H-, H_exact, H+) along a schedule of (epsilon, s, t) that
     squeezes: each entry a collar (`_check_collar`) and a transition
     (`cutoff.check_transition`) the bounds accept, epsilon and s
-    non-increasing, t non-decreasing; else raise ScheduleViolation at once."""
+    non-increasing, t non-decreasing; else raise ScheduleViolation at once.
+
+    The exact entropy and the bounds of the first 8 entries are the 17 lanes
+    of one integral on shared panels, each later 8 entries the 16 lanes of
+    another (`quadrature.MAX_LANES`); entries with equal (s, t) share one
+    profile.  Interior data give every lane the same panels, so each value is
+    bitwise that of a separate `exact_entropy` or `entropy_bound` call; data
+    that reach the collar may differ from those within the reported error."""
     schedule = list(schedule)
     for eps, s, t in schedule:
         try:
@@ -541,16 +582,17 @@ def squeeze_sweep(g: InitialData, region: Region,
                                     f"epsilon and s may not grow and t may not shrink")
     if not schedule:
         return []
-    h_exact = exact_entropy(g, region, quad)
-    records = []
-    for eps, s, t in schedule:
-        prof = AnalyticCutoff(s, t)
-        h_minus = entropy_bound(g, region, "lower", prof, eps, quad)
-        h_plus = entropy_bound(g, region, "upper", prof, eps, quad)
-        err = h_exact.error + h_minus.error + h_plus.error
-        records.append(BoundSweepRecord(eps, s, t, h_minus.value, h_exact.value,
-                                        h_plus.value, err))
-    return records
+    # one call integrates the exact entropy with the bounds of the first
+    # (MAX_LANES - 1) // 2 entries, and later entries go that many at a time
+    profiles = {(s, t): AnalyticCutoff(s, t) for _, s, t in schedule}
+    bounds = [(profiles[s, t], side, eps) for eps, s, t in schedule for side in ("lower", "upper")]
+    per_call = MAX_LANES - 1
+    h_exact, *results = [r for k in range(0, len(bounds), per_call)
+                         for r in _weighted_integral(g, region, quad,
+                                                     [None] * (k == 0) + bounds[k:k + per_call])]
+    return [BoundSweepRecord(eps, s, t, h_minus.value, h_exact.value, h_plus.value,
+                             h_exact.error + h_minus.error + h_plus.error)
+            for (eps, s, t), h_minus, h_plus in zip(schedule, results[::2], results[1::2])]
 
 
 # --------------------------------------------------------------------------

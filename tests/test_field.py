@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from modlab import cutoff, field
+from modlab.cli import preset_data, preset_region
 from modlab.cutoff import eta_st
 from modlab.errors import (
     DimensionMismatch,
@@ -521,12 +522,11 @@ class TestEntropyBound:
             entropy_bound(g, Wedge(), "upper", eta_st(1.5, 20), epsilon)
 
     def test_cone_collar_checked_before_the_exact_entropy(self, monkeypatch):
-        import modlab.field as field
-
         def unexpected(*args, **kwargs):
-            raise AssertionError("exact entropy computed for a refused schedule")
+            raise AssertionError("integral computed for a refused schedule")
 
-        monkeypatch.setattr(field, "exact_entropy", unexpected)
+        # the sweep integrates its exact entropy together with its bounds
+        monkeypatch.setattr(field, "integrate_1d", unexpected)
         with pytest.raises(ScheduleViolation):
             squeeze_sweep(central_cone_data(0.5), Ball(1.0), [(0.6, 1.8, 40.0)])
 
@@ -771,6 +771,64 @@ class TestSqueezeSweep:
                       (math.inf, 1.8, 40.0), (1e-2, math.nan, 40.0), (1e-2, 1.8, math.inf)):
             with pytest.raises(ScheduleViolation):
                 squeeze_sweep(g, Wedge(), [entry])
+
+
+INTERIOR_SCHEDULE = [(1e-2, 1.8, 40.0), (3e-3, 1.6, 100.0), (1e-3, 1.5, 200.0)]
+BOUNDARY_SCHEDULE = [(0.02, 1.5, 200.0), (0.01, 1.5, 200.0), (0.005, 1.5, 200.0)]
+
+
+class TestFusedSweep:
+    """A sweep integrates its exact entropy and bounds on one panel set; each
+    record must agree with separate `exact_entropy` and `entropy_bound` calls."""
+
+    @staticmethod
+    def separate(g, region, schedule):
+        h = exact_entropy(g, region)
+        return h, [(entropy_bound(g, region, "lower", eta_st(s, t), eps),
+                    entropy_bound(g, region, "upper", eta_st(s, t), eps))
+                   for eps, s, t in schedule]
+
+    # the ten acceptance presets, on criterion 5's schedules
+    @pytest.mark.parametrize("data, schedule", [("interior", INTERIOR_SCHEDULE),
+                                                ("boundary", BOUNDARY_SCHEDULE)],
+                             ids=["interior", "boundary"])
+    @pytest.mark.parametrize("geometry, d, mass", [
+        ("wedge", 1, 0.0), ("wedge", 1, 1.0), ("wedge", 2, 0.0), ("wedge", 2, 1.0),
+        ("cone", 3, 0.0)])
+    def test_records_match_separate_integrals(self, geometry, d, mass, data, schedule):
+        g, region = preset_data(geometry, d, mass, data), preset_region(geometry, 1.0)
+        recs = squeeze_sweep(g, region, schedule)
+        h, bounds = self.separate(g, region, schedule)
+        for rec, (lower, upper) in zip(recs, bounds, strict=True):
+            pairs = [(rec.h_minus, lower), (rec.h_exact, h), (rec.h_plus, upper)]
+            if data == "interior":
+                # every lane covers the data's support and needs the same
+                # panels, so fused and separate integrals agree bit for bit
+                assert [fused for fused, _ in pairs] == [res.value for _, res in pairs]
+                assert rec.quad_error_estimate == h.error + lower.error + upper.error
+            for fused, res in pairs:
+                assert abs(fused - res.value) <= rec.quad_error_estimate + res.error
+            assert rec.quad_error_estimate < 1e-9 * abs(rec.h_exact)
+
+    @pytest.mark.parametrize("geometry, d", [("wedge", 2), ("cone", 3)])
+    def test_long_schedule_runs_in_groups(self, monkeypatch, geometry, d):
+        # 100 entries: the exact entropy and 8 entries (17 lanes), then eleven
+        # calls of 8 entries and one of the last 4
+        g, region = preset_data(geometry, d, 0.0, "boundary"), preset_region(geometry, 1.0)
+        schedule = [(float(eps), 1.5, 200.0) for eps in np.geomspace(1e-2, 1e-4, 100)]
+        lanes, integrate = [], field.integrate_1d
+
+        def spy(*args, **kwargs):
+            lanes.append(kwargs["lanes"])
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(field, "integrate_1d", spy)
+        recs = squeeze_sweep(g, region, schedule)
+        assert lanes == [17] + [16] * 11 + [8]
+        h, bounds = self.separate(g, region, schedule)
+        for rec, (lower, upper) in zip(recs, bounds, strict=True):
+            assert rec.ordering_ok()
+            for fused, res in ((rec.h_minus, lower), (rec.h_exact, h), (rec.h_plus, upper)):
+                assert abs(fused - res.value) <= rec.quad_error_estimate + res.error
 
 
 class TestModularFlow:

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from modlab import field as field_module
 from modlab import quadrature
 from modlab.cli import preset_data
 from modlab.cutoff import _CONVOLVE_WIDTH, ChiKernel, eta_st
 from modlab.errors import QuadratureBudgetExceeded
 from modlab.field import (Ball, BumpFunction, FieldQuad, InitialData, Wedge, entropy_bound,
-                          exact_entropy)
+                          exact_entropy, squeeze_sweep)
 from modlab.quadrature import BLOCK_ELEMENTS, gauss_rule, integrate_1d
 from test_field import off_centre_data
 
@@ -86,6 +87,82 @@ class TestBatches:
             integrate_1d(recording(lambda x: 1.0 / np.abs(x - 0.3), sizes),
                          0.0, 1.0, order=12, max_panels=50)
         assert sum(sizes) <= 51 * (12 + 16)
+
+
+def smooth(x):
+    return np.exp(-x) * np.cos(3.0 * x)
+
+
+SMOOTH_EXACT = (1.0 - math.exp(-1.0) * (math.cos(3.0) - 3.0 * math.sin(3.0))) / 10.0
+
+
+class TestLanes:
+    @pytest.mark.parametrize("f, splits", [(kinked, [0.3]), (kinked, []), (smooth, [0.5])])
+    def test_one_lane_is_bitwise_the_scalar_rule(self, f, splits):
+        scalar = integrate_1d(f, 0.0, 1.0, splits=splits, rel_tol=1e-12)
+        assert integrate_1d(lambda x: f(x)[None], 0.0, 1.0, splits=splits,
+                            rel_tol=1e-12, lanes=1) == [scalar]
+
+    def test_each_lane_within_its_error_of_its_scalar_integral(self):
+        # the kinked lanes refine towards their seeded kinks at 0.3 and 0.6, the
+        # smooth one stops early; on their shared panels each keeps its own
+        # value and error
+        lanes = (smooth, kinked, lambda x: 1e3 * np.abs(x - 0.6) ** 1.5)
+        exacts = (SMOOTH_EXACT, KINKED_EXACT, 1e3 * (0.6 ** 2.5 + 0.4 ** 2.5) / 2.5)
+        stacked = integrate_1d(lambda x: np.stack([f(x) for f in lanes]), 0.0, 1.0,
+                               splits=[0.3, 0.6], rel_tol=1e-11, lanes=3)
+        for f, exact, res in zip(lanes, exacts, stacked):
+            scalar = integrate_1d(f, 0.0, 1.0, splits=[0.3, 0.6], rel_tol=1e-11)
+            rounding = 4.0 * np.finfo(float).eps * abs(exact)
+            assert abs(res.value - scalar.value) <= res.error + scalar.error + rounding
+            assert abs(res.value - exact) <= res.error + rounding
+
+    @pytest.mark.parametrize("lanes", [2, 5, 17])
+    def test_calls_take_at_most_the_cap_over_the_lanes(self, lanes):
+        # the chirped sawtooth never converges, so its rounds pass the cap
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.stack([np.modf(1e7 * x * x)[0]] * lanes)
+        with pytest.raises(QuadratureBudgetExceeded):
+            integrate_1d(f, 0.0, 1.0, order=12, max_panels=2000, lanes=lanes)
+        assert max(sizes) == BLOCK_ELEMENTS // lanes
+
+    def test_budget_counts_panels_not_lanes(self):
+        # one lane that never converges stops the call before more than
+        # max_panels + 1 panels run, whatever the other lanes do
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.stack([smooth(x), 1.0 / np.abs(x - 0.3), kinked(x)])
+        with pytest.raises(QuadratureBudgetExceeded):
+            integrate_1d(f, 0.0, 1.0, order=12, max_panels=50, lanes=3)
+        assert 50 * (12 + 16) < sum(sizes) <= 51 * (12 + 16)
+
+    @pytest.mark.parametrize("entries", [1, 8, 9])
+    def test_a_fused_call_has_the_sum_of_its_lanes_budgets(self, monkeypatch, entries):
+        # the sweep's exact entropy and first 8 entries take one call of 17
+        # lanes, each later 8 entries one call of 16; each call may evaluate
+        # the budget of all its lanes, and every call here evaluates more
+        # panels (49 to 212) than one lane's budget of 40 would allow
+        g = preset_data("wedge", 1, 0.0, "boundary")
+        schedule = [(1e-2 * 0.8 ** k, 1.5, 200.0) for k in range(entries)]
+        quad, calls, integrate = FieldQuad(max_panels=40), [], field_module.integrate_1d
+
+        def spy(f, *args, **kw):
+            nodes = []
+            res = integrate(recording(f, nodes), *args, **kw)
+            calls.append((kw["lanes"], kw["max_panels"], sum(nodes) // (2 * 12 + 4)))
+            return res
+        monkeypatch.setattr(field_module, "integrate_1d", spy)
+        squeeze_sweep(g, Wedge(), schedule, quad)
+        lanes = [1 + 2 * min(entries, 8)] + [2 * min(entries - k, 8) for k in range(8, entries, 8)]
+        assert [(k, m) for k, m, _ in calls] == [(k, k * quad.max_panels) for k in lanes]
+        assert all(quad.max_panels + 1 < panels for *_, panels in calls)
+        with pytest.raises(QuadratureBudgetExceeded):
+            squeeze_sweep(g, Wedge(), schedule, FieldQuad(max_panels=2))
 
 
 # ---------------------------------------------------------------------------
