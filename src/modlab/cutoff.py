@@ -227,12 +227,9 @@ class AnalyticCutoff:
     def energy(self) -> float:
         """E[eta] = int_{-1}^{1} (x + 1) eta'(x)^2 dx, integrated on first use."""
         splits = self.feature_points()
-        inner = []
-        for c in splits:
-            inner.extend(np.linspace(c - 4e-1 / self.t, c + 4e-1 / self.t, 5).tolist())
         return integrate_1d(lambda x: (x + 1.0) * self.eta_prime(x) ** 2,
                             max(splits[0], -1.0), min(splits[-1], 1.0),
-                            splits=splits + inner, order=12, rel_tol=1e-9,
+                            splits=splits, order=12, rel_tol=1e-9,
                             max_panels=20000).value
 
 

@@ -135,9 +135,11 @@ Region = Wedge | Ball
 @dataclass(frozen=True)
 class FieldQuad:
     """Resolution knobs for the field integrals; n_mu and n_phi act only on
-    ball data that are not radial, since radial data take one exact ray."""
+    ball data that are not radial, since radial data take one exact ray.
+    outer_order is the n of the outer rule's G_n/K_{2n+1} panels: of 12, 14
+    and 16, 16 takes the fewest integrand points over a warm squeeze pass."""
 
-    outer_order: int = 12
+    outer_order: int = 16
     cross_order: int = 24
     n_phi: int = 32
     n_mu: int = 16

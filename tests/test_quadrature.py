@@ -1,6 +1,9 @@
 """Tests for the round-wise batched adaptive quadrature driver."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from modlab.cutoff import _CONVOLVE_WIDTH, ChiKernel, eta_st
 from modlab.errors import QuadratureBudgetExceeded
 from modlab.field import (Ball, BumpFunction, FieldQuad, InitialData, Wedge, entropy_bound,
                           exact_entropy, squeeze_sweep)
-from modlab.quadrature import BLOCK_ELEMENTS, gauss_rule, integrate_1d
+from modlab.quadrature import BLOCK_ELEMENTS, gauss_rule, integrate_1d, kronrod_rule
 from test_field import off_centre_data
 
 
@@ -31,10 +34,72 @@ KINKED_EXACT = (0.3 ** 2.5 + 0.7 ** 2.5) / 2.5
 
 
 def panel_widths(x, order):
-    """Widths of the panels whose order-p and order-(p+4) nodes make up x."""
-    rows = x.reshape(-1, 2 * order + 4)
-    x_c = gauss_rule(order)[0]
-    return (rows[:, order - 1] - rows[:, 0]) * 2.0 / (x_c[-1] - x_c[0])
+    """Widths of the panels whose 2n+1 Kronrod nodes (n = order) make up x."""
+    rows = x.reshape(-1, 2 * order + 1)
+    x_k = kronrod_rule(order)[0]
+    return (rows[:, -1] - rows[:, 0]) * 2.0 / (x_k[-1] - x_k[0])
+
+
+# QUADPACK's QK15 table (Piessens et al., 1983): the 15-node Kronrod extension
+# of the 7-point Gauss rule, nodes x >= 0 from the outside in
+QK15_NODES = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+              0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+              0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+              0.207784955007898467600689403773245, 0.0)
+QK15_WEIGHTS = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+
+
+def legendre(k, x):
+    """P_k(x), with P_k(1) = 1."""
+    return np.polynomial.legendre.legval(x, np.eye(k + 1)[k])
+
+
+class TestKronrodRule:
+    @pytest.mark.parametrize("n", [4, 7, 12, 14, 24, 40])
+    def test_exact_through_degree_3n_plus_1_and_no_further(self, n):
+        # Legendre polynomials, not monomials: the top Legendre part of x^k is
+        # too small to show that a rule is inexact.  The sum's own rounding is
+        # at most gamma_{2n+1} sum |w_k P(x_k)|; eight times that leaves room
+        # for the rounding of the nodes, weights and P_k (the worst seen is
+        # 2.2 (2n+1) u times the sum), and a 1e-12 change of one weight, which
+        # moves the k = 0 sum by 1e-12, still fails it (1.4e-13 at n = 40)
+        x, w = kronrod_rule(n)
+        u = 0.5 * np.finfo(float).eps
+        for k in range(3 * n + 2):
+            p = legendre(k, x)
+            exact = 2.0 if k == 0 else 0.0
+            assert abs(w @ p - exact) <= 8 * (2 * n + 1) * u * (w @ np.abs(p)), k
+        # a symmetric rule integrates every odd P_k; the first even degree past
+        # 3n + 1 is far off (2.5e-2 at n = 4 down to 3.3e-5 at n = 40)
+        k = 3 * n + 2 + n % 2
+        assert abs(w @ legendre(k, x)) > 1e-5
+
+    @pytest.mark.parametrize("n", [4, 7, 12, 14, 24, 40])
+    def test_gauss_nodes_embedded_and_interlaced(self, n):
+        x, w = kronrod_rule(n)
+        assert x.shape == w.shape == (2 * n + 1,)
+        assert np.array_equal(x[1::2], gauss_rule(n)[0])
+        assert -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)
+        assert np.all(w > 0.0)
+
+    def test_matches_quadpack_qk15(self):
+        x, w = kronrod_rule(7)
+        assert np.allclose(-x[:8], QK15_NODES, rtol=0.0, atol=1e-15)
+        assert np.allclose(x[7:], QK15_NODES[::-1], rtol=0.0, atol=1e-15)
+        assert np.allclose(w[:8], QK15_WEIGHTS, rtol=0.0, atol=1e-15)
+        assert np.allclose(w[7:], QK15_WEIGHTS[::-1], rtol=0.0, atol=1e-15)
+
+    def test_built_on_first_use_not_at_import(self):
+        # in a fresh interpreter: in this one another test may have built it
+        src = str(Path(quadrature.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import modlab; "
+                "print(modlab.quadrature.kronrod_rule.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "0"
 
 
 class TestBatches:
@@ -51,13 +116,13 @@ class TestBatches:
 
     def test_a_round_past_the_cap_is_cut_at_the_cap(self):
         # a chirped sawtooth: no panel converges, so round k holds 2^k panels of
-        # 12 + 16 nodes, 2^11 panels at most under the budget; a round within the
-        # cap is one call, a larger one calls of BLOCK_ELEMENTS nodes and the rest
+        # 2 * 12 + 1 nodes, 2^11 panels at most under the budget; a round within
+        # the cap is one call, a larger one calls of BLOCK_ELEMENTS nodes and the rest
         sizes = []
         with pytest.raises(QuadratureBudgetExceeded):
             integrate_1d(recording(lambda x: np.modf(1e7 * x * x)[0], sizes), 0.0, 1.0,
                          order=12, max_panels=5000)
-        rounds = [28 * 2 ** k for k in range(12)]
+        rounds = [(2 * 12 + 1) * 2 ** k for k in range(12)]
         # some rounds are cut, and some of those leave a partial last call
         assert rounds[-1] > BLOCK_ELEMENTS
         assert any(n > BLOCK_ELEMENTS and n % BLOCK_ELEMENTS for n in rounds)
@@ -86,7 +151,7 @@ class TestBatches:
         with pytest.raises(QuadratureBudgetExceeded):
             integrate_1d(recording(lambda x: 1.0 / np.abs(x - 0.3), sizes),
                          0.0, 1.0, order=12, max_panels=50)
-        assert sum(sizes) <= 51 * (12 + 16)
+        assert sum(sizes) <= 51 * (2 * 12 + 1)
 
 
 def smooth(x):
@@ -139,22 +204,22 @@ class TestLanes:
             return np.stack([smooth(x), 1.0 / np.abs(x - 0.3), kinked(x)])
         with pytest.raises(QuadratureBudgetExceeded):
             integrate_1d(f, 0.0, 1.0, order=12, max_panels=50, lanes=3)
-        assert 50 * (12 + 16) < sum(sizes) <= 51 * (12 + 16)
+        assert 50 * (2 * 12 + 1) < sum(sizes) <= 51 * (2 * 12 + 1)
 
     @pytest.mark.parametrize("entries", [1, 8, 9])
     def test_a_fused_call_has_the_sum_of_its_lanes_budgets(self, monkeypatch, entries):
         # the sweep's exact entropy and first 8 entries take one call of 17
         # lanes, each later 8 entries one call of 16; each call may evaluate
         # the budget of all its lanes, and every call here evaluates more
-        # panels (49 to 212) than one lane's budget of 40 would allow
+        # panels (27 to 146) than one lane's budget of 25 would allow
         g = preset_data("wedge", 1, 0.0, "boundary")
         schedule = [(1e-2 * 0.8 ** k, 1.5, 200.0) for k in range(entries)]
-        quad, calls, integrate = FieldQuad(max_panels=40), [], field_module.integrate_1d
+        quad, calls, integrate = FieldQuad(max_panels=25), [], field_module.integrate_1d
 
         def spy(f, *args, **kw):
             nodes = []
             res = integrate(recording(f, nodes), *args, **kw)
-            calls.append((kw["lanes"], kw["max_panels"], sum(nodes) // (2 * 12 + 4)))
+            calls.append((kw["lanes"], kw["max_panels"], sum(nodes) // (2 * quad.outer_order + 1)))
             return res
         monkeypatch.setattr(field_module, "integrate_1d", spy)
         squeeze_sweep(g, Wedge(), schedule, quad)
