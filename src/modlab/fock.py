@@ -4,6 +4,10 @@ Ladder operators are exact below the cutoff sector; displacement unitaries,
 second quantization and the coherent-state identities are verified as matrix
 identities compressed onto low particle sectors, where truncation defects are
 factorially suppressed.
+
+A displacement is exp(i phi) of a real symmetric field that is odd under the
+parity (-1)^N, so it takes one real SVD of the field's odd-even block and no
+eigendecomposition; its opposite is a parity sign pattern of it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationBudgetExceeded
-from .linalg import HermitianEig, _eigh, dagger, hermitian_eig
+from .linalg import HermitianEig, _svd, dagger, hermitian_eig
 from .modular import AntilinearMap
 
 CHI_MAX = 0.5  # guard on |chi| for displacements built on the truncated space
@@ -39,7 +43,8 @@ class TruncatedFock:
 
     The basis is ordered by particle total (`totals`), so the sectors up to m
     are its first count(totals <= m) states; `occupations` holds it as a
-    (dim, modes) array."""
+    (dim, modes) array, and `even` and `odd` index its states of even and of
+    odd total."""
 
     modes: int
     cutoff: int
@@ -47,6 +52,8 @@ class TruncatedFock:
     index: dict = field(init=False, repr=False)
     totals: np.ndarray = field(init=False, repr=False)
     occupations: np.ndarray = field(init=False, repr=False)
+    even: np.ndarray = field(init=False, repr=False)
+    odd: np.ndarray = field(init=False, repr=False)
     lower: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -68,6 +75,8 @@ class TruncatedFock:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "occupations", np.array(basis))
         object.__setattr__(self, "totals", self.occupations.sum(axis=1))
+        object.__setattr__(self, "even", np.flatnonzero(self.totals % 2 == 0))
+        object.__setattr__(self, "odd", np.flatnonzero(self.totals % 2 == 1))
         object.__setattr__(self, "lower", lower)
 
     @property
@@ -163,10 +172,26 @@ def weyl(tf: TruncatedFock, chi) -> np.ndarray:
 
 def _displacement(tf: TruncatedFock, chi: np.ndarray) -> np.ndarray:
     """Unguarded W(chi) = D exp(i phi(|chi|)) D^dag with D = exp(i arg(chi) N):
-    D a_m^dag D^dag = e^{i arg chi_m} a_m^dag, and phi(|chi|) is real symmetric."""
+    D a_m^dag D^dag = e^{i arg chi_m} a_m^dag, and phi(|chi|) is real symmetric.
+
+    phi(|chi|) changes the particle total by one, so it maps even states to odd
+    ones and back: it is [[0, B^T], [B, 0]] over (even, odd) states.  With
+    B = U S V^T, exp(i phi) has even block V cos S V^T, odd block U cos S U^T
+    (cos S padded with 1 past the smaller side) and odd-even block i U sin S V^T."""
+    even, odd = tf.even, tf.odd
     c = create(tf, np.abs(chi)).real
+    b = (c[np.ix_(odd, even)] + c[np.ix_(even, odd)].T) / math.sqrt(2.0)
+    u, s, vt = _svd(b)
+    off = 1j * ((u[:, :s.size] * np.sin(s)) @ vt[:s.size])
+    w = np.empty((tf.dim, tf.dim), dtype=complex)
+    # the longer side has null directions past s: singular value 0, cos 0 = 1
+    cos = np.ones(max(even.size, odd.size))
+    cos[:s.size] = np.cos(s)
+    w[np.ix_(even, even)] = (vt.T * cos[:even.size]) @ vt
+    w[np.ix_(odd, odd)] = (u * cos[:odd.size]) @ u.T
+    w[np.ix_(odd, even)] = off
+    w[np.ix_(even, odd)] = off.T
     d = np.exp(1j * (tf.occupations @ np.angle(chi)))
-    w = _eigh((c + c.T) / math.sqrt(2.0)).apply(lambda x: np.exp(1j * x))
     return d[:, None] * w * d.conj()
 
 

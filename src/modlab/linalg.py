@@ -2,8 +2,9 @@
 
 Hermitian eigendecomposition, Kronecker products and partial traces.  The one
 spectral calculus is `HermitianEig.apply`: f(A) = V f(Lambda) V^dag from a
-decomposition that its owner keeps, and every decomposition is `_eigh`'s, of
-a matrix symmetrised once.  Operators on H become Hilbert-Schmidt vectors
+decomposition that its owner keeps, and every Hermitian decomposition is
+`_eigh`'s, of a matrix symmetrised once.  `_svd` decomposes a Fock displacement's
+odd-even block.  Both turn a LAPACK failure into NonConvergence.  Operators on H become Hilbert-Schmidt vectors
 through the row-major `modular.hs_vec`.
 
 Each function also takes a stack (..., n, n) and acts on every matrix of it, as
@@ -78,6 +79,14 @@ def _eigh(a: np.ndarray) -> HermitianEig:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NonConvergence(str(exc)) from exc
     return HermitianEig(eigenvalues=w, eigenvectors=v)
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full `svd` a = U diag(s) V^dag, returned as (U, s, V^dag)."""
+    try:
+        return np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(str(exc)) from exc
 
 
 def kron(a, b) -> np.ndarray:

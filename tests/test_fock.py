@@ -7,7 +7,12 @@ import pytest
 from scipy.linalg import expm
 
 from modlab import fock
-from modlab.errors import DimensionMismatch, NonHermitian, TruncationBudgetExceeded
+from modlab.errors import (
+    DimensionMismatch,
+    NonConvergence,
+    NonHermitian,
+    TruncationBudgetExceeded,
+)
 from modlab.fock import (
     StandardSubspaceData,
     TruncatedFock,
@@ -165,8 +170,9 @@ class TestWeyl:
 
 class TestDisplacement:
     """W(chi) = D exp(i phi(|chi|)) D^dag with D = exp(i arg(chi) N) and
-    W(-chi) = (-1)^N W(chi) (-1)^N; the exponential's oracle is scipy's Pade
-    `expm`, which takes no eigh."""
+    W(-chi) = (-1)^N W(chi) (-1)^N, exp(i phi) from one SVD of phi's odd-even
+    block; the exponential's oracle is scipy's Pade `expm`, which takes no
+    eigh and no SVD."""
 
     # a zero component, purely imaginary and negative ones, |chi| = 0.5
     AMPLITUDES = [np.array([0.0, 0.5j]), np.array([0.3 - 0.4j, 0.0]),
@@ -177,6 +183,23 @@ class TestDisplacement:
     def test_matches_pade_exponential(self, cutoff):
         tf = TruncatedFock(2, cutoff)
         for chi in self.AMPLITUDES:
+            oracle = expm(1j * segal_field(tf, chi))
+            assert np.max(np.abs(fock._displacement(tf, chi) - oracle)) <= 1e-13
+
+    # (even, odd) state counts: (1, 1), (2, 1), (3, 3), (1, 2), (22, 13), so the
+    # odd-even block is square, wide and tall, and padded on either side
+    @pytest.mark.parametrize("modes, cutoff", [(1, 1), (1, 2), (1, 5), (2, 1), (3, 4)])
+    def test_parity_split_on_small_and_lopsided_spaces(self, modes, cutoff):
+        tf = TruncatedFock(modes, cutoff)
+        assert np.array_equal(np.sort(np.concatenate([tf.even, tf.odd])), np.arange(tf.dim))
+        assert np.all(tf.totals[tf.even] % 2 == 0) and np.all(tf.totals[tf.odd] % 2 == 1)
+        rng = np.random.default_rng(10 * modes + cutoff)
+        chis = [np.zeros(modes), np.full(modes, -0.5j / math.sqrt(modes)),
+                0.5 * np.eye(modes)[-1]]
+        for _ in range(3):
+            v = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
+            chis.append(0.5 * v / np.linalg.norm(v))
+        for chi in chis:
             oracle = expm(1j * segal_field(tf, chi))
             assert np.max(np.abs(fock._displacement(tf, chi) - oracle)) <= 1e-13
 
@@ -196,17 +219,31 @@ class TestDisplacement:
             assert np.max(np.abs(got - fock._displacement(tf, -chi))) <= 1e-14
 
     def test_suite_takes_49_real_decompositions(self, monkeypatch):
+        # one real SVD of the 42 x 49 odd-even block per displacement, and no
+        # eigh of the 91 x 91 field: the suite's only eigh calls are the 2 x 2
+        # one-particle Delta_H of StandardSubspaceData
         calls = []
-        eigh = np.linalg.eigh
+        for name in ("eigh", "svd"):
+            original = getattr(np.linalg, name)
 
-        def spy(a, *args, **kwargs):
-            calls.append((a.shape, a.dtype))
-            return eigh(a, *args, **kwargs)
+            def spy(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, a.shape, a.dtype))
+                return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+            monkeypatch.setattr(np.linalg, name, spy)
         run_fock_suite(20260810, 12)
-        full = [dtype for shape, dtype in calls if shape == (91, 91)]
-        assert full == [np.dtype(np.float64)] * 49
+        svds = [call for call in calls if call[0] == "svd"]
+        assert svds == [("svd", (42, 49), np.dtype(np.float64))] * 49
+        eighs = [shape for name, shape, _ in calls if name == "eigh"]
+        assert eighs and set(eighs) == {(2, 2)}
+
+    def test_failed_decomposition_is_nonconvergence(self, tf_small, monkeypatch):
+        def fail(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NonConvergence, match="did not converge"):
+            weyl(tf_small, [0.1, 0.2j])
 
 
 class TestDGamma:

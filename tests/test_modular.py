@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import logm, sqrtm
 
 from modlab import modular, suites
 from modlab.errors import DimensionMismatch, NonHermitian, NonUnitary, RankDeficient
@@ -312,6 +313,65 @@ class TestTheoremBounds:
         assert upper.passed
 
 
+class TestReferenceGenerator:
+    """The upper form's rhs is <X, K_Omega X> with K_Omega X = X log rho - log rho X,
+    the modular generator of rho_AB in closed form (Ohya and Petz, Quantum
+    Entropy and Its Use, 1993), for X = u^dag v sqrt(rho_AB)."""
+
+    SEED = 20260810
+
+    def trial(self, t):
+        """Theorem trial t of the acceptance seed, drawn as the suite draws it."""
+        rng = np.random.default_rng(self.SEED + t)
+        rho_ab = random_density(4, rng)
+        u, v = random_unitary(4, rng), random_unitary(4, rng)
+        return rho_ab, u, v, random_unitary(2, rng), random_unitary(2, rng)
+
+    # the two trials with the smallest p_min at the acceptance seed (5.2e-5 and
+    # 1.2e-4), where K from Delta's eigh is off by 6.6e-10 and 4.1e-10
+    @pytest.mark.parametrize("t", [403, 141])
+    def test_matches_a_schur_logm_oracle(self, t):
+        rho_ab, u, v, u_b, v_b = self.trial(t)
+        upper, _ = theorem_entropy_bounds(rho_ab, (2, 2), u, v, u_b, v_b,
+                                          tol=suites.THEOREM_MARGIN_TOL)
+        # Schur-based logm and sqrtm, no eigh
+        log_rho = logm(rho_ab.matrix)
+        x = dagger(u) @ v @ sqrtm(rho_ab.matrix)
+        oracle = np.real(np.trace(dagger(x) @ (x @ log_rho - log_rho @ x)))
+        assert abs(upper.rhs - oracle) <= 1e-11
+
+    def test_matches_the_tomita_generator_on_well_conditioned_states(self):
+        checked = 0
+        for k in range(200):
+            rng = np.random.default_rng(k)
+            rho_ab = random_density(4, rng)
+            if rho_ab.min_eigenvalue < 1e-2:
+                continue
+            u, v = random_unitary(4, rng), random_unitary(4, rng)
+            upper, _ = theorem_entropy_bounds(rho_ab, (2, 2), u, v, np.eye(2), np.eye(2),
+                                              tol=suites.THEOREM_MARGIN_TOL)
+            k_omega = modular_data(rho_ab, rho_ab).K
+            want = modular._quadratic_form(k_omega, dagger(u) @ v @ rho_ab.sqrt())
+            assert abs(upper.rhs - want) <= 1e-12
+            checked += 1
+        assert checked >= 50
+
+    def test_stacked_call_is_the_per_trial_call(self):
+        trials = range(32)
+        rngs = [np.random.default_rng(self.SEED + t) for t in trials]
+        rho_ab = random_density(4, rngs)
+        u, v = random_unitary(4, rngs), random_unitary(4, rngs)
+        u_b, v_b = random_unitary(2, rngs), random_unitary(2, rngs)
+        stacked = theorem_entropy_bounds(rho_ab, (2, 2), u, v, u_b, v_b,
+                                         trial_seed=np.arange(32), tol=suites.THEOREM_MARGIN_TOL)
+        for t in trials:
+            rho_t, u_t, v_t, u_bt, v_bt = self.trial(t)
+            single = theorem_entropy_bounds(rho_t, (2, 2), u_t, v_t, u_bt, v_bt,
+                                            trial_seed=t, tol=suites.THEOREM_MARGIN_TOL)
+            for got, want in zip(stacked, single):
+                assert (got.lhs[t], got.rhs[t], got.passed[t]) == (want.lhs, want.rhs, want.passed)
+
+
 class TestMonotonicity:
     def test_product_states_equality(self):
         rng = np.random.default_rng(23)
@@ -361,10 +421,13 @@ class TestDomainTypes:
         assert np.linalg.norm(omega @ dagger(omega) - rho_ab.matrix) <= 1e-12
 
     def test_purified_bipartite_requires_full_rank(self):
+        # a zero eigenvalue, and one of 1e-12 that the closed-form generator's
+        # log would take without complaint
         eye2, eye4 = np.eye(2), np.eye(4)
-        with pytest.raises(RankDeficient):
-            theorem_entropy_bounds(diag_state(0.5, 0.5, 0.0, 0.0), (2, 2), eye4, eye4, eye2, eye2,
-                                   tol=suites.THEOREM_MARGIN_TOL)
+        for rho_ab in (diag_state(0.5, 0.5, 0.0, 0.0), diag_state(0.4, 0.3, 0.3 - 1e-12, 1e-12)):
+            with pytest.raises(RankDeficient):
+                theorem_entropy_bounds(rho_ab, (2, 2), eye4, eye4, eye2, eye2,
+                                       tol=suites.THEOREM_MARGIN_TOL)
 
 
 class TestAntilinearPlumbing:
@@ -423,6 +486,13 @@ class TestWorkCounts:
                                      random_density(3, rng), random_density(3, rng))
         check_commutant_cancellation(random_unitary(3, rngs), random_unitary(3, rngs),
                                      random_density(3, rngs), random_density(3, rngs))
+        assert calls == []
+
+    def test_theorem_suite_builds_no_tomita_map(self, monkeypatch):
+        calls = []
+        for name in ("modular_data", "rel_tomita", "_polar"):
+            self.spy(monkeypatch, modular, name, calls)
+        suites.run_theorem_suite(seed=3, theorem_trials=40, monotonicity_trials=0)
         assert calls == []
 
     def test_commutant_cancellation_requires_full_rank(self):
