@@ -250,7 +250,9 @@ def _apply_w(omega: np.ndarray, fam: TruncatedCuntz) -> np.ndarray:
 def _min_product_gap(omega: np.ndarray, target: np.ndarray,
                      u_prime: np.ndarray, u: np.ndarray) -> float:
     """min over a stack of ||u' Omega u^T - target||_F; each norm is taken
-    matrix by matrix, because a stacked norm rounds differently."""
+    matrix by matrix, because a stacked norm rounds differently.  Omega may be
+    the leading k x k block of the reference state, with u' and u the first k
+    columns of each unitary: the image is the same d x d matrix."""
     images = u_prime @ omega @ u.swapaxes(-1, -2)
     return min(float(np.linalg.norm(m - target)) for m in images)
 
@@ -287,9 +289,13 @@ def norm_gap_experiment(epsilon: float, samples: int, d_factor: int = 32,
     """Sample product unitaries against the shift-sum unitary on the reference
     state and verify the gap never falls below the analytic floor.
 
-    Each sample draws u, then u', from the one generator.  The samples are
-    stacked in blocks of `quadrature.blocks(samples, 2 d^2)`, so no stack holds
-    more than BLOCK_ELEMENTS entries (or one sample's two unitaries).
+    Each sample draws u, then u', from the one generator.  Omega is zero
+    outside its leading k x k block, so each sample keeps only the first k
+    columns of its unitaries (`random_unitary(..., columns=k)`), which are all
+    that u' Omega u^T reads.  The samples are stacked in blocks of
+    `quadrature.blocks(samples, 2 d^2)`: each unitary still draws its 2 d^2
+    normals, so no stack draws more than 2 BLOCK_ELEMENTS floats (or one
+    sample's two unitaries).
 
     epsilon is capped at 0.05; beyond ~0.068 the floor changes sign and the
     experiment is vacuous.
@@ -300,11 +306,14 @@ def norm_gap_experiment(epsilon: float, samples: int, d_factor: int = 32,
     omega, slack = _reference_state(fam, epsilon, i_max=12)
     target = _apply_w(omega, fam)
     floor = gap_floor(epsilon)
+    rows, cols = np.nonzero(omega)
+    k = 1 + int(max(rows.max(), cols.max()))
     rng = np.random.default_rng(seed)
     min_gap = math.inf
     for block in blocks(samples, 2 * d_factor * d_factor):
-        pairs = random_unitary(d_factor, [rng] * (2 * len(range(samples)[block])))
-        min_gap = min(min_gap, _min_product_gap(omega, target, pairs[1::2], pairs[::2]))
+        pairs = random_unitary(d_factor, [rng] * (2 * len(range(samples)[block])), columns=k)
+        min_gap = min(min_gap, _min_product_gap(omega[:k, :k], target,
+                                                pairs[1::2], pairs[::2]))
     if adversarial:
         min_gap = min(min_gap, align_product(omega, target, rng))
     return {"epsilon": epsilon, "samples": samples, "floor": floor,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitary, RankDeficient
+from .errors import DimensionMismatch, NonUnitary, ParameterViolation, RankDeficient
 from .linalg import HermitianEig, _eigh, dagger, hermitian_part, kron, partial_trace
 
 FULL_RANK_TOL = 1e-10
@@ -363,17 +363,28 @@ def random_density(dim: int, rng: np.random.Generator | list) -> DensityMatrix:
     raise RankDeficient("could not draw a well-conditioned state")  # pragma: no cover
 
 
-def random_unitary(dim: int, rng: np.random.Generator | list) -> np.ndarray:
+def random_unitary(dim: int, rng: np.random.Generator | list,
+                   columns: int | None = None) -> np.ndarray:
     """Haar unitary via QR of a complex Gaussian with phase-fixed diagonal; a
-    list of generators draws a stack, one unitary per generator."""
+    list of generators draws a stack, one unitary per generator.
+
+    With `columns = k` only the first k columns are returned, as the QR of the
+    Gaussian's first k columns (Mezzadri, Notices AMS 54, 2007): the same bits
+    as `random_unitary(dim, rng)[..., :k]`, and each generator still advances
+    by the 2 dim^2 normals of a full unitary.
+    """
+    if columns is not None and not 1 <= columns <= dim:
+        raise ParameterViolation(f"columns must lie in 1..{dim}, got {columns}")
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    q, r = np.linalg.qr(_gaussians(dim, rngs))
+    q, r = np.linalg.qr(_gaussians(dim, rngs, columns))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     u = q * (d / np.abs(d))[:, None, :]
     return u if rngs is rng else u[0]
 
 
-def _gaussians(dim: int, rngs: list) -> np.ndarray:
-    """One complex Gaussian dim x dim matrix per generator, real part drawn first."""
-    x = np.array([r.standard_normal((2, dim, dim)) for r in rngs])
+def _gaussians(dim: int, rngs: list, columns: int | None = None) -> np.ndarray:
+    """One complex Gaussian dim x dim matrix per generator, real part drawn
+    first; only its first `columns` columns are formed, but every generator
+    draws all 2 dim^2 normals."""
+    x = np.array([r.standard_normal((2, dim, dim)) for r in rngs])[..., :columns]
     return x[:, 0] + 1j * x[:, 1]

@@ -170,6 +170,17 @@ class TestNormGap:
         with pytest.raises(TruncationBudgetExceeded):
             norm_gap_experiment(0.01, samples=1, d_factor=8)
 
+    @pytest.mark.parametrize("d, i_max", [(16, 6)] + [(d, i_max) for d in (26, 32, 64, 256)
+                                                     for i_max in (6, 12)])
+    def test_reference_state_lives_in_leading_block(self, d, i_max):
+        # the samples keep the first k columns, k = 1 + the last nonzero row or
+        # column of Omega; that is i_max at every size
+        omega, _ = cuntz._reference_state(TruncatedCuntz(2, d), 0.01, i_max=i_max)
+        outside = omega.copy()
+        outside[:i_max, :i_max] = 0.0
+        assert not outside.any()
+        assert omega[i_max - 1].any() and omega[:, i_max - 1].any()
+
     def test_sampled_gaps_respect_floor(self):
         for eps in (0.001, 0.005, 0.01):
             rep = norm_gap_experiment(eps, samples=25, d_factor=32, seed=11)
@@ -261,6 +272,12 @@ class TestStackedSampling:
     """The stacked restarts and the blocked samples give the bits of the
     one-at-a-time loops they replace."""
 
+    @pytest.mark.parametrize("seed", [20260810, 0])
+    def test_acceptance_gap_equals_sequential(self, seed):
+        # criterion 6's configuration: thin samples against full unitaries
+        rep = norm_gap_experiment(0.01, samples=200, d_factor=32, seed=seed)
+        assert rep["min_gap"] == _sequential_norm_gap(0.01, 200, 32, seed)
+
     @pytest.mark.parametrize("d_factor", [26, 32, 64])
     def test_norm_gap_equals_sequential(self, d_factor):
         # 9 samples: blocks of 6 at d = 26, 4 at d = 32 (the last one short), 1 at d = 64
@@ -300,16 +317,33 @@ class TestDecompositionCounts:
         assert svd_calls == [(6, 16, 16)] * 160
 
     def test_sample_stacks_are_capped(self, monkeypatch):
-        sizes = []
+        sizes, kept, drawn = [], [], []
 
-        def spy(dim, rng):
-            u = random_unitary(dim, rng)
+        def spy(dim, rng, columns=None):
+            u = random_unitary(dim, rng, columns=columns)
             sizes.append(u.size)
+            kept.append(columns)
+            drawn.append(2 * dim * dim * len(rng))  # each unitary draws 2 dim^2 normals
             return u
 
         monkeypatch.setattr(cuntz, "random_unitary", spy)
         for d_factor in (26, 32, 64):
             norm_gap_experiment(0.01, samples=9, d_factor=d_factor, adversarial=False)
-        assert max(sizes) <= BLOCK_ELEMENTS
-        assert sizes == ([12 * 26 ** 2, 6 * 26 ** 2] + [8 * 32 ** 2] * 2 + [2 * 32 ** 2]
-                         + [2 * 64 ** 2] * 9)
+        assert kept == [12] * len(sizes)
+        assert max(drawn) <= 2 * BLOCK_ELEMENTS
+        assert sizes == ([12 * 26 * 12, 6 * 26 * 12] + [8 * 32 * 12] * 2 + [2 * 32 * 12]
+                         + [2 * 64 * 12] * 9)
+
+    def test_qr_calls(self, monkeypatch):
+        # the 200 samples QR only the 12 columns Omega reaches, in 50 stacks of
+        # 4 pairs; the alignment's 4 restarts start from one full stack
+        calls = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        norm_gap_experiment(0.01, samples=200, d_factor=32, seed=20260810)
+        assert calls == [(8, 32, 12)] * 50 + [(8, 32, 32)]

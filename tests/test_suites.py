@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modlab import modular, suites
+from modlab.errors import ParameterViolation
 from modlab.linalg import dagger
 from modlab.modular import (
     DensityMatrix,
@@ -147,3 +148,26 @@ def test_random_unitary_is_phase_fixed_qr(dim):
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     assert np.array_equal(u, q * phases[None, :])
     assert np.linalg.norm(dagger(u) @ u - np.eye(dim)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 5, 26, 32, 64])
+@pytest.mark.parametrize("stack", [False, True])
+def test_thin_unitary_is_leading_columns(dim, stack):
+    # columns=k QRs only the Gaussian's first k columns: the same bits as the
+    # full unitary's first k columns, and the generators end where they would
+    n = 8 if stack else 1
+    for k in sorted({1, dim // 3, dim} - {0}):
+        full_rngs = [np.random.default_rng(SEED + i) for i in range(n)]
+        thin_rngs = [np.random.default_rng(SEED + i) for i in range(n)]
+        full = random_unitary(dim, full_rngs if stack else full_rngs[0])
+        thin = random_unitary(dim, thin_rngs if stack else thin_rngs[0], columns=k)
+        assert thin.shape == full.shape[:-1] + (k,)
+        assert np.array_equal(thin, full[..., :k])
+        for a, b in zip(full_rngs, thin_rngs):
+            assert a.standard_normal() == b.standard_normal()
+
+
+@pytest.mark.parametrize("columns", [0, 6])
+def test_thin_unitary_refuses_columns_outside_the_dimension(columns):
+    with pytest.raises(ParameterViolation):
+        random_unitary(5, np.random.default_rng(SEED), columns=columns)
