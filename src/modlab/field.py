@@ -17,7 +17,10 @@ feature points; the adaptive halving grades the panels towards them.  One
 adaptive rule serves a vector of these integrals ("lanes") on shared panels:
 the cross-sections are evaluated once per node for all of them, and a squeeze
 sweep integrates its exact entropy with the bounds of up to 8 schedule
-entries in one call.
+entries in one call.  Across calls, a one-entry memo keeps the cross-sections
+of the most recent data object at every node evaluated so far, so the sweep,
+bounds, exact entropy and boundary profile of one workflow evaluate each node
+once; each node's sections are summed on their own row, so no bit moves.
 """
 
 from __future__ import annotations
@@ -336,6 +339,50 @@ def _cone_sections(g: InitialData, rho: np.ndarray, quad: FieldQuad) -> dict:
     return out
 
 
+# The cross-sections of the most recent (section function, data, rule) key:
+# the key, its nodes, sorted, and one column per section.  The consecutive
+# integrals of one workflow on one data object (a squeeze sweep, its bounds,
+# the exact entropy, tau0) evaluate each node once; the next key replaces the
+# entry, so nothing outlives the workflow.  A call that could take it past
+# SECTION_MEMO_NODES nodes (at most 6 floats each, 3 MiB) starts it afresh.
+# The entry is read and replaced whole, so concurrent callers never mix two.
+SECTION_MEMO_NODES = 1 << 16
+
+
+def _reset_section_memo() -> None:
+    global _memo
+    _memo = (None, np.empty(0), {})
+
+
+_reset_section_memo()
+
+
+def _memo_sections(sections, g: InitialData, y: np.ndarray, quad: FieldQuad) -> dict:
+    """sections(g, y, quad), each node's row taken from the memo when an earlier
+    call with an equal key evaluated that exact float, the other nodes evaluated
+    in one call.  Each section sums every node on its own row, so no value
+    depends on which nodes share a call, and the memo moves no bit."""
+    global _memo
+    key = (sections, g, quad)
+    held_key, held, columns = _memo
+    if held_key != key or held.size + y.size > SECTION_MEMO_NODES:
+        held, columns = held[:0], {}
+    at = np.searchsorted(held, y)
+    known = (held[np.minimum(at, held.size - 1)] == y if held.size
+             else np.zeros(y.shape, dtype=bool))
+    if not known.all():
+        nodes = y[~known]
+        fresh = sections(g, nodes, quad)
+        if held.size:
+            nodes = np.concatenate([held, nodes])
+            fresh = {k: np.concatenate([c, fresh[k]]) for k, c in columns.items()}
+        order = np.argsort(nodes, kind="stable")
+        held, columns = nodes[order], {k: c[order] for k, c in fresh.items()}
+        _memo = (key, held, columns)
+        at = np.searchsorted(held, y)
+    return {k: c[at] for k, c in columns.items()}
+
+
 def _data_splits(g: InitialData, axis: int = 0) -> list[float]:
     pts = []
     for b in g.g0 + g.g1:
@@ -364,12 +411,14 @@ def _side_sign(side: str) -> float:
 
 
 def _check_collar(region: Region, epsilon: float) -> None:
-    """The collar half-width is finite and at least 1e-100, the floor of Ball
-    radii, which keeps (eta'/epsilon)^2 finite; on a ball of radius r, epsilon < r/2
+    """The collar half-width lies in [1e-100, 1e100], the range of Ball radii:
+    the floor keeps (eta'/epsilon)^2 finite, and the cap the shift 2 epsilon and
+    the weighted integrand (near 1e308 they overflowed, and the outer rule ran
+    out of panels); on a ball of radius r, epsilon < r/2
     keeps the inner ball, and epsilon >= 1e-6 r the bound within its reported error:
     the rounding of the nodes near r moves it by about 1e-16 r/epsilon."""
-    if not 1e-100 <= epsilon < math.inf:
-        raise GeometryViolation(f"epsilon {epsilon!r} must be finite and at least 1e-100")
+    if not 1e-100 <= epsilon <= 1e100:
+        raise GeometryViolation(f"epsilon {epsilon!r} must be at least 1e-100 and at most 1e100")
     if isinstance(region, Ball) and not 1e-6 * region.radius <= epsilon < region.radius / 2.0:
         raise GeometryViolation(f"epsilon {epsilon!r} must lie in [1e-6 r, r/2) "
                                 f"for r = {region.radius!r}")
@@ -465,7 +514,7 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
             e, p = (f.reshape(u.shape) for f in cutoff.eta_and_prime(u.ravel()))
             eta[k] = np.where(sign[k] < 0, 1.0 - e, e)
             etap[k] = normal * p / collar[k]
-        s = sections(g, y, quad)
+        s = _memo_sections(sections, g, y, quad)
         dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
                 + eta * eta * (s["C"] + s.get("P", 0.0) + m2 * s["A"] + s["Q"]))
         out = weight(y) * dens + curvature * eta * eta * s["A"]
@@ -511,7 +560,7 @@ def tau0(g: InitialData, geometry: Region,
     sections = _wedge_sections if isinstance(geometry, Wedge) else _cone_sections
 
     def profile(y: float) -> float:
-        return float(sections(g, np.atleast_1d(float(y)), quad)["A"][0])
+        return float(_memo_sections(sections, g, np.atleast_1d(float(y)), quad)["A"][0])
     return profile
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,34 @@ class TestOtherCommands:
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "at least 1e-100" in captured.err
+
+    # past the 1e100 collar cap, near 1e308, the shift 2 epsilon and the weighted
+    # integrand overflowed: the bound and the sweep printed RuntimeWarnings and
+    # exited 3, out of panels on [1.0, 3.0]
+    @pytest.mark.parametrize("argv", [
+        ["scalar", "bound", "epsilon=5e307"],
+        ["scalar", "bound", "epsilon=5e307", "side=lower"],
+        ["scalar", "bound", "d=2", "data=boundary", "epsilon=1.0000000000000002e100"],
+        ["scalar", "sweep", "schedule=1e308:1.5:200"],
+        ["scalar", "sweep", "data=boundary", "schedule=1e308:1.5:200;1e-2:1.5:200"],
+    ])
+    def test_collar_above_the_cap_refused(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at most 1e100" in captured.err
+
+    # at the cap with the largest mass, every wedge preset bound stays finite
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("data", ["interior", "boundary"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_collar_at_the_cap_runs(self, capsys, d, data, side):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["scalar", "bound", f"d={d}", f"data={data}", f"side={side}",
+                        "mass=1e100", "epsilon=1e100"]) == 0
+        assert math.isfinite(float(capsys.readouterr().out))
 
     # the floor is 1e-100 on wedges and 1e-6 r on the cone (here r = 1), below
     # which the rounding of the radius moves a bound past its reported error

@@ -111,10 +111,11 @@ def transition_ok(s, t):
     return 1.0 < s <= MAX_SHARPNESS and s / (s - 1.0) <= t < math.inf
 
 
-# scalar bound: the collar (1e-6 r <= epsilon < r/2 on the cone), the transition
-# (t >= s/(s-1)), the massless cone and the side are checked only where the
-# bound is computed; epsilon and t are drawn as multiples of r/2 and s/(s-1),
-# inside the rule, or around its edges and anywhere when the key is broken
+# scalar bound: the collar (epsilon in [1e-100, 1e100], and 1e-6 r <= epsilon
+# < r/2 on the cone), the transition (t >= s/(s-1)), the massless cone and the
+# side are checked only where the bound is computed; epsilon and t are drawn as
+# multiples of r/2 and s/(s-1), inside the rule, or around its edges and
+# anywhere when the key is broken
 BOUND_KEYS = {"s": (st.floats(1.01, 3.0), ANY_FLOAT),
               "t_ratio": (st.floats(1.0, 2.0), st.one_of(st.floats(0.5, 1.0), ANY_FLOAT)),
               "eps_ratio": (st.floats(0.01, 0.99), st.one_of(st.floats(0.9, 1.1),
@@ -137,7 +138,7 @@ def test_scalar_bound_prints_a_finite_value_or_refuses(geometry, d, r, broken, d
                                f"d={3 if geometry == 'cone' else d}", f"mass={mass!r}",
                                f"r={r!r}", f"s={s!r}", f"t={t!r}", f"epsilon={epsilon!r}",
                                f"side={side}"])
-    accepted = (side in ("upper", "lower") and transition_ok(s, t) and 1e-100 <= epsilon < math.inf
+    accepted = (side in ("upper", "lower") and transition_ok(s, t) and 1e-100 <= epsilon <= 1e100
                 and (geometry == "wedge" or (1e-6 * r <= epsilon < r / 2.0 and mass == 0.0)))
     event(f"accepted={accepted}")
     if accepted:
@@ -306,7 +307,7 @@ ANY_ENTRY = st.tuples(st.one_of(st.floats(0.9, 1.1), ANY_FLOAT),
 
 def squeezes(schedule, geometry, r):
     for eps, s, t in schedule:
-        if not (1e-100 <= eps < math.inf and transition_ok(s, t)):
+        if not (1e-100 <= eps <= 1e100 and transition_ok(s, t)):
             return False
         if geometry == "cone" and not (1e-6 * r <= eps < r / 2.0 and 1e-100 <= r - 2.0 * eps
                                        and r + 2.0 * eps <= 1e100):

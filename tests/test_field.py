@@ -291,7 +291,9 @@ class TestConeSections:
 
     @pytest.fixture
     def sphere_calls(self, monkeypatch):
-        """The arguments of every `_sphere_rule` call that follows."""
+        """The arguments of every `_sphere_rule` call that follows, from an
+        empty section memo, so that no earlier test's sections are served."""
+        field._reset_section_memo()
         calls, rule = [], field._sphere_rule
 
         def spy(*args):
@@ -830,6 +832,138 @@ class TestFusedSweep:
             assert rec.ordering_ok()
             for fused, res in ((rec.h_minus, lower), (rec.h_exact, h), (rec.h_plus, upper)):
                 assert abs(fused - res.value) <= rec.quad_error_estimate + res.error
+
+
+CRITERION_5_CONFIGS = [("wedge", 1, 0.0), ("wedge", 1, 1.0), ("wedge", 2, 0.0),
+                       ("wedge", 2, 1.0), ("cone", 3, 0.0)]
+
+
+@pytest.fixture
+def section_calls(monkeypatch):
+    """(data, nodes) of every cross-section evaluation that follows, from an
+    empty section memo; the memo keys on the spies, as it would on the sections."""
+    field._reset_section_memo()
+    calls = []
+    for name in ("_wedge_sections", "_cone_sections"):
+        def spy(g, y, quad, _sections=getattr(field, name)):
+            calls.append((g, np.array(y)))
+            return _sections(g, y, quad)
+        monkeypatch.setattr(field, name, spy)
+    return calls
+
+
+def evaluated(calls):
+    return sum(y.size for _, y in calls)
+
+
+class TestSectionMemo:
+    """The memo serves each node's cross-sections from the call that first
+    evaluated it; that moves no bit only because no node's sections depend on
+    the other nodes of its call."""
+
+    @staticmethod
+    def bits(sections):
+        return {key: np.asarray(v).tobytes() for key, v in sections.items()}
+
+    # off-centre bumps of opposite sign reach every term of the wedge slices
+    # and of the sphere rule; the radial data take one ray
+    @pytest.mark.parametrize("g, sections, lo, hi", [
+        (off_centre_data(1), field._wedge_sections, -0.8, 0.8),
+        (off_centre_data(2), field._wedge_sections, -0.8, 0.8),
+        (off_centre_data(3), field._wedge_sections, -0.8, 0.8),
+        (radial_data(3), field._cone_sections, 0.0, 0.9),
+        (off_centre_data(3), field._cone_sections, 0.0, 0.9)],
+        ids=["wedge d=1", "wedge d=2", "wedge d=3", "radial cone", "off-centre ball"])
+    def test_a_node_does_not_depend_on_its_call(self, g, sections, lo, hi):
+        rng = np.random.default_rng(29)
+        y = rng.uniform(lo, hi, 64)
+        together = sections(g, y, DEFAULT_QUAD)
+        alone = [sections(g, y[i:i + 1], DEFAULT_QUAD) for i in range(y.size)]
+        assert self.bits({k: np.concatenate([a[k] for a in alone]) for k in together}) \
+            == self.bits(together)
+        order = rng.permutation(y.size)
+        expected = self.bits({k: v[order] for k, v in together.items()})
+        assert self.bits(sections(g, y[order], DEFAULT_QUAD)) == expected
+        # and through the memo: half the nodes first, then all of them shuffled
+        field._reset_section_memo()
+        field._memo_sections(sections, g, y[:32], DEFAULT_QUAD)
+        assert self.bits(field._memo_sections(sections, g, y[order], DEFAULT_QUAD)) == expected
+
+    def test_a_new_rule_or_new_data_is_evaluated_afresh(self):
+        y, coarse = np.linspace(-0.5, 0.5, 9), field.FieldQuad(cross_order=8)
+        field._reset_section_memo()
+        for g, quad in ((off_centre_data(2), DEFAULT_QUAD), (off_centre_data(2), coarse),
+                        (off_centre_data(2, shift=0.1), coarse)):
+            assert self.bits(field._memo_sections(field._wedge_sections, g, y, quad)) \
+                == self.bits(field._wedge_sections(g, y, quad))
+
+    @pytest.mark.parametrize("data", ["interior", "boundary"])
+    @pytest.mark.parametrize("geometry, d, mass", CRITERION_5_CONFIGS)
+    def test_values_after_a_sweep_match_an_empty_memo(self, section_calls,
+                                                      geometry, d, mass, data):
+        g, region = preset_data(geometry, d, mass, data), preset_region(geometry, 1.0)
+        schedule = INTERIOR_SCHEDULE if data == "interior" else BOUNDARY_SCHEDULE
+        prof = eta_st(1.5, 200.0)
+
+        def values():
+            out = [*exact_entropy(g, region)]
+            for side in ("upper", "lower"):
+                out += [*entropy_bound(g, region, side, prof, schedule[-1][0]),
+                        boundary_term_prediction(g, region, prof, side)]
+            return np.array(out).tobytes()
+        cold = values()
+        cold_nodes = evaluated(section_calls)
+        field._reset_section_memo()
+        squeeze_sweep(g, region, schedule)
+        swept = evaluated(section_calls)
+        assert values() == cold
+        # the sweep's nodes serve part of them
+        assert evaluated(section_calls) - swept < cold_nodes
+
+    @pytest.mark.parametrize("geometry, d, mass", CRITERION_5_CONFIGS)
+    def test_criterion_5_evaluates_each_node_once_per_data_object(self, section_calls,
+                                                                  geometry, d, mass):
+        region = preset_region(geometry, 1.0)
+        interior = preset_data(geometry, d, mass, "interior")
+        boundary = preset_data(geometry, d, mass, "boundary")
+        prof = eta_st(1.5, 200.0)
+
+        def criterion_5():
+            squeeze_sweep(interior, region, INTERIOR_SCHEDULE)
+            for eps in (4e-3, 2e-3, 1e-3):
+                for side in ("upper", "lower"):
+                    entropy_bound(interior, region, side, prof, eps)
+            exact_entropy(boundary, region)
+            squeeze_sweep(boundary, region, BOUNDARY_SCHEDULE)
+            for side in ("upper", "lower"):
+                boundary_term_prediction(boundary, region, prof, side)
+                for eps, _, _ in BOUNDARY_SCHEDULE:
+                    entropy_bound(boundary, region, side, prof, eps)
+        criterion_5()
+        first = list(section_calls)
+        criterion_5()
+        # the second run starts on other data, so it evaluates the same nodes
+        assert evaluated(section_calls[len(first):]) == evaluated(first) > 0
+        for g in (interior, boundary):
+            nodes = np.concatenate([y for h, y in first if h is g])
+            assert np.unique(nodes).size == nodes.size
+
+    def test_the_memo_empties_past_its_cap(self, monkeypatch):
+        g, region = preset_data("wedge", 2, 0.0, "boundary"), Wedge()
+        field._reset_section_memo()
+        expected = squeeze_sweep(g, region, BOUNDARY_SCHEDULE)
+        held = []
+        memo_sections = field._memo_sections
+
+        def spy(*args):
+            out = memo_sections(*args)
+            held.append(field._memo[1].size)
+            return out
+        monkeypatch.setattr(field, "_memo_sections", spy)
+        monkeypatch.setattr(field, "SECTION_MEMO_NODES", 1000)
+        field._reset_section_memo()
+        assert squeeze_sweep(g, region, BOUNDARY_SCHEDULE) == expected
+        assert max(held) <= 1000 and any(b < a for a, b in zip(held, held[1:]))
 
 
 class TestModularFlow:

@@ -269,6 +269,8 @@ def expanded_arrays(run, cap=BLOCK_ELEMENTS):
             sizes["convolution"].append(len(z) * _CONVOLVE_WIDTH)
         return _f(self, z)
 
+    # from an empty section memo, so every node reaches the spied profile
+    field_module._reset_section_memo()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "BLOCK_ELEMENTS", cap)
         mp.setattr(BumpFunction, "profile", profile)
