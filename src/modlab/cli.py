@@ -88,8 +88,8 @@ SCHEMAS = {
                               "d2": (int, lambda v: v >= 4, 32)},
     ("signalling", "gap"): {"epsilon": (float, lambda v: True, 0.01),
                             "samples": (int, lambda v: 1 <= v <= 10 ** 5, 200),
-                            # the 12-term reference tail needs (d - 2)//2 >= 12; the
-                            # SVDs in align_product take 31 s at 256, over 150 s at 512
+                            # the 12-term reference tail needs (d - 2)//2 >= 12; 200
+                            # samples take 2.1 s at 256 (1 BLAS thread), mostly normals
                             "d_factor": (int, lambda v: 26 <= v <= 256, 32)},
     # the shift families are n dense dim^2 matrices
     ("signalling", "factorize"): {"n": (int, lambda v: True, 2),

@@ -129,7 +129,7 @@ class TestConfigHandling:
             assert capsys.readouterr().out == ""
 
     def test_d_factor_cap(self):
-        # 256 takes 31 s; larger factors are refused before anything is built
+        # 256 takes about 2 s; larger factors are refused before anything is built
         assert resolve_params("signalling", "gap", {"d_factor": "256"})["d_factor"] == 256
         for value in ("257", "100000"):
             with pytest.raises(ConfigError):
@@ -441,6 +441,26 @@ class TestOtherCommands:
         lines = (out / "results.csv").read_text().splitlines()
         assert lines[0] == "epsilon,samples,floor,min_gap,slack,pass"
         assert capsys.readouterr().out.startswith("floor 0.474870")
+
+    # below the 1e-24 floor the norm gap's pass margin 2 sqrt(2 epsilon) meets
+    # the rounding of min_gap: the first command printed a min gap 1.1e-16 below
+    # the floor (0.76536686473017934 < 0.76536686473017945) and exited 1
+    @pytest.mark.parametrize("argv", [
+        ["epsilon=1e-300", "samples=1", "d_factor=26", "seed=8"],
+        ["epsilon=9.9e-25"],
+        ["epsilon=5e-324", "d_factor=64"],
+    ])
+    def test_gap_epsilon_below_the_floor_refused(self, capsys, argv):
+        assert run(["signalling", "gap", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "[1e-24, 0.05]" in captured.err
+
+    @pytest.mark.parametrize("d_factor", [26, 32, 48, 64])
+    def test_gap_epsilon_at_the_floor_passes(self, capsys, d_factor):
+        for seed in range(10):
+            assert run(["signalling", "gap", "epsilon=1e-24", "samples=1",
+                        f"d_factor={d_factor}", f"seed={seed}"]) == 0, seed
+        capsys.readouterr()
 
     def test_signalling_check(self, tmp_path, capsys):
         out = tmp_path / "check"

@@ -222,7 +222,8 @@ def test_cutoff_energy_prints_a_finite_value_or_refuses(s, t_ratio):
 
 # signalling gap: accepted draws stay cheap (d_factor <= 64, samples <= 20); a
 # d_factor or sample count past its cap is refused before anything is built
-GAP_KEYS = {"epsilon": (st.floats(1e-6, 0.05), ANY_FLOAT),
+GAP_KEYS = {"epsilon": (st.one_of(st.floats(1e-6, 0.05), st.sampled_from([1e-24, 0.05])),
+                        ANY_FLOAT),
             "samples": (st.integers(1, 20),
                         st.one_of(st.integers(-2, 0), st.integers(10 ** 5 + 1, 10 ** 18))),
             "d_factor": (st.integers(26, 64),
@@ -236,7 +237,7 @@ def test_signalling_gap_prints_finite_values_or_refuses(broken, data):
          for key, (good, fuzz) in GAP_KEYS.items()}
     code, out = printed_value(["signalling", "gap", f"epsilon={v['epsilon']!r}",
                                f"samples={v['samples']}", f"d_factor={v['d_factor']}"])
-    accepted = (0.0 < v["epsilon"] <= 0.05 and 1 <= v["samples"] <= 10 ** 5
+    accepted = (1e-24 <= v["epsilon"] <= 0.05 and 1 <= v["samples"] <= 10 ** 5
                 and 26 <= v["d_factor"] <= 256)
     event(f"accepted={accepted}")
     if accepted:

@@ -239,19 +239,38 @@ class TestProductReconstruction:
 
 
 def _sequential_alignment(omega, target, rng, iters, restarts):
-    """align_product written out one restart after another."""
-    d = omega.shape[0]
+    """align_product written out one restart after another, on the k columns
+    of u' and u that u' Omega u^T reads."""
+    k = cuntz._leading_block(omega)
+    omega = omega[:k, :k]
+    d = target.shape[0]
     best = math.inf
     for _ in range(restarts):
-        u = random_unitary(d, rng)
-        u_prime = random_unitary(d, rng)
+        u = random_unitary(d, rng, columns=k)
+        u_prime = random_unitary(d, rng, columns=k)
         for _ in range(iters):
-            uu, _, vv = np.linalg.svd(target @ np.conj(u) @ dagger(omega))
+            uu, _, vv = np.linalg.svd(target @ np.conj(u) @ dagger(omega),
+                                      full_matrices=False)
             u_prime = uu @ vv
-            uu, _, vv = np.linalg.svd(np.conj(dagger(omega) @ dagger(u_prime) @ target))
+            uu, _, vv = np.linalg.svd(np.conj(dagger(omega) @ dagger(u_prime) @ target),
+                                      full_matrices=False)
             u = dagger(vv) @ dagger(uu)
         best = min(best, float(np.linalg.norm(u_prime @ omega @ u.T - target)))
     return best
+
+
+def _full_alignment(omega, target, rng, iters, restarts):
+    """The alternating polar alignment on full d x d unitaries, each step a
+    full SVD of a d x d matrix."""
+    d = omega.shape[0]
+    starts = random_unitary(d, [rng] * (2 * restarts))
+    u, u_prime = starts[::2], starts[1::2]
+    for _ in range(iters):
+        uu, _, vv = np.linalg.svd(target @ np.conj(u) @ dagger(omega))
+        u_prime = uu @ vv
+        uu, _, vv = np.linalg.svd(np.conj(dagger(omega) @ dagger(u_prime) @ target))
+        u = dagger(vv) @ dagger(uu)
+    return min(float(np.linalg.norm(m - target)) for m in u_prime @ omega @ u.swapaxes(-1, -2))
 
 
 def _sequential_norm_gap(epsilon, samples, d_factor, seed):
@@ -294,6 +313,36 @@ class TestStackedSampling:
         assert stacked == reference
 
 
+# 126 configurations: d_factor 16 (i_max 6 only: 12 does not fit its defect-free
+# zone) and 26, 32, 64 at i_max 6 and 12, seeds 0-5, three (iters, restarts)
+THIN_CONFIGS = [(16, 6)] + [(d, i_max) for d in (26, 32, 64) for i_max in (6, 12)]
+
+
+class TestThinAlignment:
+    """The alignment on the k columns Omega reaches against the full one."""
+
+    @pytest.mark.parametrize("d_factor, i_max", THIN_CONFIGS)
+    def test_thin_equals_full_alignment(self, d_factor, i_max):
+        fam = TruncatedCuntz(2, d_factor)
+        omega, _ = cuntz._reference_state(fam, 0.01, i_max=i_max)
+        target = cuntz._apply_w(omega, fam)
+        for seed in range(6):
+            for iters, restarts in ((12, 5), (60, 4), (80, 6)):
+                thin = align_product(omega, target, np.random.default_rng(seed),
+                                     iters=iters, restarts=restarts)
+                full = _full_alignment(omega, target, np.random.default_rng(seed),
+                                       iters, restarts)
+                assert thin == pytest.approx(full, rel=1e-14, abs=0.0), (seed, iters)
+
+    def test_full_rank_omega_runs_the_full_iteration(self):
+        # k = d: the thin SVDs are the full ones
+        rng = np.random.default_rng(9)
+        omega = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        target = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        assert (align_product(omega, target, np.random.default_rng(4), iters=20, restarts=3)
+                == _full_alignment(omega, target, np.random.default_rng(4), 20, 3))
+
+
 class TestDecompositionCounts:
     @pytest.fixture
     def svd_calls(self, monkeypatch):
@@ -308,13 +357,19 @@ class TestDecompositionCounts:
         return calls
 
     def test_norm_gap_svds(self, svd_calls):
-        # two stacked SVDs per alignment step, 60 steps; the samples need none
+        # two stacked thin SVDs per alignment step, on the k = 12 columns Omega
+        # reaches, 60 steps; the samples need none
         norm_gap_experiment(0.01, samples=200, d_factor=32, seed=20260810)
-        assert svd_calls == [(4, 32, 32)] * 120
+        assert svd_calls == [(4, 32, 12), (4, 12, 32)] * 60
+
+    def test_norm_gap_svds_at_the_largest_factor(self, svd_calls):
+        norm_gap_experiment(0.01, samples=1, d_factor=256, seed=20260810)
+        assert svd_calls == [(4, 256, 12), (4, 12, 256)] * 60
 
     def test_certificate_svds(self, svd_calls):
+        # i_max = 6: the alignment keeps 6 of the 16 columns
         certify_no_product_form()
-        assert svd_calls == [(6, 16, 16)] * 160
+        assert svd_calls == [(6, 16, 6), (6, 6, 16)] * 80
 
     def test_sample_stacks_are_capped(self, monkeypatch):
         sizes, kept, drawn = [], [], []
@@ -336,7 +391,7 @@ class TestDecompositionCounts:
 
     def test_qr_calls(self, monkeypatch):
         # the 200 samples QR only the 12 columns Omega reaches, in 50 stacks of
-        # 4 pairs; the alignment's 4 restarts start from one full stack
+        # 4 pairs; the alignment's 4 restarts start from one more such stack
         calls = []
         qr = np.linalg.qr
 
@@ -346,4 +401,4 @@ class TestDecompositionCounts:
 
         monkeypatch.setattr(np.linalg, "qr", spy)
         norm_gap_experiment(0.01, samples=200, d_factor=32, seed=20260810)
-        assert calls == [(8, 32, 12)] * 50 + [(8, 32, 32)]
+        assert calls == [(8, 32, 12)] * 51
