@@ -10,8 +10,8 @@ the mirrored transition variable, eta_-(u) = 1 - eta(-u).
 
 All spatial integrals reduce to a one-dimensional adaptive integral in the
 coordinate the weights and cutoffs depend on (the first axis for wedges, the
-radius for balls) times smooth cross-section quadratures (on balls one exact
-ray for radial data, a sphere rule otherwise), with panel splits seeded at
+radius for balls) times cross-section quadratures (on balls one exact ray,
+since ball data must be radial), with panel splits seeded at
 the data's support ends and centres and at the four images of the cutoff's
 feature points; the adaptive halving grades the panels towards them.  One
 adaptive rule serves a vector of these integrals ("lanes") on shared panels:
@@ -137,21 +137,18 @@ Region = Wedge | Ball
 
 @dataclass(frozen=True)
 class FieldQuad:
-    """Resolution knobs for the field integrals; n_mu and n_phi act only on
-    ball data that are not radial, since radial data take one exact ray.
-    outer_order is the n of the outer rule's G_n/K_{2n+1} panels: of 12, 14
-    and 16, 16 takes the fewest integrand points over a warm squeeze pass."""
+    """Resolution knobs for the field integrals.  outer_order is the n of the
+    outer rule's G_n/K_{2n+1} panels: of 12, 14 and 16, 16 takes the fewest
+    integrand points over a warm squeeze pass; cross_order sets the wedge
+    slice rules (ball data take one exact ray)."""
 
     outer_order: int = 16
     cross_order: int = 24
-    n_phi: int = 32
-    n_mu: int = 16
     rel_tol: float = 1e-10
     max_panels: int = 20000
 
     def refined(self, factor: int = 2) -> "FieldQuad":
         return FieldQuad(self.outer_order + 4, self.cross_order * factor,
-                         self.n_phi * factor, self.n_mu * factor,
                          self.rel_tol * 1e-2, self.max_panels * 2)
 
 
@@ -249,93 +246,41 @@ def _wedge_sections(g: InitialData, x1: np.ndarray, quad: FieldQuad) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _sphere_rule(d: int, n_mu: int, n_phi: int):
-    """Quadrature (directions, weights) for the unit sphere S^{d-1}."""
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
-        ang = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        return dirs, np.full(n_phi, 2.0 * math.pi / n_phi)
-    if d == 3:
-        mu, w_mu = gauss_rule(n_mu)
-        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        mu_g, phi_g = np.meshgrid(mu, phi, indexing="ij")
-        sin_t = np.sqrt(1.0 - mu_g ** 2)
-        dirs = np.stack([sin_t * np.cos(phi_g), sin_t * np.sin(phi_g), mu_g],
-                        axis=-1).reshape(-1, 3)
-        w = (w_mu[:, None] * np.full((n_mu, n_phi), 2.0 * math.pi / n_phi)).ravel()
-        return dirs, w
-    raise DimensionMismatch(f"no sphere rule for dimension {d}")
-
-
 def _cone_sections(g: InitialData, rho: np.ndarray, quad: FieldQuad) -> dict:
-    """Angular integrals over S^{d-1} at each radius.
+    """Angular integrals over S^{d-1} at each radius of radial data (every bump
+    centred at 0 with equal widths, as every cone preset is); other data raise
+    GeometryViolation.
 
     Returns A = int g0^2, B = int g0 (xhat . grad g0), C = int |grad g0|^2,
-    Q = int g1^2 (surface measure, no rho^{d-1} factor).  On the ray x = rho u
-    a bump's s^2 is (alpha rho - 2 beta) rho + gamma, with alpha = |u/w|^2,
-    beta = u.c/w^2 and gamma = |c/w|^2; its gradient f (x - c)/w^2 has radial
-    part f (alpha rho - beta), and the dot product of two such gradients is
-    f_k f_l ((a rho - b) rho + c), a, b, c built alike from 1/(w_k w_l)^2, once
-    per call.  Radial data (every bump centred at 0 with equal widths) give
-    every ray the same integrands, so the ray e_1 weighted |S^{d-1}| = 2, 2 pi
-    or 4 pi is exact; other data take `_sphere_rule`.  Rays go in blocks of
-    BLOCK_ELEMENTS // directions, each radius summed on its own row, so no
-    value depends on the block size.
+    Q = int g1^2 (surface measure, no rho^{d-1} factor).  Every ray carries the
+    same integrands, so one ray weighted |S^{d-1}| = 2, 2 pi or 4 pi is exact:
+    on it a bump of width w has s^2 = rho^2/w^2 and radial gradient f rho/w^2,
+    and grad g_k . grad g_l is taken for l <= k, the pairs l < k counted twice.
+    Each radius is its own element, so no value depends on the other radii.
     """
-    d = g.dimension
-    if all(not any(b.center) and min(b.width) == max(b.width) for b in g.g0 + g.g1):
-        dirs, w = np.eye(1, d), np.array([(2.0, 2.0 * math.pi, 4.0 * math.pi)[d - 1]])
-    else:
-        dirs, w = _sphere_rule(d, quad.n_mu, quad.n_phi)
-    uu = dirs * dirs
+    if not all(not any(b.center) and min(b.width) == max(b.width) for b in g.g0 + g.g1):
+        raise GeometryViolation("ball data must be radial: every bump centred at the "
+                                "origin with equal widths")
+    area = (2.0, 2.0 * math.pi, 4.0 * math.pi)[g.dimension - 1]
 
-    def quadratic(ck, cl, iw):
-        """a, b, c with (rho u - ck) . (rho u - cl) iw = (a rho - b) rho + c on each ray."""
-        return uu @ iw, dirs @ ((ck + cl) * iw), ck @ (cl * iw)
+    def on_ray(bumps):
+        """1/w^2, v and f of each bump at the radii rho."""
+        iws = [1.0 / (b.width[0] * b.width[0]) for b in bumps]
+        return [(iw, *b.profile(iw * rho * rho)) for b, iw in zip(bumps, iws)]
 
-    def scaled(bumps):
-        """Each bump with its centre, 1/w^2 and the a, b, c of its s^2."""
-        cw = [(b, np.array(b.center), 1.0 / np.square(b.width)) for b in bumps]
-        return [(b, c, iw, quadratic(c, c, iw)) for b, c, iw in cw]
-
-    def on_rays(bumps, r):
-        """v and f of each bump on the rays at radii r (n, 1)."""
-        return [b.profile((a * r - bb) * r + cc) for b, _, _, (a, bb, cc) in bumps]
-
-    def row_sums(f, column):
-        # one row per radius, so a radius's sum does not depend on its neighbours
-        return np.einsum("ij,j->i", f, column)
-
-    # B and C contract g0 f_l and f_k f_l against the weight columns w alpha,
-    # w beta and w: the radial part f (alpha rho - beta) is f (a rho - b/2), and
-    # grad g_k . grad g_l is taken for l <= k, the pairs l < k counted twice
-    g0s, g1s = scaled(g.g0), scaled(g.g1)
-    radial = [(w * a, 0.5 * w * b) for *_, (a, b, _) in g0s]
-    pairs = []
-    for k, (_, ck, iwk, _) in enumerate(g0s):
-        for l, (_, cl, iwl, _) in enumerate(g0s[:k + 1]):
-            a, b, c = quadratic(ck, cl, iwk * iwl)
-            m = 1.0 if l == k else 2.0
-            pairs.append((k, l, m * w * a, m * w * b, m * c))
     out = {key: np.zeros(rho.size) for key in "ABCQ"}
-    for blk in blocks(rho.size, w.size):
-        r = rho[blk]
-        if g0s:
-            vf = on_rays(g0s, r[:, None])
-            g0 = reduce(add, (v for v, _ in vf))
-            out["A"][blk] = row_sums(g0 * g0, w)
-            for g0f, (wa, wb) in zip((g0 * f for _, f in vf), radial):
-                out["B"][blk] += row_sums(g0f, wa) * r - row_sums(g0f, wb)
-            for k, l, wa, wb, c in pairs:
-                ff = vf[k][1] * vf[l][1]
-                out["C"][blk] += ((row_sums(ff, wa) * r - row_sums(ff, wb)) * r
-                                  + c * row_sums(ff, w))
-        if g1s:
-            g1 = reduce(add, (v for v, _ in on_rays(g1s, r[:, None])))
-            out["Q"][blk] = row_sums(g1 * g1, w)
+    g0s, g1s = on_ray(g.g0), on_ray(g.g1)
+    if g0s:
+        v = reduce(add, (vk for _, vk, _ in g0s))
+        out["A"] = v * v * area
+        for k, (iwk, _, fk) in enumerate(g0s):
+            out["B"] += v * fk * (area * iwk) * rho
+            for l, (iwl, _, fl) in enumerate(g0s[:k + 1]):
+                m = 2.0 if l < k else 1.0
+                out["C"] += fk * fl * (m * area * (iwk * iwl)) * rho * rho
+    if g1s:
+        v1 = reduce(add, (vk for _, vk, _ in g1s))
+        out["Q"] = v1 * v1 * area
     return out
 
 
@@ -392,12 +337,8 @@ def _data_splits(g: InitialData, axis: int = 0) -> list[float]:
 
 
 def _radial_splits(g: InitialData) -> list[float]:
-    pts = []
-    for b in g.g0 + g.g1:
-        # max(width) reaches the ellipsoid's farthest point from its centre
-        dist, rad = np.linalg.norm(b.center), max(b.width)
-        pts.extend((max(dist - rad, 0.0), dist, dist + rad))
-    return pts
+    """The support ends of radial data's bumps: each bump's width."""
+    return [b.width[0] for b in g.g0 + g.g1]
 
 
 # --------------------------------------------------------------------------

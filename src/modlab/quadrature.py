@@ -23,12 +23,11 @@ import numpy as np
 from .errors import QuadratureBudgetExceeded
 
 ABS_TOL = 1e-13
-# The most floats one array built in a call may hold: 16 radii of off-centre
-# d = 3 ball data times 512 sphere directions, 64 KiB of float64, half of
-# glibc's default 128 KiB mmap threshold, so per-call temporaries come from the
-# heap whatever earlier frees did to that threshold.  Code that expands each
+# The most floats one array built in a call may hold: 64 KiB of float64, half
+# of glibc's default 128 KiB mmap threshold, so per-call temporaries come from
+# the heap whatever earlier frees did to that threshold.  Code that expands each
 # point into a row of w floats takes points in blocks of BLOCK_ELEMENTS // w.
-BLOCK_ELEMENTS = 16 * 512
+BLOCK_ELEMENTS = 8192
 # The most lanes one call integrates: a squeeze sweep's exact entropy and the
 # two bounds of 8 schedule entries.  Every lane is evaluated on the union of
 # all lanes' panels, so fusing more costs time and memory: on a 100-entry

@@ -257,7 +257,7 @@ class TestExactCone:
 
     def test_d1_has_no_curvature_term(self):
         # in one dimension the exact value is the pure weighted energy integral
-        g = InitialData((BumpFunction((0.3,), (0.4,)),), (), 1, 0.0)
+        g = InitialData((BumpFunction((0.0,), (0.4,)),), (), 1, 0.0)
         r = 1.0
         h = exact_entropy(g, Ball(r))
 
@@ -265,13 +265,13 @@ class TestExactCone:
             grad = _bump_sum(g.g0, x[:, None])[1][:, 0]
             return (r * r - x * x) / (2 * r) * grad * grad
 
-        ref = integrate_1d(weighted, -0.7, 0.7, splits=[-0.1, 0.3], order=16,
+        ref = integrate_1d(weighted, -0.7, 0.7, splits=[-0.4, 0.0, 0.4], order=16,
                            rel_tol=1e-12).value
         assert h.value == pytest.approx(0.5 * math.pi * ref, rel=1e-9)
 
     def test_refined_quadrature_oracle_d3(self):
-        # central data take one exact ray under both rules, so this compares
-        # the outer rules only; TestOffCentreData covers the sphere rule
+        # ball data take one exact ray under both rules, so this compares the
+        # outer rules only
         g = central_cone_data(0.5)
         h = exact_entropy(g, Ball(1.0))
         h_ref = exact_entropy(g, Ball(1.0), DEFAULT_QUAD.refined())
@@ -289,90 +289,29 @@ class TestConeSections:
         return {key: float(np.max(np.abs(sections[key] - reference[key]))
                            / np.max(np.abs(reference[key]))) for key in "ABCQ"}
 
-    @pytest.fixture
-    def sphere_calls(self, monkeypatch):
-        """The arguments of every `_sphere_rule` call that follows, from an
-        empty section memo, so that no earlier test's sections are served."""
-        field._reset_section_memo()
-        calls, rule = [], field._sphere_rule
-
-        def spy(*args):
-            calls.append(args)
-            return rule(*args)
-        monkeypatch.setattr(field, "_sphere_rule", spy)
-        return calls
-
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_radial_data_match_the_closed_forms(self, d):
         g = radial_data(d)
         sections = field._cone_sections(g, self.RHO, DEFAULT_QUAD)
         assert max(self.deviation(sections, radial_sections(g, self.RHO)).values()) <= 1e-14
 
-    @pytest.mark.parametrize("d, shift, last_width", [
-        (1, 1e-9, 0.5), (2, 1e-9, 0.5), (3, 1e-9, 0.5),
-        (2, 0.0, np.nextafter(0.5, 1.0)), (3, 0.0, np.nextafter(0.5, 1.0))])
-    def test_nearly_radial_data_take_the_sphere_rule_continuously(self, d, shift,
-                                                                 last_width, sphere_calls):
-        # a centre 1e-9 off the origin or one width one ulp wide is not radial;
-        # the sphere rule integrates such nearly constant integrands to rounding
-        sections = field._cone_sections(radial_data(d, shift, last_width), self.RHO, DEFAULT_QUAD)
-        assert sphere_calls == [(d, DEFAULT_QUAD.n_mu, DEFAULT_QUAD.n_phi)]
-        radial = field._cone_sections(radial_data(d), self.RHO, DEFAULT_QUAD)
-        assert len(sphere_calls) == 1
-        assert max(self.deviation(sections, radial).values()) <= 1e-13
-
-    def test_off_centre_data_take_the_sphere_rule(self, sphere_calls):
-        exact_entropy(off_centre_data(3), Ball(1.0))
-        assert sphere_calls and set(sphere_calls) == {(3, DEFAULT_QUAD.n_mu, DEFAULT_QUAD.n_phi)}
+    # a centre 1e-9 off the origin, one width one ulp wide, or off-centre data
+    @pytest.mark.parametrize("g", [
+        radial_data(1, 1e-9), radial_data(2, 1e-9), radial_data(3, 1e-9),
+        radial_data(2, 0.0, np.nextafter(0.5, 1.0)), radial_data(3, 0.0, np.nextafter(0.5, 1.0)),
+        off_centre_data(3)],
+        ids=["shift d=1", "shift d=2", "shift d=3", "width d=2", "width d=3", "off-centre d=3"])
+    def test_non_radial_data_are_refused(self, g):
+        ball, prof = Ball(1.0), eta_st(1.5, 200.0)
+        for run in (lambda: exact_entropy(g, ball),
+                    lambda: entropy_bound(g, ball, "upper", prof, 1e-2),
+                    lambda: squeeze_sweep(g, ball, [(1e-2, 1.5, 200.0)]),
+                    lambda: tau0(g, ball)(0.5)):
+            with pytest.raises(GeometryViolation, match="radial"):
+                run()
 
 
 class TestOffCentreData:
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_ball_exact_matches_tensor_rule(self, d):
-        # the data lie inside the ball, so its integral is the box integral of
-        # beta (|grad g0|^2 + g1^2) + (d-1)/(2r) g0^2
-        r, g = 1.0, off_centre_data(d)
-
-        def beta(x):
-            return (r * r - np.sum(x * x, axis=1)) / (2.0 * r)
-
-        ref = 0.5 * math.pi * (
-            box_integral(g.g0, lambda x, v, gr: beta(x) * np.sum(gr * gr, axis=1)
-                         + (d - 1) / (2.0 * r) * v * v)
-            + box_integral(g.g1, lambda x, v, gr: beta(x) * v * v))
-        assert exact_entropy(g, Ball(r)).value == pytest.approx(ref, rel=1e-4)
-
-    def test_ball_lower_bound_across_the_data_matches_tensor_rule(self):
-        # with eps = 0.2 the lower collar 0.6 < |x| < 1 cuts through the data,
-        # so eta' meets g0 x.grad g0; eta_-(x) = 1 - eta((|x| - r)/eps + 1)
-        # on the ball of radius R = r - 2 eps, with weight (R^2 - |x|^2)/(2R)
-        d, r, eps = 2, 1.0, 0.2
-        g, big_r, prof = off_centre_data(d), r - 2.0 * eps, eta_st(1.5, 3.0)
-
-        def cutoff_and_weight(x):
-            rho = np.sqrt(np.sum(x * x, axis=1))
-            u = (rho - r) / eps + 1.0
-            # eta is 0 or 1 outside (-1, 1); inside, evaluate it in small blocks
-            eta, prime = (u >= 1.0).astype(float), np.zeros_like(u)
-            inside = np.flatnonzero(np.abs(u) < 1.0)
-            for block in np.array_split(inside, inside.size // 2048 + 1):
-                eta[block], prime[block] = prof.eta_and_prime(u[block])
-            grad_eta = -(prime / eps)[:, None] * x / rho[:, None]
-            return 1.0 - eta, grad_eta, (big_r ** 2 - rho ** 2) / (2.0 * big_r)
-
-        def g0_density(x, v, gr):
-            eta, grad_eta, beta = cutoff_and_weight(x)
-            grad = eta[:, None] * gr + v[:, None] * grad_eta
-            return (beta * np.sum(grad * grad, axis=1)
-                    + (d - 1) / (2.0 * big_r) * eta * eta * v * v)
-
-        def g1_density(x, v, gr):
-            eta, _, beta = cutoff_and_weight(x)
-            return beta * eta * eta * v * v
-
-        ref = 0.5 * math.pi * (box_integral(g.g0, g0_density) + box_integral(g.g1, g1_density))
-        assert entropy_bound(g, Ball(r), "lower", prof, eps).value == pytest.approx(ref, rel=1e-4)
-
     def test_wedge_exact_matches_tensor_rule_d3(self):
         # moved into x^1 > 0.25, so the wedge integral is the box integral
         g = off_centre_data(3, shift=0.95, mass=0.7)
@@ -467,6 +406,39 @@ class TestEntropyBound:
         hm = entropy_bound(g, Ball(r), "lower", prof, eps)
         assert hp.value == pytest.approx(weighted(r + 2 * eps), rel=1e-9)
         assert hm.value == pytest.approx(weighted(r - 2 * eps), rel=1e-9)
+
+    def test_cone_lower_bound_across_the_data_matches_tensor_rule(self):
+        # with eps = 0.2 the lower collar 0.6 < |x| < 1 cuts through the data,
+        # so eta' meets g0 x.grad g0; eta_-(x) = 1 - eta((|x| - r)/eps + 1)
+        # on the ball of radius R = r - 2 eps, with weight (R^2 - |x|^2)/(2R);
+        # the two g0 bumps reach the cross term of grad g0 . grad g0; the
+        # tensor rule agrees to 1.5e-10
+        d, r, eps = 2, 1.0, 0.2
+        g, big_r, prof = radial_data(d), r - 2.0 * eps, eta_st(1.5, 3.0)
+
+        def cutoff_and_weight(x):
+            rho = np.sqrt(np.sum(x * x, axis=1))
+            u = (rho - r) / eps + 1.0
+            # eta is 0 or 1 outside (-1, 1); inside, evaluate it in small blocks
+            eta, prime = (u >= 1.0).astype(float), np.zeros_like(u)
+            inside = np.flatnonzero(np.abs(u) < 1.0)
+            for block in np.array_split(inside, inside.size // 2048 + 1):
+                eta[block], prime[block] = prof.eta_and_prime(u[block])
+            grad_eta = -(prime / eps)[:, None] * x / rho[:, None]
+            return 1.0 - eta, grad_eta, (big_r ** 2 - rho ** 2) / (2.0 * big_r)
+
+        def g0_density(x, v, gr):
+            eta, grad_eta, beta = cutoff_and_weight(x)
+            grad = eta[:, None] * gr + v[:, None] * grad_eta
+            return (beta * np.sum(grad * grad, axis=1)
+                    + (d - 1) / (2.0 * big_r) * eta * eta * v * v)
+
+        def g1_density(x, v, gr):
+            eta, _, beta = cutoff_and_weight(x)
+            return beta * eta * eta * v * v
+
+        ref = 0.5 * math.pi * (box_integral(g.g0, g0_density) + box_integral(g.g1, g1_density))
+        assert entropy_bound(g, Ball(r), "lower", prof, eps).value == pytest.approx(ref, rel=1e-8)
 
     def test_positivity_up_to_quadrature_error(self):
         prof = eta_st(1.5, 80)
@@ -865,15 +837,14 @@ class TestSectionMemo:
     def bits(sections):
         return {key: np.asarray(v).tobytes() for key, v in sections.items()}
 
-    # off-centre bumps of opposite sign reach every term of the wedge slices
-    # and of the sphere rule; the radial data take one ray
+    # off-centre bumps of opposite sign reach every term of the wedge slices,
+    # and the radial data's two g0 bumps every term of the cone's one ray
     @pytest.mark.parametrize("g, sections, lo, hi", [
         (off_centre_data(1), field._wedge_sections, -0.8, 0.8),
         (off_centre_data(2), field._wedge_sections, -0.8, 0.8),
         (off_centre_data(3), field._wedge_sections, -0.8, 0.8),
-        (radial_data(3), field._cone_sections, 0.0, 0.9),
-        (off_centre_data(3), field._cone_sections, 0.0, 0.9)],
-        ids=["wedge d=1", "wedge d=2", "wedge d=3", "radial cone", "off-centre ball"])
+        (radial_data(3), field._cone_sections, 0.0, 0.9)],
+        ids=["wedge d=1", "wedge d=2", "wedge d=3", "radial cone"])
     def test_a_node_does_not_depend_on_its_call(self, g, sections, lo, hi):
         rng = np.random.default_rng(29)
         y = rng.uniform(lo, hi, 64)

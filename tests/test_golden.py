@@ -1,10 +1,11 @@
-"""Golden sha256 digests of the `scalar` and `signalling` groups' artifacts.
+"""Golden sha256 digests of the `scalar`, `signalling` and suite groups' artifacts.
 
 `scalar exact`, `scalar bound` on both sides and `scalar sweep` run at their
 defaults on every preset of criterion 5 (wedge d = 1 and 2 at mass 0 and 1,
 the d = 3 cone; interior and boundary data).  `signalling check`, `signalling
 factorize` and `signalling gap` at d_factor 26, 32 and 64 run at their other
-defaults, each at the acceptance seed 20260810 and at seed 0.  Each command
+defaults, and `findim suite` and `fock suite` at theirs, each at the
+acceptance seed 20260810 and at seed 0.  Each command
 writes into its own directory, and the digests of the results.csv,
 summary.json and plot.txt it writes must equal the committed table,
 tests/golden_artifacts.json.  The table records the
@@ -41,7 +42,9 @@ SIGNALLING = [["signalling", *action, f"seed={seed}"]
               for action in (["check"], ["factorize"], ["gap", "d_factor=26"],
                              ["gap", "d_factor=32"], ["gap", "d_factor=64"])
               for seed in (20260810, 0)]
-COMMANDS = SCALAR + SIGNALLING
+SUITES = [[group, "suite", f"seed={seed}"] for group in ("findim", "fock")
+          for seed in (20260810, 0)]
+COMMANDS = SCALAR + SIGNALLING + SUITES
 
 
 def fingerprint() -> dict:
@@ -85,6 +88,11 @@ def test_scalar_artifacts_match_the_golden_table(tmp_path):
 def test_signalling_artifacts_match_the_golden_table(tmp_path):
     assert len(SIGNALLING) == 10
     assert digests(tmp_path, SIGNALLING) == golden_digests(SIGNALLING)
+
+
+def test_suite_artifacts_match_the_golden_table(tmp_path):
+    assert len(SUITES) == 4
+    assert digests(tmp_path, SUITES) == golden_digests(SUITES)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from modlab.errors import QuadratureBudgetExceeded
 from modlab.field import (Ball, BumpFunction, FieldQuad, InitialData, Wedge, entropy_bound,
                           exact_entropy, squeeze_sweep)
 from modlab.quadrature import BLOCK_ELEMENTS, gauss_rule, integrate_1d, kronrod_rule
-from test_field import off_centre_data
 
 
 def recording(f, sizes):
@@ -240,15 +239,12 @@ WEDGE_3D = InitialData((BumpFunction((0.0, 0.3, -0.2), (0.8, 0.9, 0.7)),),
 COARSE = FieldQuad(cross_order=8, rel_tol=1e-8)
 
 # data that straddles the collar, so the bounds reach the convolution bands;
-# the radial cone preset takes one ray per radius, the off-centre ball data
-# the 512 directions of the sphere rule
-OFF_CENTRE_3D = off_centre_data(3)
+# the radial cone preset takes one ray per radius
 BOUNDS = {
     "wedge d=1": (preset_data("wedge", 1, 0.0, "boundary"), Wedge(), FieldQuad()),
     "wedge d=2": (preset_data("wedge", 2, 0.0, "boundary"), Wedge(), FieldQuad()),
     "wedge d=3": (WEDGE_3D, Wedge(), COARSE),
     "cone d=3": (preset_data("cone", 3, 0.0, "boundary"), Ball(1.0), FieldQuad()),
-    "off-centre ball d=3": (OFF_CENTRE_3D, Ball(1.0), FieldQuad()),
 }
 
 
@@ -291,9 +287,9 @@ class TestElementCap:
         assert max(sizes["sections"]) <= BLOCK_ELEMENTS
         assert max(sizes["convolution"]) <= BLOCK_ELEMENTS
         # and some block is full, within one row of the cap: 73 band points of
-        # 112 floats (8176), or exactly 128 slices of 64, 8 slices of 32^2 or 16
-        # radii of 512 rays; no round of the radial cone holds 8192 radii of one
-        # ray, so its full blocks are the band's, as are the d = 1 wedge's
+        # 112 floats (8176), or exactly 128 slices of 64 or 8 slices of 32^2; no
+        # round of the radial cone holds 8192 radii of one ray, so its full
+        # blocks are the band's, as are the d = 1 wedge's
         assert (BLOCK_ELEMENTS in sizes["sections"]
                 or max(sizes["convolution"]) > BLOCK_ELEMENTS - _CONVOLVE_WIDTH)
 
@@ -308,12 +304,11 @@ class TestElementCap:
         assert capped == default
 
     @pytest.mark.parametrize("g", [preset_data("cone", 3, 0.0, "interior"),
-                                   preset_data("cone", 3, 0.0, "boundary"), OFF_CENTRE_3D],
-                             ids=["interior", "boundary", "off-centre"])
+                                   preset_data("cone", 3, 0.0, "boundary")],
+                             ids=["interior", "boundary"])
     def test_cone_values_do_not_depend_on_the_cap(self, g):
-        # under a cap of 1500 the sphere rule takes its radii 2 at a time and
-        # the one-ray rule 1500 at a time; each radius is summed over its
-        # directions on its own row, so no bit moves
+        # under a cap of 1500 the one-ray rule takes at most 1500 radii a call;
+        # each radius is its own element, so no bit moves
         def values():
             return [exact_entropy(g, Ball(1.0))] + [
                 entropy_bound(g, Ball(1.0), side, eta_st(1.5, 200.0), 1e-3)

@@ -3,8 +3,8 @@
 A fixed list of commands runs in a fresh interpreter under a call tracer; the
 functions it never enters must be exactly the keep list. A fresh interpreter,
 because in-process the lru_cache'd rules (`gauss_rule`, `_even_moments`,
-`_composite01`, `_sphere_rule`) read as unreached once an earlier test has
-filled their caches. A public name that nothing references can never be
+`_composite01`) read as unreached once an earlier test has filled their
+caches. A public name that nothing references can never be
 called, so this also catches every unused public name.
 """
 
@@ -33,9 +33,6 @@ KEEPS = {
     # the orthogonal-isometry relations of the shift family, on its defect-free zone
     "cuntz.TruncatedCuntz.relation_report": "a claim of the paper that the tests check",
     "field.FieldQuad.refined": "the finer rule that the field tests use as their reference",
-    # every preset is radial and takes one exact ray; off-centre ball data need the sphere
-    "field._sphere_rule": "off-centre ball data, which no preset builds; tests/test_field.py "
-                          "checks it against tensor oracles",
     "cutoff.AnalyticCutoff.eta": "the benchmark's tracer wraps it by name",
 }
 

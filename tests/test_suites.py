@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modlab import modular, suites
+from modlab import modular, quadrature, suites
 from modlab.errors import ParameterViolation
 from modlab.linalg import dagger
 from modlab.modular import (
@@ -122,11 +122,12 @@ def test_redrawn_states_match_sequential_draws(monkeypatch):
 
 
 def test_rows_do_not_depend_on_the_block_size(monkeypatch):
-    monkeypatch.setattr(suites, "BLOCK_TRIALS", 10 ** 6)
+    # a cap of 10**9 floats takes every trial in one block, a cap of 1 one trial a block
+    monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", 10 ** 9)
     whole = (suites.run_findim_suite(seed=SEED, trials=40).rows,
              suites.run_theorem_suite(seed=SEED, theorem_trials=20,
                                       monotonicity_trials=40).rows)
-    monkeypatch.setattr(suites, "BLOCK_TRIALS", 4)
+    monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", 1)
     blocked = (suites.run_findim_suite(seed=SEED, trials=40).rows,
                suites.run_theorem_suite(seed=SEED, theorem_trials=20,
                                         monotonicity_trials=40).rows)
