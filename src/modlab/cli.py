@@ -212,30 +212,20 @@ def write_csv(path: Path, rows: list, header: list[str] | None = None) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
-        return obj.tolist()
-    return obj
-
-
 def write_summary(path: Path, summary: dict) -> None:
-    path.write_text(json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n")
+    # np.float64 is a float; `default` takes the other numpy scalars and arrays
+    path.write_text(json.dumps(summary, sort_keys=True, indent=2,
+                               default=lambda obj: obj.tolist()) + "\n")
 
 
-def write_plot_script(path: Path, csv_name: str, curves: list[tuple[int, int, str]],
-                      notes: str = "") -> None:
+def write_plot_script(path: Path, curves: list[tuple[int, int, str]], notes: str) -> None:
     lines = [
         "# column-indexed plot recipe (1-based indices into the CSV below)",
-        f"data {csv_name} delimiter=, header=1",
+        "data results.csv delimiter=, header=1",
     ]
     for x_col, y_col, label in curves:
         lines.append(f'curve x={x_col} y={y_col} label="{label}"')
-    if notes:
-        lines.append(f"# {notes}")
+    lines.append(f"# {notes}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -266,7 +256,7 @@ def _emit(out_dir: str | None, rows: list, summary: dict, header: list[str] | No
     write_summary(out / "summary.json", summary)
     names = ["results.csv", "summary.json"]
     if plot is not None:
-        write_plot_script(out / "plot.txt", "results.csv", *plot)
+        write_plot_script(out / "plot.txt", *plot)
         names.append("plot.txt")
     write_manifest(out, names)
 

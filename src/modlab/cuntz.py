@@ -205,16 +205,14 @@ def _reference_state(fam: TruncatedCuntz, epsilon: float,
     mass follows a geometric profile c_i ~ q^i (q = 1/2) truncated at i_max.
     """
     d = fam.dim
-    n = fam.branching
-    if n < 2:
-        raise DimensionTooSmall(f"branching {n}: the reference state needs branching >= 2")
     if i_max > fam.defect_free_dim:
         raise TruncationBudgetExceeded(
             "reference-state tail does not fit the defect-free zone")
     psi1 = (fam.shifts[0][:, 0] + fam.shifts[1][:, 1]) / math.sqrt(2.0)
     basis = [psi1]
     k = 0
-    while len(basis) < i_max and k < d:
+    # e_0 .. e_{d-1} span the factor, so they fill i_max <= defect_free_dim < d slots
+    while len(basis) < i_max:
         cand = np.zeros(d)
         cand[k] = 1.0
         for b in basis:
@@ -223,8 +221,6 @@ def _reference_state(fam: TruncatedCuntz, epsilon: float,
         if norm > 1e-8:
             basis.append(cand / norm)
         k += 1
-    if len(basis) < i_max:
-        raise TruncationBudgetExceeded("factor too small for the requested tail")
     tail_target = 1.0 - (1.0 - epsilon) ** 2
     q = 0.5
     geo = np.array([q ** i for i in range(2, i_max + 1)])

@@ -147,8 +147,8 @@ class FieldQuad:
     rel_tol: float = 1e-10
     max_panels: int = 20000
 
-    def refined(self, factor: int = 2) -> "FieldQuad":
-        return FieldQuad(self.outer_order + 4, self.cross_order * factor,
+    def refined(self) -> "FieldQuad":
+        return FieldQuad(self.outer_order + 4, self.cross_order * 2,
                          self.rel_tol * 1e-2, self.max_panels * 2)
 
 
@@ -328,11 +328,11 @@ def _memo_sections(sections, g: InitialData, y: np.ndarray, quad: FieldQuad) -> 
     return {k: c[at] for k, c in columns.items()}
 
 
-def _data_splits(g: InitialData, axis: int = 0) -> list[float]:
+def _data_splits(g: InitialData) -> list[float]:
     pts = []
     for b in g.g0 + g.g1:
-        lo, hi = b.support_box()[axis]
-        pts.extend((lo, hi, b.center[axis]))
+        lo, hi = b.support_box()[0]
+        pts.extend((lo, hi, b.center[0]))
     return pts
 
 

@@ -33,23 +33,18 @@ from modlab.field import (
 from modlab.quadrature import integrate_1d
 
 
-def interior_wedge_data(d, mass):
-    if d == 1:
-        return InitialData((BumpFunction((2.0,), (1.0,)),),
-                           (BumpFunction((1.8,), (0.8,), 0.5),), 1, mass)
-    return InitialData((BumpFunction((1.5, 0.3), (0.8, 0.9)),),
-                       (BumpFunction((1.4, -0.2), (0.7, 0.8), 0.7),), 2, mass)
+def interior_wedge_data(mass):
+    """Interior d = 1 wedge data.  Not the CLI's preset: its g1 bump is 0.8
+    wide, where the preset's is 0.6."""
+    return InitialData((BumpFunction((2.0,), (1.0,)),),
+                       (BumpFunction((1.8,), (0.8,), 0.5),), 1, mass)
 
 
-def boundary_wedge_data(d, mass):
-    if d == 1:
-        return InitialData((BumpFunction((0.0,), (1.0,)),),
-                           (BumpFunction((0.2,), (0.6,), 0.5),), 1, mass)
-    return InitialData((BumpFunction((0.0, 0.0), (0.9, 1.0)),), (), 2, mass)
-
-
-def central_cone_data(width):
-    return InitialData((BumpFunction((0.0, 0.0, 0.0), (width,) * 3),), (), 3, 0.0)
+def boundary_wedge_data(mass):
+    """Boundary d = 1 wedge data.  Not the CLI's preset: its g1 bump is centred
+    at +0.2, where the preset's is at -0.2."""
+    return InitialData((BumpFunction((0.0,), (1.0,)),),
+                       (BumpFunction((0.2,), (0.6,), 0.5),), 1, mass)
 
 
 def off_centre_data(d, shift=0.0, mass=0.0):
@@ -223,13 +218,13 @@ class TestExactWedge:
         assert h.value > 0.0
 
     def test_refined_quadrature_oracle_d2(self):
-        g = interior_wedge_data(2, 1.0)
+        g = preset_data("wedge", 2, 1.0, "interior")
         h = exact_entropy(g, Wedge())
         h_ref = exact_entropy(g, Wedge(), DEFAULT_QUAD.refined())
         assert abs(h.value - h_ref.value) <= 1e-6 * h_ref.value
 
     def test_translation_invariance_perpendicular(self):
-        g = interior_wedge_data(2, 1.0)
+        g = preset_data("wedge", 2, 1.0, "interior")
         shifted = InitialData(
             tuple(BumpFunction((b.center[0], b.center[1] + 5.0), b.width, b.amplitude)
                   for b in g.g0),
@@ -272,7 +267,7 @@ class TestExactCone:
     def test_refined_quadrature_oracle_d3(self):
         # ball data take one exact ray under both rules, so this compares the
         # outer rules only
-        g = central_cone_data(0.5)
+        g = preset_data("cone", 3, 0.0, "interior")
         h = exact_entropy(g, Ball(1.0))
         h_ref = exact_entropy(g, Ball(1.0), DEFAULT_QUAD.refined())
         assert abs(h.value - h_ref.value) <= 1e-7 * h_ref.value
@@ -357,7 +352,7 @@ class TestEntropyBound:
     def test_interior_closed_form_and_gap(self):
         # with the cutoff identically 1 on the support, the bounds are the
         # exact integrals with shifted weights and the gap is linear in eps
-        g = interior_wedge_data(1, 1.0)
+        g = interior_wedge_data(1.0)
         prof = eta_st(1.5, 200)
         eps = 0.01
         h = exact_entropy(g, Wedge())
@@ -371,7 +366,7 @@ class TestEntropyBound:
     def test_interior_bounds_equal_shifted_weight_integrals(self):
         # cutoff consistency: with eta = 1 on supp g the bound is the exact
         # integral with the shifted weight x^1 +- 2 eps in place of x^1
-        g = interior_wedge_data(1, 1.0)
+        g = interior_wedge_data(1.0)
         prof = eta_st(1.5, 200)
         eps = 0.01
 
@@ -388,7 +383,7 @@ class TestEntropyBound:
         # ball of radius R = r +- 2 eps: weight (R^2 - rho^2)/(2R) and curvature
         # term (d-1)/(2R) g0^2; the radial bump is written out here
         width, r, eps = 0.5, 1.0, 0.01
-        g = central_cone_data(width)
+        g = preset_data("cone", 3, 0.0, "interior")  # one isotropic bump of this width
         prof = eta_st(1.5, 200)
 
         def weighted(big_r):
@@ -442,9 +437,9 @@ class TestEntropyBound:
 
     def test_positivity_up_to_quadrature_error(self):
         prof = eta_st(1.5, 80)
-        for g, reg in ((interior_wedge_data(1, 0.0), Wedge()),
-                       (boundary_wedge_data(2, 1.0), Wedge()),
-                       (central_cone_data(1.3), Ball(1.0))):
+        for g, reg in ((interior_wedge_data(0.0), Wedge()),
+                       (preset_data("wedge", 2, 1.0, "boundary"), Wedge()),
+                       (preset_data("cone", 3, 0.0, "boundary"), Ball(1.0))):
             h = exact_entropy(g, reg)
             assert h.value >= -h.error
             for side in ("upper", "lower"):
@@ -455,7 +450,7 @@ class TestEntropyBound:
                     assert b.value >= -b.error
 
     def test_interior_gap_linearity_grid(self):
-        g = interior_wedge_data(2, 1.0)
+        g = preset_data("wedge", 2, 1.0, "interior")
         prof = eta_st(1.5, 200)
         expected_slope = 2.0 * math.pi * field_energy(g)
         for eps in (4e-3, 2e-3, 1e-3):
@@ -467,11 +462,11 @@ class TestEntropyBound:
     def test_ordering_all_configs(self):
         prof = eta_st(1.6, 60)
         cases = [
-            (interior_wedge_data(1, 0.0), Wedge()),
-            (boundary_wedge_data(1, 1.0), Wedge()),
-            (boundary_wedge_data(2, 0.0), Wedge()),
-            (central_cone_data(0.5), Ball(1.0)),
-            (central_cone_data(1.3), Ball(1.0)),
+            (interior_wedge_data(0.0), Wedge()),
+            (boundary_wedge_data(1.0), Wedge()),
+            (preset_data("wedge", 2, 0.0, "boundary"), Wedge()),
+            (preset_data("cone", 3, 0.0, "interior"), Ball(1.0)),
+            (preset_data("cone", 3, 0.0, "boundary"), Ball(1.0)),
         ]
         for g, reg in cases:
             h = exact_entropy(g, reg)
@@ -483,7 +478,7 @@ class TestEntropyBound:
                 assert h.value <= hp.value + slack
 
     def test_cone_epsilon_guard(self):
-        g = central_cone_data(0.5)
+        g = preset_data("cone", 3, 0.0, "interior")
         with pytest.raises(GeometryViolation):
             entropy_bound(g, Ball(1.0), "upper", eta_st(1.5, 20), 0.6)
 
@@ -491,7 +486,7 @@ class TestEntropyBound:
     @pytest.mark.parametrize("epsilon", [0.0, -0.01, math.nan, math.inf])
     @pytest.mark.parametrize("d", [1, 2])
     def test_wedge_epsilon_guard(self, d, epsilon):
-        g = interior_wedge_data(d, 0.0)
+        g = interior_wedge_data(0.0) if d == 1 else preset_data("wedge", 2, 0.0, "interior")
         with pytest.raises(GeometryViolation):
             entropy_bound(g, Wedge(), "upper", eta_st(1.5, 20), epsilon)
 
@@ -502,10 +497,10 @@ class TestEntropyBound:
         # the sweep integrates its exact entropy together with its bounds
         monkeypatch.setattr(field, "integrate_1d", unexpected)
         with pytest.raises(ScheduleViolation):
-            squeeze_sweep(central_cone_data(0.5), Ball(1.0), [(0.6, 1.8, 40.0)])
+            squeeze_sweep(preset_data("cone", 3, 0.0, "interior"), Ball(1.0), [(0.6, 1.8, 40.0)])
 
     def test_bad_side(self):
-        g = interior_wedge_data(1, 0.0)
+        g = interior_wedge_data(0.0)
         with pytest.raises(GeometryViolation):
             entropy_bound(g, Wedge(), "above", eta_st(1.5, 20), 0.01)
 
@@ -563,14 +558,15 @@ class TestOuterRule:
     @pytest.mark.parametrize("side", ["upper", "lower"])
     @pytest.mark.parametrize("data", [interior_wedge_data, boundary_wedge_data])
     def test_d1_wedge_bound_matches_quad(self, data, side, eps, s, t):
-        g, prof = data(1, 1.0), eta_st(s, t)
+        g, prof = data(1.0), eta_st(s, t)
         res = entropy_bound(g, Wedge(), side, prof, eps)
         value, error = self.oracle(g, side, prof, eps)
         assert abs(res.value - value) <= res.error + error + 1e-14 * abs(value)
 
     @pytest.mark.parametrize("g, region", [
-        (boundary_wedge_data(1, 0.0), Wedge()), (boundary_wedge_data(2, 0.0), Wedge()),
-        (central_cone_data(1.3), Ball(1.0))], ids=["wedge-d1", "wedge-d2", "cone-d3"])
+        (boundary_wedge_data(0.0), Wedge()),
+        (preset_data("wedge", 2, 0.0, "boundary"), Wedge()),
+        (preset_data("cone", 3, 0.0, "boundary"), Ball(1.0))], ids=["wedge-d1", "wedge-d2", "cone-d3"])
     @pytest.mark.parametrize("side", ["upper", "lower"])
     def test_boundary_bound_work(self, monkeypatch, g, region, side):
         # seeded only at the transition's feature images, each boundary preset
@@ -613,7 +609,7 @@ class TestQuadBudget:
     def test_budget_exceeded(self):
         from modlab.errors import QuadratureBudgetExceeded
         from modlab.field import FieldQuad
-        g = interior_wedge_data(2, 1.0)
+        g = preset_data("wedge", 2, 1.0, "interior")
         tiny = FieldQuad(rel_tol=1e-15, max_panels=2)
         with pytest.raises(QuadratureBudgetExceeded):
             exact_entropy(g, Wedge(), tiny)
@@ -632,7 +628,7 @@ class TestTau0:
                                             abs=1e-14)
 
     def test_fubini_normalization(self):
-        g = interior_wedge_data(2, 0.0)
+        g = preset_data("wedge", 2, 0.0, "interior")
         prof = tau0(g, Wedge())
         lhs = integrate_1d(lambda xs: np.array([prof(x) for x in np.atleast_1d(xs)]),
                            0.7, 2.3, order=16, rel_tol=1e-11).value
@@ -644,7 +640,7 @@ class TestTau0:
 
     def test_cone_radial_normalization(self):
         # int tau0(rho) rho^{d-1} drho recovers int g0^2 over R^3
-        g = central_cone_data(0.5)
+        g = preset_data("cone", 3, 0.0, "interior")
         prof = tau0(g, Ball(1.0))
         lhs = integrate_1d(lambda rs: np.array([prof(r) * r ** 2 for r in np.atleast_1d(rs)]),
                            0.0, 0.5, order=16, rel_tol=1e-11).value
@@ -659,11 +655,11 @@ class TestTau0:
 
 class TestBoundaryPrediction:
     def test_interior_data_predicts_zero(self):
-        g = interior_wedge_data(1, 0.0)
+        g = interior_wedge_data(0.0)
         assert boundary_term_prediction(g, Wedge(), eta_st(1.5, 40), "upper") == 0.0
 
     def test_wedge_extrapolation_matches(self):
-        g = boundary_wedge_data(1, 0.0)
+        g = boundary_wedge_data(0.0)
         prof = eta_st(1.5, 200)
         h = exact_entropy(g, Wedge())
         for side in ("upper", "lower"):
@@ -678,7 +674,7 @@ class TestBoundaryPrediction:
     def test_one_energy_integral_per_profile(self, monkeypatch):
         # criterion 5 makes 10 predictions with one profile; E[eta] is
         # integrated on the first and kept, and every value stays the same
-        g = boundary_wedge_data(1, 0.0)
+        g = boundary_wedge_data(0.0)
         cases = [(Wedge(), side) for side in ("upper", "lower")] * 5
         fresh = [boundary_term_prediction(g, region, eta_st(1.5, 200.0), side)
                  for region, side in cases]
@@ -695,7 +691,7 @@ class TestBoundaryPrediction:
 
     def test_prediction_vanishes_as_s_to_one(self):
         # tracks the limit energy 1/log((s+1)/(s-1)), which decays to 0 as s -> 1+
-        g = boundary_wedge_data(1, 0.0)
+        g = boundary_wedge_data(0.0)
         preds = []
         for s in (2.0, 1.5, 1.2, 1.05):
             t = 300.0 * s / (s - 1.0)
@@ -706,11 +702,11 @@ class TestBoundaryPrediction:
 
 class TestSqueezeSweep:
     def test_empty_schedule(self):
-        g = interior_wedge_data(1, 0.0)
+        g = interior_wedge_data(0.0)
         assert squeeze_sweep(g, Wedge(), []) == []
 
     def test_interior_reaches_small_gap(self):
-        g = interior_wedge_data(1, 0.0)
+        g = interior_wedge_data(0.0)
         sched = [(1e-2, 1.8, 40.0), (3e-3, 1.6, 100.0), (1e-3, 1.5, 200.0)]
         recs = squeeze_sweep(g, Wedge(), sched)
         assert all(r.ordering_ok() for r in recs)
@@ -719,7 +715,7 @@ class TestSqueezeSweep:
         assert gaps[-1] <= 0.02
 
     def test_boundary_gap_matches_prediction(self):
-        g = boundary_wedge_data(1, 0.0)
+        g = boundary_wedge_data(0.0)
         prof = eta_st(1.5, 200.0)
         sched = [(0.02, 1.5, 200.0), (0.01, 1.5, 200.0), (0.005, 1.5, 200.0)]
         recs = squeeze_sweep(g, Wedge(), sched)
@@ -733,7 +729,7 @@ class TestSqueezeSweep:
         assert abs(coef[0] - pred_gap) <= 0.05 * pred_gap
 
     def test_schedule_violations(self):
-        g = interior_wedge_data(1, 0.0)
+        g = interior_wedge_data(0.0)
         with pytest.raises(ScheduleViolation):
             squeeze_sweep(g, Wedge(), [(1e-2, 1.5, 2.0)])  # t below s/(s-1)
         with pytest.raises(ScheduleViolation):
