@@ -3,7 +3,9 @@
 The energy of a smooth 0-to-1 transition on [-1, 1] has infimum zero.  The
 analytic family eta_{s,t} (a clipped 1/(x+1) profile of sharpness s mollified
 at scale 1/t) realizes the limit value 1/log((s+1)/(s-1)) as t grows, which
-vanishes as s -> 1+.  An independent discrete minimizer over pinned grid
+vanishes as s -> 1+.  Each profile convolves a band point once: it keeps a
+memo of its band values, of at most quadrature.MEMO_POINTS points, that dies
+with the profile.  An independent discrete minimizer over pinned grid
 vectors confirms the decay of the minimum with resolution; it is a closed
 form in numpy alone, so neither importing modlab nor minimizing loads scipy.
 """
@@ -18,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterViolation
-from .quadrature import blocks, gauss_rule, integrate_1d
+from .quadrature import blocks, gauss_rule, integrate_1d, memo_rows
 
 
 # --------------------------------------------------------------------------
@@ -148,6 +150,12 @@ class AnalyticCutoff:
     fixed per profile, so a value never depends on the points evaluated with it.
     On the bands around +-1/s the profile is the convolution itself, taken over
     each point's clip window only (`_convolve`), within 2e-15 of a quad oracle.
+    Each profile keeps a memo of its band values, so it convolves each band
+    point once: a point that matches a convolved one as an exact float takes
+    its values, and the rest are convolved in one call.  A band point's row
+    is summed on its own, so the memo moves no bit.  It holds at most
+    quadrature.MEMO_POINTS points (a call that could pass that starts it
+    afresh) and dies with the profile: nothing carries to a new one.
     """
 
     def __init__(self, s: float, t: float):
@@ -162,6 +170,8 @@ class AnalyticCutoff:
         # np.polyval, highest power first: numpy.polynomial costs ~1 MB at import
         self._prime_coeffs = m[:n][::-1]
         self._eta_coeffs = np.concatenate(([0.0], m[1:n] / (2.0 * np.arange(1, n))))[::-1]
+        # the band memo of `quadrature.memo_rows`, replaced whole on each miss
+        self._band = (np.empty(0), {})
 
     @property
     def support_halfwidth(self) -> float:
@@ -201,10 +211,17 @@ class AnalyticCutoff:
         return (mass[m] + tail + np.einsum("ij,ij->i", anti, fw),
                 np.einsum("ij,ij->i", chi, fw))
 
+    def _convolve_blocks(self, x: np.ndarray) -> dict:
+        """_convolve of band points in blocks whose arrays stay within
+        BLOCK_ELEMENTS floats."""
+        parts = [self._convolve(x[b]) for b in blocks(x.size, _CONVOLVE_WIDTH)]
+        return {"eta": np.concatenate([e for e, _ in parts]),
+                "prime": np.concatenate([p for _, p in parts])}
+
     def eta_and_prime(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """eta(x) and eta'(x): the series on the middle piece, a convolution
-        on the bands around +-1/s in blocks whose arrays stay within
-        BLOCK_ELEMENTS floats, and exact 0, 1 and 0 beyond the support."""
+        """eta(x) and eta'(x): the series on the middle piece, the convolution
+        on the bands around +-1/s, served from the band memo or convolved, and
+        exact 0, 1 and 0 beyond the support."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         hw = self.support_halfwidth
         eta = np.where(x >= hw, 1.0, 0.0)
@@ -212,9 +229,11 @@ class AnalyticCutoff:
         smooth = np.abs(x) < 1.0 / self.s - 1.0 / self.t
         if np.any(smooth):
             eta[smooth], prime[smooth] = self._series(x[smooth])
-        band = np.flatnonzero((np.abs(x) < hw) & ~smooth)
-        for b in blocks(band.size, _CONVOLVE_WIDTH):
-            eta[band[b]], prime[band[b]] = self._convolve(x[band[b]])
+        band = (np.abs(x) < hw) & ~smooth
+        if np.any(band):
+            held, columns, at = memo_rows(*self._band, x[band], self._convolve_blocks)
+            self._band = (held, columns)
+            eta[band], prime[band] = columns["eta"][at], columns["prime"][at]
         return eta, prime
 
     def eta(self, x) -> np.ndarray:

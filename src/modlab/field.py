@@ -42,7 +42,7 @@ from .errors import (
     ParameterViolation,
     ScheduleViolation,
 )
-from .quadrature import MAX_LANES, QuadResult, blocks, gauss_rule, integrate_1d
+from .quadrature import MAX_LANES, QuadResult, blocks, gauss_rule, integrate_1d, memo_rows
 
 
 # --------------------------------------------------------------------------
@@ -285,15 +285,12 @@ def _cone_sections(g: InitialData, rho: np.ndarray, quad: FieldQuad) -> dict:
 
 
 # The cross-sections of the most recent (section function, data, rule) key:
-# the key, its nodes, sorted, and one column per section.  The consecutive
-# integrals of one workflow on one data object (a squeeze sweep, its bounds,
-# the exact entropy, tau0) evaluate each node once; the next key replaces the
-# entry, so nothing outlives the workflow.  A call that could take it past
-# SECTION_MEMO_NODES nodes (at most 6 floats each, 3 MiB) starts it afresh.
-# The entry is read and replaced whole, so concurrent callers never mix two.
-SECTION_MEMO_NODES = 1 << 16
-
-
+# the key and its `quadrature.memo_rows` memo, one column per section.  The
+# consecutive integrals of one workflow on one data object (a squeeze sweep,
+# its bounds, the exact entropy, tau0) evaluate each node once; the next key
+# replaces the entry, so nothing outlives the workflow, and the memo starts
+# afresh past MEMO_POINTS nodes.  The entry is read and replaced whole, so
+# concurrent callers never mix two.
 def _reset_section_memo() -> None:
     global _memo
     _memo = (None, np.empty(0), {})
@@ -310,21 +307,10 @@ def _memo_sections(sections, g: InitialData, y: np.ndarray, quad: FieldQuad) -> 
     global _memo
     key = (sections, g, quad)
     held_key, held, columns = _memo
-    if held_key != key or held.size + y.size > SECTION_MEMO_NODES:
+    if held_key != key:
         held, columns = held[:0], {}
-    at = np.searchsorted(held, y)
-    known = (held[np.minimum(at, held.size - 1)] == y if held.size
-             else np.zeros(y.shape, dtype=bool))
-    if not known.all():
-        nodes = y[~known]
-        fresh = sections(g, nodes, quad)
-        if held.size:
-            nodes = np.concatenate([held, nodes])
-            fresh = {k: np.concatenate([c, fresh[k]]) for k, c in columns.items()}
-        order = np.argsort(nodes, kind="stable")
-        held, columns = nodes[order], {k: c[order] for k, c in fresh.items()}
-        _memo = (key, held, columns)
-        at = np.searchsorted(held, y)
+    held, columns, at = memo_rows(held, columns, y, lambda nodes: sections(g, nodes, quad))
+    _memo = (key, held, columns)
     return {k: c[at] for k, c in columns.items()}
 
 

@@ -36,6 +36,10 @@ BLOCK_ELEMENTS = 8192
 # 3.0 s and peaked at 171 MB, calls of 17 lanes 0.45 and 0.23 s at 37 MB, and
 # separate integrals 0.54 and 0.26 s at 36 MB (2 cores, Python 3.11, numpy 2.4).
 MAX_LANES = 17
+# The most points a memo of `memo_rows` holds: a call that could take it past
+# this starts it afresh.  A field section memo's node carries at most 6
+# floats, a cutoff band memo's point 2, so one memo stays within 3.5 MiB.
+MEMO_POINTS = 1 << 16
 
 
 class QuadResult(NamedTuple):
@@ -114,6 +118,35 @@ def blocks(n: int, width: int = 1) -> list[slice]:
     at least one, for code that expands each point into `width` floats."""
     step = max(1, BLOCK_ELEMENTS // width)
     return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def memo_rows(held: np.ndarray, columns: dict, x: np.ndarray,
+              evaluate: Callable[[np.ndarray], dict]) -> tuple[np.ndarray, dict, np.ndarray]:
+    """The rows of x in a memo: `held`, its points sorted, and `columns`, one
+    array per quantity whose row i belongs to held[i].  A point matches a held
+    one as an exact float (`searchsorted`); the distinct misses go to
+    `evaluate` in one call, ascending, and one stable argsort merges its
+    columns in.  Returns the new memo and the row of each x in it.  A call
+    that could take the memo past MEMO_POINTS starts it afresh.  The caller
+    keeps the memo; no bit moves as long as `evaluate` gives each point a row
+    that does not depend on the other points of its call."""
+    at = np.searchsorted(held, x)
+    known = (held[np.minimum(at, held.size - 1)] == x if held.size
+             else np.zeros(x.shape, dtype=bool))
+    if known.all():
+        return held, columns, at
+    miss = x[~known]
+    miss = miss[np.argsort(miss, kind="stable")]
+    miss = miss[np.concatenate(([True], miss[1:] != miss[:-1]))]
+    if held.size and held.size + miss.size > MEMO_POINTS:
+        return memo_rows(held[:0], {}, x, evaluate)
+    fresh = evaluate(miss)
+    points = np.concatenate([held, miss])
+    order = np.argsort(points, kind="stable")
+    columns = {k: np.concatenate([columns.get(k, c[:0]), c])[order]
+               for k, c in fresh.items()}
+    held = points[order]
+    return held, columns, np.searchsorted(held, x)
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

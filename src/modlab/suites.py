@@ -77,13 +77,15 @@ FINDIM_CHECKS = (("klein_positivity", KLEIN_TOL),
                  ("delta_closed_form", CLOSED_FORM_TOL))
 
 
-def _blocks(seed: int, trials: np.ndarray, dim: int):
+def _blocks(seed: int, trials: np.ndarray, width: int):
     """Runs of the trial indices, each with one generator per trial: trial t
-    draws from default_rng(seed + t), as when it runs alone.  A findim trial's
-    largest temporary is its d^2 x d^2 Tomita map, so every run is a block of
-    `quadrature.blocks` at width d^4, which bounds memory whatever the trial
-    count: 512, 101 and 32 trials at d = 2, 3 and 4."""
-    for blk in blocks(len(trials), dim ** 4):
+    draws from default_rng(seed + t), as when it runs alone.  Every run is a
+    block of `quadrature.blocks` at `width`, the entries of one trial's
+    largest temporary, which bounds memory whatever the trial count.  A findim trial's
+    is its d^2 x d^2 Tomita map, width d^4: 512, 101 and 32 trials at d = 2, 3
+    and 4.  The theorem and monotonicity trials build no Tomita map; theirs is
+    a d x d matrix at d = 4, width d^2: 512 trials."""
+    for blk in blocks(len(trials), width):
         idx = trials[blk]
         yield idx, [np.random.default_rng(seed + int(t)) for t in idx]
 
@@ -94,7 +96,7 @@ def run_findim_suite(seed: int = 0, trials: int = 1000) -> SuiteResult:
     state pairs of dimension 2 to 4 (trial t has dimension 2 + t % 3)."""
     residuals = np.empty((trials, len(FINDIM_CHECKS)))
     for dim in (2, 3, 4):
-        for idx, rngs in _blocks(seed, np.arange(dim - 2, trials, 3), dim):
+        for idx, rngs in _blocks(seed, np.arange(dim - 2, trials, 3), dim ** 4):
             rho, rho_t = modular.random_density(dim, rngs), modular.random_density(dim, rngs)
             h = modular.rel_entropy_dm(rho, rho_t)
             u = modular.random_unitary(dim, rngs)
@@ -137,14 +139,14 @@ def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
                              "lhs": float(rep.lhs[k]), "rhs": float(rep.rhs[k]),
                              "margin": float(rep.margin[k]), "pass": bool(rep.passed[k])})
 
-    for idx, rngs in _blocks(seed, np.arange(theorem_trials), 4):
+    for idx, rngs in _blocks(seed, np.arange(theorem_trials), 4 ** 2):
         rho_ab = modular.random_density(4, rngs)
         u, v = modular.random_unitary(4, rngs), modular.random_unitary(4, rngs)
         u_b, v_b = modular.random_unitary(2, rngs), modular.random_unitary(2, rngs)
         upper, lower = modular.theorem_entropy_bounds(rho_ab, (2, 2), u, v, u_b, v_b,
                                                       trial_seed=idx, tol=THEOREM_MARGIN_TOL)
         record([("theorem_upper", upper), ("theorem_lower", lower)])
-    for idx, rngs in _blocks(seed + 10_000, np.arange(monotonicity_trials), 4):
+    for idx, rngs in _blocks(seed + 10_000, np.arange(monotonicity_trials), 4 ** 2):
         record([("monotonicity", modular.monotonicity_check(
             modular.random_density(4, rngs), modular.random_density(4, rngs), (2, 2),
             trial_seed=idx, tol=THEOREM_MARGIN_TOL))])

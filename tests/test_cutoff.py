@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from modlab import cutoff
+from modlab import cutoff, quadrature
 from modlab.cutoff import (
     MAX_SHARPNESS,
     AnalyticCutoff,
@@ -261,10 +261,11 @@ class TestFusedEvaluation:
     @pytest.mark.parametrize("s, t", [(1.5, 200.0), (1.01, 101.0), (1.2, t_threshold(1.2))])
     def test_a_value_does_not_depend_on_the_points_beside_it(self, s, t):
         # 20,000 random points over the support, at once and in blocks of 7
+        # on two profiles, so the band memo of the one serves nothing to the other
         prof = eta_st(s, t)
         x = np.random.default_rng(7).uniform(-1.0, 1.0, 20000) * prof.support_halfwidth
         blocks = [prof.eta_and_prime(x[i:i + 7]) for i in range(0, x.size, 7)]
-        for whole, parts in zip(prof.eta_and_prime(x), zip(*blocks)):
+        for whole, parts in zip(eta_st(s, t).eta_and_prime(x), zip(*blocks)):
             assert np.array_equal(whole, np.concatenate(parts))
 
     @pytest.mark.parametrize("s, t", ORACLE_CASES)
@@ -320,6 +321,83 @@ class TestFusedEvaluation:
         eta, prime = prof.eta_and_prime(np.array([np.nextafter(-hw, 0.0), np.nextafter(hw, 0.0)]))
         assert abs(eta[0]) <= 1e-13 and abs(eta[1] - 1.0) <= 1e-13
         assert np.max(np.abs(prime)) <= 1e-13 * scale
+
+
+@pytest.fixture
+def convolved(monkeypatch):
+    """The band points of every convolution that follows."""
+    calls = []
+    convolve = AnalyticCutoff._convolve
+
+    def spy(self, x):
+        calls.append(np.array(x))
+        return convolve(self, x)
+    monkeypatch.setattr(AnalyticCutoff, "_convolve", spy)
+    return calls
+
+
+class TestBandMemo:
+    """Each profile serves a band point's values from the call that first
+    convolved it; that moves no bit only because no band point's row depends
+    on the other points of its call."""
+
+    @staticmethod
+    def band_points(prof, n, seed):
+        inner, hw = 1.0 / prof.s - 1.0 / prof.t, prof.support_halfwidth
+        x = np.random.default_rng(seed).uniform(inner, hw, n)
+        return np.where(np.arange(n) % 2, x, -x)
+
+    @staticmethod
+    def bits(values):
+        return [v.tobytes() for v in values]
+
+    @pytest.mark.parametrize("s, t", [(1.5, 200.0), (1.01, 101.0), (1.2, t_threshold(1.2))])
+    def test_a_band_point_is_bit_equal_alone_in_a_batch_and_through_the_memo(self, s, t):
+        x = self.band_points(eta_st(s, t), 64, 33)
+        together = eta_st(s, t).eta_and_prime(x)
+        alone = [eta_st(s, t).eta_and_prime(x[i:i + 1]) for i in range(x.size)]
+        assert self.bits(np.concatenate(v) for v in zip(*alone)) == self.bits(together)
+        # and through the memo: half the points first, then all of them shuffled
+        order = np.random.default_rng(34).permutation(x.size)
+        prof = eta_st(s, t)
+        prof.eta_and_prime(x[:32])
+        assert self.bits(prof.eta_and_prime(x[order])) == self.bits(v[order] for v in together)
+
+    def test_each_band_point_is_convolved_once(self, convolved):
+        prof = eta_st(1.5, 200.0)
+        x = self.band_points(prof, 300, 35)
+        # repeats within a call are convolved once too
+        first = prof.eta_and_prime(np.concatenate([x[:200], x[:50]]))
+        assert sum(c.size for c in convolved) == 200
+        assert np.all(np.diff(np.concatenate(convolved)) > 0)
+        prof.eta_and_prime(x)
+        assert sum(c.size for c in convolved) == 300
+        assert self.bits(prof.eta_and_prime(x[:200])) == self.bits(v[:200] for v in first)
+        assert sum(c.size for c in convolved) == 300
+
+    def test_a_fresh_profile_convolves_again(self, convolved):
+        x = self.band_points(eta_st(1.5, 200.0), 100, 36)
+        values = []
+        for _ in range(2):
+            values.append(self.bits(eta_st(1.5, 200.0).eta_and_prime(x)))
+            assert sum(c.size for c in convolved) == 100
+            convolved.clear()
+        assert values[0] == values[1]
+
+    def test_the_memo_starts_afresh_past_its_cap(self, monkeypatch, convolved):
+        x = self.band_points(eta_st(1.5, 200.0), 500, 37)
+        expected = self.bits(eta_st(1.5, 200.0).eta_and_prime(x))
+        monkeypatch.setattr(quadrature, "MEMO_POINTS", 120)
+        prof, held, values = eta_st(1.5, 200.0), [], []
+        for i in range(0, x.size, 50):
+            values.append(prof.eta_and_prime(x[i:i + 50]))
+            held.append(prof._band[0].size)
+        assert self.bits(np.concatenate(v) for v in zip(*values)) == expected
+        assert held == [50, 100, 50, 100, 50, 100, 50, 100, 50, 100]
+        # a call past the cap alone is convolved whole, and held
+        convolved.clear()
+        prof.eta_and_prime(x)
+        assert sum(c.size for c in convolved) == x.size == prof._band[0].size
 
 
 class TestDiscreteMinimizer:

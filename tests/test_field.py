@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from modlab import cutoff, field
+from modlab import cutoff, field, quadrature
 from modlab.cli import preset_data, preset_region
 from modlab.cutoff import eta_st
 from modlab.errors import (
@@ -927,10 +927,56 @@ class TestSectionMemo:
             held.append(field._memo[1].size)
             return out
         monkeypatch.setattr(field, "_memo_sections", spy)
-        monkeypatch.setattr(field, "SECTION_MEMO_NODES", 1000)
+        monkeypatch.setattr(quadrature, "MEMO_POINTS", 1000)
         field._reset_section_memo()
         assert squeeze_sweep(g, region, BOUNDARY_SCHEDULE) == expected
         assert max(held) <= 1000 and any(b < a for a, b in zip(held, held[1:]))
+
+
+@pytest.fixture
+def band_rows(monkeypatch):
+    """(profile, band points) of every convolution that follows."""
+    calls = []
+    convolve = cutoff.AnalyticCutoff._convolve
+
+    def spy(self, x):
+        calls.append((self, np.array(x)))
+        return convolve(self, x)
+    monkeypatch.setattr(cutoff.AnalyticCutoff, "_convolve", spy)
+    return calls
+
+
+def test_criterion_5_convolves_each_band_point_once_per_profile(band_rows):
+    # one squeeze benchmark pass: criterion 5 on every preset, then criterion
+    # 4's energy; each builds its own profiles, so a second pass convolves as
+    # many rows as the first, and no profile convolves a point twice
+    def criterion_5():
+        prof = eta_st(1.5, 200.0)
+        for geometry, d, mass in CRITERION_5_CONFIGS:
+            region = preset_region(geometry, 1.0)
+            interior = preset_data(geometry, d, mass, "interior")
+            boundary = preset_data(geometry, d, mass, "boundary")
+            squeeze_sweep(interior, region, INTERIOR_SCHEDULE)
+            for eps in (4e-3, 2e-3, 1e-3):
+                for side in ("upper", "lower"):
+                    entropy_bound(interior, region, side, prof, eps)
+            exact_entropy(boundary, region)
+            squeeze_sweep(boundary, region, BOUNDARY_SCHEDULE)
+            for side in ("upper", "lower"):
+                boundary_term_prediction(boundary, region, prof, side)
+                for eps, _, _ in BOUNDARY_SCHEDULE:
+                    entropy_bound(boundary, region, side, prof, eps)
+        cutoff.energy(eta_st(1.5, 200.0))
+
+    criterion_5()
+    first = list(band_rows)
+    criterion_5()
+    rows = [sum(x.size for _, x in calls) for calls in (first, band_rows[len(first):])]
+    # 12,180 rows a pass before the band memo
+    assert rows == [2332, 2332]
+    for prof in {id(p): p for p, _ in first}.values():
+        x = np.concatenate([x for p, x in first if p is prof])
+        assert np.unique(x).size == x.size
 
 
 class TestModularFlow:

@@ -134,6 +134,20 @@ def test_rows_do_not_depend_on_the_block_size(monkeypatch):
     assert blocked == whole
 
 
+def test_theorem_blocks_are_sized_by_a_d_by_d_matrix(monkeypatch):
+    # a theorem or monotonicity trial builds no Tomita map: its largest
+    # temporary is a 4 x 4 matrix, so a block holds BLOCK_ELEMENTS // 16 = 512
+    # trials, and the acceptance size runs in 3 blocks (48 at width d^4)
+    sizes = []
+    for name in ("theorem_entropy_bounds", "monotonicity_check"):
+        def spy(*args, _check=getattr(modular, name), **kwargs):
+            sizes.append(len(kwargs["trial_seed"]))
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(modular, name, spy)
+    suites.run_theorem_suite(seed=SEED, theorem_trials=500, monotonicity_trials=1000)
+    assert sizes == [500, 512, 488]
+
+
 def test_rows_do_not_depend_on_the_trial_count():
     short = suites.run_findim_suite(seed=SEED, trials=TRIALS).rows
     assert suites.run_findim_suite(seed=SEED, trials=40).rows[:len(short)] == short
