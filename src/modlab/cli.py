@@ -89,7 +89,7 @@ SCHEMAS = {
     ("signalling", "gap"): {"epsilon": (float, lambda v: True, 0.01),
                             "samples": (int, lambda v: 1 <= v <= 10 ** 5, 200),
                             # the 12-term reference tail needs (d - 2)//2 >= 12; 200
-                            # samples take 2.1 s at 256 (1 BLAS thread), mostly normals
+                            # samples take 1.2 s at 256 (1 BLAS thread), mostly normals
                             "d_factor": (int, lambda v: 26 <= v <= 256, 32)},
     # the shift families are n dense dim^2 matrices
     ("signalling", "factorize"): {"n": (int, lambda v: True, 2),

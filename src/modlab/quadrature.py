@@ -27,6 +27,8 @@ ABS_TOL = 1e-13
 # of glibc's default 128 KiB mmap threshold, so per-call temporaries come from
 # the heap whatever earlier frees did to that threshold.  Code that expands each
 # point into a row of w floats takes points in blocks of BLOCK_ELEMENTS // w.
+# `suites._blocks` counts a complex entry as one element, so its complex blocks
+# hold up to twice this many floats (128 KiB).
 BLOCK_ELEMENTS = 8192
 # The most lanes one call integrates: a squeeze sweep's exact entropy and the
 # two bounds of 8 schedule entries.  Every lane is evaluated on the union of

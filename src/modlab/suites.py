@@ -84,7 +84,10 @@ def _blocks(seed: int, trials: np.ndarray, width: int):
     largest temporary, which bounds memory whatever the trial count.  A findim trial's
     is its d^2 x d^2 Tomita map, width d^4: 512, 101 and 32 trials at d = 2, 3
     and 4.  The theorem and monotonicity trials build no Tomita map; theirs is
-    a d x d matrix at d = 4, width d^2: 512 trials."""
+    a d x d matrix at d = 4, width d^2: 512 trials.  A width counts a complex
+    entry as one element, though it holds two floats, so a complex block may
+    reach 2 BLOCK_ELEMENTS floats: a 512-trial theorem block of complex 4 x 4
+    matrices is 128 KiB."""
     for blk in blocks(len(trials), width):
         idx = trials[blk]
         yield idx, [np.random.default_rng(seed + int(t)) for t in idx]

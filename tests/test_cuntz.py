@@ -240,22 +240,28 @@ class TestProductReconstruction:
 
 def _sequential_alignment(omega, target, rng, iters, restarts):
     """align_product written out one restart after another, on the k columns
-    of u' and u that u' Omega u^T reads."""
+    of u' and u that u' Omega u^T reads and the rows R and columns C where the
+    target is nonzero."""
     k = cuntz._leading_block(omega)
     omega = omega[:k, :k]
+    rows, cols = cuntz._support(target, k)
+    block = target[np.ix_(rows, cols)]
     d = target.shape[0]
     best = math.inf
     for _ in range(restarts):
-        u = random_unitary(d, rng, columns=k)
+        u = random_unitary(d, rng, columns=k)[cols]
         u_prime = random_unitary(d, rng, columns=k)
-        for _ in range(iters):
-            uu, _, vv = np.linalg.svd(target @ np.conj(u) @ dagger(omega),
+        for step in range(iters):
+            uu, _, vv = np.linalg.svd(block @ np.conj(u) @ dagger(omega),
                                       full_matrices=False)
             u_prime = uu @ vv
-            uu, _, vv = np.linalg.svd(np.conj(dagger(omega) @ dagger(u_prime) @ target),
+            c = target[rows] if step == iters - 1 else block
+            uu, _, vv = np.linalg.svd(np.conj(dagger(omega) @ dagger(u_prime) @ c),
                                       full_matrices=False)
             u = dagger(vv) @ dagger(uu)
-        best = min(best, float(np.linalg.norm(u_prime @ omega @ u.T - target)))
+        full_u_prime = np.zeros((d, k), dtype=complex)  # zero outside R
+        full_u_prime[rows] = u_prime
+        best = min(best, float(np.linalg.norm(full_u_prime @ omega @ u.T - target)))
     return best
 
 
@@ -343,6 +349,41 @@ class TestThinAlignment:
                 == _full_alignment(omega, target, np.random.default_rng(4), 20, 3))
 
 
+class TestTargetSupport:
+    """The polar steps on the rows R and columns C where the target is nonzero
+    (`cuntz._support`) against the full alignment."""
+
+    @pytest.mark.parametrize("d_factor, i_max",
+                             THIN_CONFIGS + [(d, i_max) for d in (128, 256) for i_max in (6, 12)])
+    def test_every_target_has_a_full_rank_block(self, d_factor, i_max):
+        # the condition under which the dropped completions never enter a step
+        fam = TruncatedCuntz(2, d_factor)
+        omega, _ = cuntz._reference_state(fam, 0.01, i_max=i_max)
+        target = cuntz._apply_w(omega, fam)
+        rows, cols = cuntz._support(target, i_max)
+        assert (rows.size, cols.size) == {6: (8, 3), 12: (14, 6)}[i_max]
+        assert np.linalg.matrix_rank(target[np.ix_(rows, cols)]) == cols.size
+
+    # (rows, columns) kept nonzero, against k = 6: fewer columns than k, more,
+    # and fewer rows than k, where R takes the first k rows too
+    @pytest.mark.parametrize("n_rows, n_cols", [(11, 4), (12, 9), (4, 3)])
+    def test_scattered_support_equals_full_alignment(self, n_rows, n_cols):
+        d, k = 16, 6
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            omega = np.zeros((d, d), dtype=complex)
+            omega[:k, :k] = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            target = np.zeros((d, d), dtype=complex)
+            rows = rng.choice(d, n_rows, replace=False)
+            cols = rng.choice(d, n_cols, replace=False)
+            target[np.ix_(rows, cols)] = (rng.standard_normal((n_rows, n_cols))
+                                          + 1j * rng.standard_normal((n_rows, n_cols)))
+            assert np.linalg.matrix_rank(target) == n_cols
+            thin = align_product(omega, target, np.random.default_rng(seed), iters=60, restarts=4)
+            full = _full_alignment(omega, target, np.random.default_rng(seed), 60, 4)
+            assert thin == pytest.approx(full, rel=1e-14, abs=0.0), seed
+
+
 class TestDecompositionCounts:
     @pytest.fixture
     def svd_calls(self, monkeypatch):
@@ -357,19 +398,22 @@ class TestDecompositionCounts:
         return calls
 
     def test_norm_gap_svds(self, svd_calls):
-        # two stacked thin SVDs per alignment step, on the k = 12 columns Omega
-        # reaches, 60 steps; the samples need none
+        # two stacked thin SVDs per alignment step, on the 14 rows and 6 columns
+        # where the target is nonzero and the k = 12 columns Omega reaches, 60
+        # steps; the last u step takes all 32 columns.  The samples need none
         norm_gap_experiment(0.01, samples=200, d_factor=32, seed=20260810)
-        assert svd_calls == [(4, 32, 12), (4, 12, 32)] * 60
+        assert svd_calls == [(4, 14, 12), (4, 12, 6)] * 59 + [(4, 14, 12), (4, 12, 32)]
 
     def test_norm_gap_svds_at_the_largest_factor(self, svd_calls):
+        # the blocks do not grow with d_factor; only the last u step does
         norm_gap_experiment(0.01, samples=1, d_factor=256, seed=20260810)
-        assert svd_calls == [(4, 256, 12), (4, 12, 256)] * 60
+        assert svd_calls == [(4, 14, 12), (4, 12, 6)] * 59 + [(4, 14, 12), (4, 12, 256)]
 
     def test_certificate_svds(self, svd_calls):
-        # i_max = 6: the alignment keeps 6 of the 16 columns
+        # i_max = 6: the alignment keeps 6 of the 16 columns, and the target
+        # is nonzero on 8 rows and 3 columns
         certify_no_product_form()
-        assert svd_calls == [(6, 16, 6), (6, 6, 16)] * 80
+        assert svd_calls == [(6, 8, 6), (6, 6, 3)] * 79 + [(6, 8, 6), (6, 6, 16)]
 
     def test_sample_stacks_are_capped(self, monkeypatch):
         sizes, kept, drawn = [], [], []
