@@ -21,7 +21,9 @@ then returns arrays over the leading axes: one pair is the unstacked view of
 the same formula that the seeded suites run on blocks of trials.
 
 Each state and each Delta is symmetrised once and decomposed once, by
-`linalg._eigh`; no SVD guard is taken: full rank bounds a Tomita map's.
+`linalg._eigh`; no SVD guard is taken: full rank bounds a Tomita map's.  The
+polar residual is a Frobenius norm, an upper bound on the spectral norm that
+needs no SVD.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ from .linalg import HermitianEig, _eigh, dagger, hermitian_part, kron, partial_t
 FULL_RANK_TOL = 1e-10
 UNITARY_TOL = 1e-10
 SUPPORT_TOL = 1e-11
-WELL_CONDITIONED_EIG = 1e-8
+# random_density's redraw floor.  `eigh` resolves Delta = kron(rho_t, (rho^-1)^T)
+# of a d x d pair only to about n u w_max for n = d^2 (u = 2^-53), and Delta's
+# spread w_min / w_max = (q_min / q_max)(p_min / p_max) is at least q_min p_min,
+# which reaches (p_min / p_max)^2 at rho_t = rho.  Keeping it above 10 d^2 u needs
+# p_min > sqrt(10 d^2 u), 1.33e-7 at the suites' largest d = 4.
+WELL_CONDITIONED_EIG = math.sqrt(10 * 4 ** 2 * 2.0 ** -53)
 
 
 # --------------------------------------------------------------------------
@@ -95,7 +102,9 @@ class AntilinearMap:
 @dataclass(frozen=True)
 class ModularData:
     """Polar data of a relative Tomita map: S = J Delta^{1/2}, K = -log Delta,
-    with the eigendecomposition of Delta that built them."""
+    with the eigendecomposition of Delta that built them.  The reconstruction
+    residual ||J Delta^{1/2} - S||_F bounds the spectral one from above, with
+    no SVD."""
 
     S: AntilinearMap
     J: AntilinearMap
@@ -106,7 +115,7 @@ class ModularData:
     def s_reconstruction_residual(self) -> float | np.ndarray:
         delta_sqrt = self.delta_eig.apply(np.sqrt)
         rebuilt = self.J.linear_part @ np.conj(delta_sqrt)
-        return _scalar(np.linalg.norm(rebuilt - self.S.linear_part, 2, axis=(-2, -1)))
+        return _scalar(np.linalg.norm(rebuilt - self.S.linear_part, axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -208,19 +217,25 @@ def rel_tomita(rho: DensityMatrix, rho_t: DensityMatrix) -> AntilinearMap:
     return _tomita_map(rho.sqrt(), rho_t.sqrt())
 
 
-def _polar(s: AntilinearMap) -> ModularData:
-    """S = J Delta^{1/2} with Delta = S*S and K = -log Delta, for the Tomita map of
-    a pair that passed `_require_full_rank`.  No cut on Delta's spectrum: `eigh`
-    resolves it only to about n u w_max, and drawn pairs reach w_min / w_max =
-    1e-16 at d = 4 with S far from singular."""
+def _modular_operator(s: AntilinearMap) -> tuple[np.ndarray, HermitianEig, np.ndarray]:
+    """Delta = S*S, its eigendecomposition and K = -log Delta, for the Tomita map
+    of a pair that passed `_require_full_rank`.  No cut on Delta's spectrum: `eigh`
+    resolves it only to about n u w_max, which `WELL_CONDITIONED_EIG` keeps
+    below the spread of every drawn pair."""
     m = s.linear_part
     delta = m.swapaxes(-1, -2) @ np.conj(m)
     delta = (delta + dagger(delta)) / 2.0
     eig = _eigh(delta)
     k = -eig.apply(np.log)
-    k = (k + dagger(k)) / 2.0
-    inv_sqrt = eig.apply(lambda w: w ** -0.5)
-    j = AntilinearMap(m @ np.conj(inv_sqrt))
+    return delta, eig, (k + dagger(k)) / 2.0
+
+
+def _polar(s: AntilinearMap) -> ModularData:
+    """S = J Delta^{1/2}: `_modular_operator` with J = S Delta^{-1/2} on top.
+    `ModularData.s_reconstruction_residual` checks the product in the Frobenius
+    norm, an upper bound on the spectral norm, so no SVD is taken."""
+    delta, eig, k = _modular_operator(s)
+    j = AntilinearMap(s.linear_part @ np.conj(eig.apply(lambda w: w ** -0.5)))
     return ModularData(S=s, J=j, Delta=delta, K=k, delta_eig=eig)
 
 
@@ -269,8 +284,8 @@ def check_commutant_cancellation(u_r: np.ndarray, v_r: np.ndarray,
     _require_full_rank(rho, rho_t)
     psi = rho.sqrt() @ v_r
     phi = rho_t.sqrt() @ u_r
-    md = _polar(_tomita_map(psi, phi))
-    return abs(_quadratic_form(md.K, psi) - rel_entropy_dm(rho, rho_t))
+    _, _, k = _modular_operator(_tomita_map(psi, phi))
+    return abs(_quadratic_form(k, psi) - rel_entropy_dm(rho, rho_t))
 
 
 def theorem_entropy_bounds(rho_ab: DensityMatrix, dims: tuple[int, int],

@@ -183,7 +183,7 @@ class TestPolarModular:
         assert w[0] / w[-1] == pytest.approx(1e-12, rel=1e-2)
 
     def test_delta_below_eigh_resolution_accepted(self):
-        # eigenvalues above random_density's 1e-8 floor: S spreads its singular
+        # a full-rank state below random_density's floor: S spreads its singular
         # values by 2.5e7 only, while Delta's w_min / w_max = 1.6e-15 is at the
         # rounding of eigh, so a cut on Delta's spectrum would refuse the pair
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2 - 2e-8, 2e-8]).astype(complex))
@@ -487,6 +487,45 @@ class TestWorkCounts:
         check_commutant_cancellation(random_unitary(3, rngs), random_unitary(3, rngs),
                                      random_density(3, rngs), random_density(3, rngs))
         assert calls == []
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_commutant_cancellation_builds_k_alone(self, monkeypatch, stacked):
+        # the cancellation takes K from `_modular_operator`, the one path `_polar`
+        # takes too, and builds no J: its K is the polar data's bit for bit
+        rng = [np.random.default_rng(k) for k in range(4)] if stacked else np.random.default_rng(34)
+        rho, rho_t = random_density(3, rng), random_density(3, rng)
+        u_r, v_r = random_unitary(3, rng), random_unitary(3, rng)
+        forms, calls = [], []
+        quadratic_form = modular._quadratic_form
+
+        def form_spy(k, x):
+            forms.append(k)
+            return quadratic_form(k, x)
+
+        monkeypatch.setattr(modular, "_quadratic_form", form_spy)
+        self.spy(monkeypatch, modular, "_polar", calls)
+        check_commutant_cancellation(u_r, v_r, rho, rho_t)
+        monkeypatch.undo()
+        assert calls == [] and len(forms) == 1
+        md = modular._polar(modular._tomita_map(rho.sqrt() @ v_r, rho_t.sqrt() @ u_r))
+        assert np.array_equal(forms[0], md.K)
+
+    def test_floor_redraws_states_below_eigh_resolution(self):
+        # theorem trial 0 of `findim suite seed=222137` first draws a d = 4 state with
+        # p_min = 6.8e-8, whose Delta = kron(rho, (rho^-1)^T) spreads by (p_min /
+        # p_max)^2 = 1.6e-14, under the 10 d^2 u = 1.8e-14 that eigh resolves: the
+        # floor redraws it, and the kept state's Delta spreads far above that
+        resolution = 10 * 4 ** 2 * 2.0 ** -53
+        rng = np.random.default_rng(222137)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        first = g @ dagger(g)
+        p = np.linalg.eigvalsh(first / np.trace(first).real)
+        assert 6.8e-8 < p[0] < 6.9e-8 and (p[0] / p[-1]) ** 2 < resolution
+        assert modular.WELL_CONDITIONED_EIG == pytest.approx(math.sqrt(resolution))
+        rho = random_density(4, np.random.default_rng(222137))
+        assert rho.min_eigenvalue > modular.WELL_CONDITIONED_EIG
+        w = modular_data(rho, rho).delta_eig.eigenvalues
+        assert w[0] / w[-1] > resolution
 
     def test_theorem_suite_builds_no_tomita_map(self, monkeypatch):
         calls = []
