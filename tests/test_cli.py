@@ -506,7 +506,8 @@ def scipy_modules_after(statement):
 
 
 def test_import_loads_no_scipy():
-    # every command pays the package import; scipy is imported where it is used
+    # every command pays the package import; scipy is imported where it is used,
+    # and no scipy module at all, scipy.sparse included, loads with the package
     assert scipy_modules_after("import modlab") == "[]"
 
 
@@ -514,3 +515,10 @@ def test_cutoff_minimize_loads_no_scipy():
     # the discrete minimizer is a closed form in numpy
     assert scipy_modules_after(
         "from modlab.cli import main; assert main(['cutoff', 'minimize']) == 0") == "[]"
+
+
+@pytest.mark.parametrize("command", [["fock", "suite"], ["findim", "suite", "trials=10"]])
+def test_suite_loads_no_scipy(command):
+    # the Fock ladder maps, displacements and modular data are plain numpy
+    assert scipy_modules_after(
+        f"from modlab.cli import main; assert main({command!r}) == 0") == "[]"

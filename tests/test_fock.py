@@ -98,6 +98,44 @@ class TestSpace:
             assert np.all(np.diff(space.totals) >= 0)
 
 
+class TestLadderMaps:
+    """Operators scattered from the (source, target, weight) maps equal the sums
+    of dense ladder matrices bit for bit: each matrix entry is one term."""
+
+    @pytest.mark.parametrize("modes, cutoff", [(1, 12), (2, 11), (2, 12), (2, 20), (3, 8)])
+    def test_maps_reproduce_the_dense_ladder_algebra(self, modes, cutoff):
+        tf = TruncatedFock(modes, cutoff)
+        # a_m^dag |n> = sqrt(n_m + 1) |n + e_m>, read off the basis and its index
+        raise_ops = []
+        for m in range(modes):
+            r = np.zeros((tf.dim, tf.dim), dtype=complex)
+            for k, occ in enumerate(tf.basis):
+                up = occ[:m] + (occ[m] + 1,) + occ[m + 1:]
+                if up in tf.index:
+                    r[tf.index[up], k] = math.sqrt(occ[m] + 1)
+            raise_ops.append(r)
+            assert np.array_equal(tf.lower[m], r.T)
+
+        def dense_create(chi):
+            out = np.zeros((tf.dim, tf.dim), dtype=complex)
+            for c, r in zip(chi, raise_ops):
+                out += c * r
+            return out
+
+        even = [k for k, occ in enumerate(tf.basis) if sum(occ) % 2 == 0]
+        odd = [k for k, occ in enumerate(tf.basis) if sum(occ) % 2 == 1]
+        rng = np.random.default_rng(100 * modes + cutoff)
+        chis = [np.zeros(modes), np.full(modes, -0.3j), np.eye(modes)[-1] * -0.4]
+        chis += list(rng.standard_normal((40, modes)) + 1j * rng.standard_normal((40, modes)))
+        for chi in chis:
+            c = dense_create(chi)
+            assert np.array_equal(create(tf, chi), c)
+            assert np.array_equal(segal_field(tf, chi), (c + c.conj().T) / math.sqrt(2.0))
+            a = dense_create(np.abs(chi)).real
+            b = (a[np.ix_(odd, even)] + a[np.ix_(even, odd)].T) / math.sqrt(2.0)
+            assert np.array_equal(fock._odd_even_block(tf, np.abs(chi)), b)
+
+
 class TestSegalField:
     def test_zero(self, tf):
         assert np.linalg.norm(segal_field(tf, np.zeros(2))) == 0.0
@@ -328,6 +366,67 @@ class TestNumberEstimate:
     def test_budget_guard(self, tf):
         with pytest.raises(TruncationBudgetExceeded):
             number_estimate_check(tf, np.array([0.1, 0.0]), basis_vector(tf, (6, 5)), 3)
+
+    @staticmethod
+    def random_stack(tf, rng):
+        """Two trials at each degree 0-3 and power 1-4; each state fills every
+        sector up to its degree."""
+        chis, psis, n_pows = [], [], []
+        for degree in range(4):
+            low = np.array([k for k, occ in enumerate(tf.basis) if sum(occ) <= degree])
+            for n_pow in [1, 2, 3, 4] * 2:
+                v = np.zeros(tf.dim, dtype=complex)
+                v[low] = rng.standard_normal(low.size) + 1j * rng.standard_normal(low.size)
+                psis.append(v)
+                chis.append(rng.uniform(0.1, 2.0) * (rng.standard_normal(2)
+                                                     + 1j * rng.standard_normal(2)))
+                n_pows.append(n_pow)
+        return np.array(chis), np.array(psis), np.array(n_pows)
+
+    def test_stack_matches_dense_field_powers(self, tf):
+        chis, psis, n_pows = self.random_stack(tf, np.random.default_rng(13))
+        rep = number_estimate_check(tf, chis, psis, n_pows)
+        once = fock._apply_field(tf, chis, psis)
+        for k, (chi, psi, n_pow) in enumerate(zip(chis, psis, n_pows)):
+            phi = segal_field(tf, chi)
+            assert np.linalg.norm(once[k] - phi @ psi) <= 1e-13 * np.linalg.norm(phi @ psi)
+            oracle = np.linalg.norm(np.linalg.matrix_power(phi, n_pow) @ psi)
+            assert rep["lhs"][k] == pytest.approx(oracle, rel=1e-13, abs=0.0)
+            degree = max(sum(occ) for occ, c in zip(tf.basis, psi) if c != 0)
+            bound = ((2.0 * (degree + 1)) ** (n_pow / 2.0) * np.linalg.norm(chi) ** n_pow
+                     * math.sqrt(math.factorial(n_pow)) * np.linalg.norm(psi))
+            assert rep["bound"][k] == pytest.approx(bound, rel=1e-13, abs=0.0)
+        assert np.array_equal(rep["margin"], rep["bound"] - rep["lhs"])
+        assert rep["pass"].dtype == bool and rep["pass"].all()
+
+    def test_single_trial_reports_python_scalars(self, tf):
+        chis, psis, n_pows = self.random_stack(tf, np.random.default_rng(14))
+        stacked = number_estimate_check(tf, chis, psis, n_pows)
+        for k in (0, 13, 31):
+            rep = number_estimate_check(tf, chis[k], psis[k], int(n_pows[k]))
+            assert {key: type(value) for key, value in rep.items()} == {
+                "lhs": float, "bound": float, "margin": float, "pass": bool}
+            assert rep["lhs"] == pytest.approx(stacked["lhs"][k], rel=1e-15, abs=0.0)
+            assert rep["pass"] == stacked["pass"][k]
+
+    def test_one_trial_over_budget_refuses_the_stack(self, tf):
+        # degree 11 takes power 1 at cutoff 12 but not power 3
+        psis = np.array([tf.vacuum, basis_vector(tf, (6, 5)), basis_vector(tf, (6, 5))])
+        chis = np.full((3, 2), 0.1 + 0.0j)
+        assert number_estimate_check(tf, chis, psis, np.array([4, 1, 1]))["pass"].all()
+        with pytest.raises(TruncationBudgetExceeded, match="degree 11 \\+ power 3"):
+            number_estimate_check(tf, chis, psis, np.array([4, 1, 3]))
+
+    def test_shapes_checked(self, tf):
+        psis = np.array([tf.vacuum, tf.vacuum])
+        with pytest.raises(DimensionMismatch):
+            number_estimate_check(tf, np.array([0.1, 0.0, 0.0]), tf.vacuum, 1)
+        with pytest.raises(DimensionMismatch):
+            number_estimate_check(tf, np.zeros((2, 3)), psis, np.array([1, 1]))
+        with pytest.raises(DimensionMismatch):
+            number_estimate_check(tf, np.zeros((2, 2)), psis, np.array([1, 1, 1]))
+        with pytest.raises(DimensionMismatch):
+            number_estimate_check(tf, np.zeros(2), np.ones(tf.dim - 1), 1)
 
 
 class TestWeylDerivative:
