@@ -2,11 +2,16 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import modlab
 from modlab import cuntz
 from modlab.cuntz import (
     TruncatedCuntz,
@@ -77,6 +82,16 @@ class TestBlockNorms:
                          shape=(2, 3))
         assert x.nnz == 2
         assert support_norm(x) == 3.0
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        src = str(Path(modlab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, modlab; print('scipy.sparse' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 def _dense_commutator(sc):
