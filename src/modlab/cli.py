@@ -369,7 +369,7 @@ def cmd_signalling(action: str, params: dict) -> tuple:
         header = ["epsilon", "samples", "floor", "min_gap", "slack", "pass"]
         line = f"floor {_fmt(rep['floor'])} min gap {_fmt(rep['min_gap'])}"
         return [rep], {**rep, "passed": rep["pass"]}, header, None, line
-    # the factorization acts on a sparse outer^2 middle dimensional space
+    # the factorization's column maps hold outer^2 middle entries each
     size = params["outer_dim"] ** 2 * params["middle_dim"]
     if size > 2 ** 20:
         raise ConfigError(f"outer_dim^2*middle_dim = {size} exceeds 2^20")

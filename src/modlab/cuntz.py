@@ -7,17 +7,18 @@ non-signalling by construction but provably far from any product unitary
 u' (x) u on a suitable reference vector; with an independent middle family the
 product form is restored exactly.
 
-Composite operators are sparse Kronecker products, and each compressed norm
-||P X P||_2 is the norm of the block `defect_free_index` selects.  Likewise the
-norm-gap alignment reads only the block where its reference state and its
-target are nonzero.  scipy.sparse is imported where it is used, so `import
-modlab` does not load it.
+Shifts, their transposes, identities and their Kronecker products and sums are
+column maps: index arrays with the row of each column, -1 where it has none.
+Each compressed norm ||P X P||_2 is the norm of the block `defect_free_index`
+selects.  Likewise the norm-gap alignment reads only the block where its
+reference state and its target are nonzero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -29,13 +30,48 @@ from .quadrature import blocks
 DEFECT_FREE_TOL = 1e-12
 
 
+def _shift_maps(n: int, d: int) -> np.ndarray:
+    """Column maps of S_0 .. S_{n-1}: row nk+j of column k, -1 when nk+j >= d."""
+    rows = n * np.arange(d) + np.arange(n)[:, None]
+    return np.where(rows < d, rows, -1)
+
+
+def _dense(column_map: np.ndarray, dtype=float) -> np.ndarray:
+    """The 0/1 matrix of a column map; columns of no row set a spare last row."""
+    x = np.zeros((column_map.size + 1, column_map.size), dtype)
+    x[column_map, np.arange(column_map.size)] = 1.0
+    return x[:-1]
+
+
+def _transpose(column_map: np.ndarray) -> np.ndarray:
+    """Column map of the transpose of an injective column map."""
+    out = np.full(column_map.size + 1, -1)  # columns of no row set the spare last slot
+    out[column_map] = np.arange(column_map.size)
+    return out[:-1]
+
+
+def _kron_map(*maps: np.ndarray) -> np.ndarray:
+    """Column map of the Kronecker product of column maps, in `kron`'s order."""
+    out = np.zeros(1, dtype=np.intp)
+    for m in maps:
+        out = np.where((out[:, None] < 0) | (m < 0), -1, out[:, None] * m.size + m).ravel()
+    return out
+
+
+def _sum_map(terms) -> np.ndarray:
+    """Column map of a sum of terms with different S_i^T, which reach disjoint columns."""
+    return reduce(np.maximum, terms)
+
+
 @dataclass(frozen=True)
 class TruncatedCuntz:
     """Shift matrices S_j e_k = e_{nk+j} (zero when nk+j >= D) with the
-    subspace where the orthogonal-isometry relations hold exactly."""
+    subspace where the orthogonal-isometry relations hold exactly; the
+    matrices are scattered from their column maps."""
 
     branching: int
     dim: int
+    maps: np.ndarray = field(init=False, repr=False)
     shifts: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -44,14 +80,8 @@ class TruncatedCuntz:
             raise DimensionTooSmall(f"branching {n} must be at least 1")
         if d < n * n:
             raise DimensionTooSmall(f"dim {d} must be at least n^2 = {n * n}")
-        shifts = []
-        for j in range(n):
-            s = np.zeros((d, d))
-            for k in range(d):
-                if n * k + j < d:
-                    s[n * k + j, k] = 1.0
-            shifts.append(s)
-        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "maps", _shift_maps(n, d))
+        object.__setattr__(self, "shifts", [_dense(m) for m in self.maps])
 
     @property
     def defect_free_dim(self) -> int:
@@ -68,10 +98,8 @@ class TruncatedCuntz:
                 target = np.eye(d) if i == j else np.zeros((d, d))
                 worst_good = max(worst_good, support_norm((prod - target)[:q, :q]))
                 worst_defect = max(worst_defect, support_norm((prod - target)[:, q:]))
-        range_sum = sum(s @ s.T for s in self.shifts)
-        reachable = np.diag([1.0 if (k % n) + n * (k // n) == k else 0.0
-                             for k in range(d)])
-        range_residual = support_norm(range_sum - reachable)
+        # every index k = n (k // n) + (k % n) is in the range of S_{k % n}
+        range_residual = support_norm(sum(s @ s.T for s in self.shifts) - np.eye(d))
         return {"defect_free_residual": float(worst_good),
                 "top_sector_defect": float(worst_defect),
                 "range_sum_residual": range_residual}
@@ -91,20 +119,16 @@ def defect_free_index(*families: TruncatedCuntz) -> np.ndarray:
     return idx
 
 
-def support_norm(x) -> float:
-    """Spectral norm of a dense or scipy.sparse matrix, taken over its nonzero
-    rows and columns only.
+def support_norm(x: np.ndarray) -> float:
+    """Spectral norm of a matrix, taken over its nonzero rows and columns only.
 
     Zero rows and columns carry no singular value, so this is exact; an
     all-zero matrix gives 0.0 without an SVD.
     """
-    import scipy.sparse as sp
-    x = sp.coo_array(x)
-    nonzero = x.data != 0
-    rows, cols = np.unique(x.row[nonzero]), np.unique(x.col[nonzero])
-    if rows.size == 0:
+    rows, cols = x.any(axis=1), x.any(axis=0)
+    if not rows.any():
         return 0.0
-    return float(np.linalg.norm(x.tocsr()[rows][:, cols].toarray(), 2))
+    return float(np.linalg.norm(x[np.ix_(rows, cols)], 2))
 
 
 # --------------------------------------------------------------------------
@@ -126,20 +150,13 @@ class SignallingScenario:
     def dims(self) -> tuple[int, int]:
         return self.alice_family.dim, self.charlie_family.dim
 
-    def composite_generators(self) -> tuple[list, list]:
-        """Sparse a (x) I for Alice's generators and I (x) c for Charlie's."""
-        import scipy.sparse as sp
-        d1, d2 = self.dims
-        return ([sp.kron(a, sp.eye_array(d2), format="csr") for a in self.alice_generators],
-                [sp.kron(sp.eye_array(d1), c, format="csr")
-                 for c in self.charlie_generators])
-
 
 def cuntz_sum_unitary(fam1: TruncatedCuntz, fam2: TruncatedCuntz) -> np.ndarray:
     """w = sum_i T_i (x) S_i^dag built from the two shift families."""
     if fam1.branching != fam2.branching:
         raise DimensionTooSmall(f"branchings {fam1.branching} and {fam2.branching} differ")
-    return sum(kron(t, s.T) for t, s in zip(fam1.shifts, fam2.shifts))
+    w = _sum_map(_kron_map(t, _transpose(s)) for t, s in zip(fam1.maps, fam2.maps))
+    return _dense(w, complex)
 
 
 def make_scenario(n: int, d1: int, d2: int, seed: int = 0) -> SignallingScenario:
@@ -161,26 +178,40 @@ def make_scenario(n: int, d1: int, d2: int, seed: int = 0) -> SignallingScenario
     return SignallingScenario(fam1, fam2, alice, charlie, cuntz_sum_unitary(fam1, fam2))
 
 
-def nonsignalling_check(scenario: SignallingScenario) -> dict:
-    """max_a,c || P [w a w^dag, c] P || over Alice/Charlie generator pairs,
-    with P the defect-free compression of both factors.
+def _real_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y from real products, which round alike in either order (complex ones
+    do not): where each sum has one term, x @ y and y @ x agree bit for bit."""
+    return (x.real @ y.real - x.imag @ y.imag) + 1j * (x.real @ y.imag + x.imag @ y.real)
 
-    P [m, c] P is the idx-block m[idx, :] c[:, idx] - c[idx, :] m[:, idx], so
-    only the rows and the columns idx of m = w a w^dag are formed.  The
-    commutation defect checks that the composite generators themselves commute.
+
+def nonsignalling_check(scenario: SignallingScenario) -> dict:
+    """max_a,c || P [w (a (x) I) w^dag, I (x) c] P || over Alice/Charlie
+    generator pairs, with P the defect-free compression of both factors.
+
+    c is zero outside Charlie's zone, so this is M C - C M on the kept block, for
+    C = I_q1 (x) c[:q2, :q2] and M = w[idx, J] (a (x) I)[J, J] w[idx, J]^dag, J the
+    nonzero columns of w[idx].  On a shift sum M = A' (x) I, so each entry of M C
+    and C M is one product, and they cancel exactly.  The commutation defect
+    (a I) (x) (I c) - (I a) (x) (c I) is formed only where the factors differ.
     """
-    import scipy.sparse as sp
-    idx = defect_free_index(scenario.alice_family, scenario.charlie_family)
-    w = sp.csr_array(scenario.w)
-    w_rows = w[idx]
-    alice, charlie = scenario.composite_generators()
-    worst = 0.0
-    for a in alice:
-        moved_rows = w_rows @ a @ dagger(w)
-        moved_cols = w @ a @ dagger(w_rows)
-        for c in charlie:
-            worst = max(worst, support_norm(moved_rows @ c[:, idx] - c[idx] @ moved_cols))
-    defect = max((support_norm(a @ c - c @ a) for a in alice for c in charlie), default=0.0)
+    fam1, fam2 = scenario.alice_family, scenario.charlie_family
+    (d1, d2), q1, q2 = scenario.dims, fam1.defect_free_dim, fam2.defect_free_dim
+    idx = defect_free_index(fam1, fam2)
+    cols = np.flatnonzero(scenario.w[idx].any(axis=0))
+    rows = scenario.w[np.ix_(idx, cols)]
+    alice, charlie = np.array(scenario.alice_generators), np.array(scenario.charlie_generators)
+    lifted = np.where(cols[:, None] % d2 == cols % d2,  # (a (x) I)[J, J]
+                      alice[:, cols[:, None] // d2, cols // d2], 0)
+    m = rows @ lifted @ dagger(rows)
+    c, k, pairs = charlie[None, :, :q2, :q2], len(alice), (len(alice), len(charlie), *m.shape[1:])
+    m_c = _real_product(m.reshape(k, 1, idx.size * q1, q2), c)
+    c_m = _real_product(c[:, :, None], m.reshape(k, 1, q1, q2, idx.size))
+    commutators = m_c.reshape(pairs) - c_m.reshape(pairs)
+    worst = max(support_norm(x) for pair in commutators for x in pair)
+    factors = [(a @ np.eye(d1), np.eye(d1) @ a, np.eye(d2) @ g, g @ np.eye(d2))
+               for a in alice for g in charlie]
+    defect = max((support_norm(kron(a_i, i_c) - kron(i_a, c_i)) for a_i, i_a, i_c, c_i in factors
+                  if not (np.array_equal(a_i, i_a) and np.array_equal(i_c, c_i))), default=0.0)
     return {"max_commutator": float(worst),
             "tolerance": DEFECT_FREE_TOL,
             "pass": bool(worst <= DEFECT_FREE_TOL),
@@ -372,34 +403,40 @@ def norm_gap_experiment(epsilon: float, samples: int, d_factor: int = 32,
 # product reconstruction through a middle family
 # --------------------------------------------------------------------------
 
+def _unitarity_defect(u: np.ndarray, idx: np.ndarray) -> float:
+    """||P (U^dag U - I) P||_2 for a column map U: g > 1 kept columns that reach
+    one row give a block J_g - I_g of norm g - 1, and one that reaches none -1."""
+    rows = u[idx]
+    shared = np.unique(rows[rows >= 0], return_counts=True)[1].max(initial=1) - 1
+    return float(max(shared, np.any(rows < 0)))
+
+
 def product_reconstruction(n: int, outer_dim: int, middle_dim: int) -> dict:
     """Rebuild w = sum_i u_i' u_i as a product u' u using an independent shift
     family on a middle factor: u' = sum_i u_i' c_i^dag, u = sum_i c_i u_i.
 
     On the defect-free compression the factorization and the unitarity of
-    both factors are exact.
+    both factors are exact.  w, u' and u are column maps and u' u is one gather;
+    the residual's norm is taken over the nonzero rows and columns of its kept
+    block, and each unitarity defect is `_unitarity_defect`'s closed form.
     """
-    import scipy.sparse as sp
-    fam1 = TruncatedCuntz(n, outer_dim)
-    fam_mid = TruncatedCuntz(n, middle_dim)
-    fam3 = TruncatedCuntz(n, outer_dim)
-    eye1, eyem, eye3 = (sp.eye_array(d) for d in (outer_dim, middle_dim, outer_dim))
-
-    def kron3(a, b, c):
-        return sp.kron(sp.kron(a, b), c, format="csr")
-
-    w = sum(kron3(t, eyem, s.T) for t, s in zip(fam1.shifts, fam3.shifts))
-    u_prime = sum(kron3(t, c.T, eye3) for t, c in zip(fam1.shifts, fam_mid.shifts))
-    u = sum(kron3(eye1, c, s.T) for c, s in zip(fam_mid.shifts, fam3.shifts))
+    fam1, fam_mid, fam3 = (TruncatedCuntz(n, d) for d in (outer_dim, middle_dim, outer_dim))
+    eye1, eyem, eye3 = (np.arange(fam.dim) for fam in (fam1, fam_mid, fam3))
+    w = _sum_map(_kron_map(t, eyem, _transpose(s)) for t, s in zip(fam1.maps, fam3.maps))
+    u_prime = _sum_map(_kron_map(t, _transpose(c), eye3)
+                       for t, c in zip(fam1.maps, fam_mid.maps))
+    u = _sum_map(_kron_map(eye1, c, _transpose(s)) for c, s in zip(fam_mid.maps, fam3.maps))
     idx = defect_free_index(fam1, fam_mid, fam3)
-    eye = sp.eye_array(w.shape[0], format="csr")
-
-    def compressed_norm(x) -> float:
-        return support_norm(x[idx][:, idx])
-
-    residual = compressed_norm(u_prime @ u - w)
-    unit_u = compressed_norm(dagger(u) @ u - eye)
-    unit_up = compressed_norm(dagger(u_prime) @ u_prime - eye)
+    kept = np.full(w.size + 1, -1)  # the place of each row in idx; -1 reads the spare slot
+    kept[idx] = np.arange(idx.size)
+    # column j of P (u' u - w) P: +1 in the kept row u' u reaches, -1 in the one w reaches
+    plus, minus = kept[np.append(u_prime, -1)[u[idx]]], kept[w[idx]]
+    cols = np.flatnonzero(plus != minus)
+    rows = np.setdiff1d(np.union1d(plus[cols], minus[cols]), -1)
+    residual = support_norm(np.subtract(plus[cols] == rows[:, None],
+                                        minus[cols] == rows[:, None], dtype=float))
+    unit_u = _unitarity_defect(u, idx)
+    unit_up = _unitarity_defect(u_prime, idx)
     return {"branching": n, "outer_dim": outer_dim, "middle_dim": middle_dim,
             "factorization_residual": residual,
             "u_unitarity_defect": unit_u, "u_prime_unitarity_defect": unit_up,

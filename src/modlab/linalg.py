@@ -33,9 +33,8 @@ def _as_complex_matrix(a) -> np.ndarray:
 
 
 def dagger(a):
-    """Conjugate transpose of a dense or scipy.sparse matrix, or of each matrix of a stack."""
-    a = a.conj()
-    return a.T if a.ndim == 2 else a.swapaxes(-1, -2)
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(a) -> np.ndarray:

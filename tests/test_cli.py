@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -517,8 +518,39 @@ def test_cutoff_minimize_loads_no_scipy():
         "from modlab.cli import main; assert main(['cutoff', 'minimize']) == 0") == "[]"
 
 
-@pytest.mark.parametrize("command", [["fock", "suite"], ["findim", "suite", "trials=10"]])
+SIGNALLING_COMMANDS = [["signalling", "check"], ["signalling", "factorize"],
+                       ["signalling", "gap", "samples=5"]]
+
+
+@pytest.mark.parametrize("command", [["fock", "suite"], ["findim", "suite", "trials=10"]]
+                         + SIGNALLING_COMMANDS)
 def test_suite_loads_no_scipy(command):
-    # the Fock ladder maps, displacements and modular data are plain numpy
+    # the Fock ladder maps, displacements and modular data are plain numpy, and
+    # so are the shift families' column maps and the kept-block commutators
     assert scipy_modules_after(
         f"from modlab.cli import main; assert main({command!r}) == 0") == "[]"
+
+
+def test_commands_run_with_scipy_blocked():
+    # scipy is a test dependency only: with every scipy import refused, one
+    # command of each kind still exits 0
+    import modlab
+    src = str(Path(modlab.__file__).resolve().parents[1])
+    commands = SIGNALLING_COMMANDS + [["fock", "suite"], ["findim", "suite", "trials=10"],
+                                      ["cutoff", "minimize"], ["scalar", "exact"]]
+    code = textwrap.dedent(f"""
+        import importlib.abc, sys
+        sys.path.insert(0, sys.argv[1])
+
+        class NoScipy(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError("scipy is blocked: " + name)
+
+        sys.meta_path.insert(0, NoScipy())
+        from modlab.cli import main
+        print([main(command) for command in {commands!r}])
+    """)
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == str([0] * len(commands))

@@ -74,14 +74,25 @@ class TestBlockNorms:
             x[zero_rows, :] = 0.0
             x[:, zero_cols] = 0.0
             reference = np.linalg.norm(p @ x @ p, 2)
-            for block in (x[np.ix_(idx, idx)], sp.csr_array(x)[idx][:, idx]):
-                assert support_norm(block) == pytest.approx(reference, rel=1e-13, abs=0.0)
+            assert support_norm(x[np.ix_(idx, idx)]) == pytest.approx(reference, rel=1e-13,
+                                                                       abs=0.0)
 
-    def test_support_norm_ignores_stored_zeros(self):
-        x = sp.csr_array((np.array([0.0, 3.0]), np.array([0, 2]), np.array([0, 1, 2])),
-                         shape=(2, 3))
-        assert x.nnz == 2
-        assert support_norm(x) == 3.0
+    def test_support_norm_ignores_stored_zeros(self, monkeypatch):
+        # the zero rows and columns of a dense matrix are skipped: the SVD sees
+        # only the 2 x 1 block, and an all-zero matrix takes none
+        shapes = []
+        norm = np.linalg.norm
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return norm(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        x = np.zeros((4, 3))
+        x[0, 2], x[3, 2] = 3.0, 4.0
+        assert support_norm(x) == 5.0
+        assert support_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+        assert shapes == [(2, 1)]
 
     def test_import_leaves_scipy_sparse_unloaded(self):
         src = str(Path(modlab.__file__).resolve().parents[1])
@@ -135,9 +146,17 @@ class TestNonSignalling:
     def test_cuntz_sum_w(self):
         sc = make_scenario(2, 16, 32, seed=1)
         rep = nonsignalling_check(sc)
-        assert rep["max_commutator"] <= 1e-12
+        assert rep["max_commutator"] == 0.0
         assert rep["pass"]
-        assert rep["commutation_defect"] <= 1e-13
+        assert rep["commutation_defect"] == 0.0
+
+    @pytest.mark.parametrize("n, d1, d2, seed", [(2, 16, 32, s) for s in (20260810, 0, 1, 2, 3, 4)]
+                             + [(3, 9, 27, 1), (1, 4, 8, 2)])
+    def test_cuntz_sum_commutes_exactly(self, n, d1, d2, seed):
+        # every entry of M C and C M is one real product in either order
+        rep = nonsignalling_check(make_scenario(n, d1, d2, seed))
+        assert rep["max_commutator"] == 0.0
+        assert rep["commutation_defect"] == 0.0
 
     def test_sum_is_isometric_on_good_states(self):
         fam = TruncatedCuntz(2, 32)
@@ -224,6 +243,13 @@ class TestProductReconstruction:
         assert rep["u_prime_unitarity_defect"] <= 1e-12
         assert rep["pass"]
 
+    def test_largest_factorize_space(self):
+        # outer_dim^2 middle_dim = 2^20, the CLI's limit: |idx| = 127 * 7 * 127
+        rep = product_reconstruction(2, 256, 16)
+        assert rep["factorization_residual"] == 0.0
+        assert rep["u_unitarity_defect"] == 0.0
+        assert rep["u_prime_unitarity_defect"] == 0.0
+
     def test_branching_three(self):
         rep = product_reconstruction(3, 12, 18)
         assert rep["factorization_residual"] == 0.0
@@ -236,6 +262,117 @@ class TestProductReconstruction:
         assert rep["certified_floor"] > 0.1
         assert rep["best_alignment_gap"] >= rep["certified_floor"]
         assert rep["pass"]
+
+
+def _oracle_shifts(maps):
+    """Dense shifts from column maps, one entry at a time."""
+    shifts = []
+    for column_map in maps:
+        s = np.zeros((column_map.size, column_map.size))
+        for k, row in enumerate(column_map):
+            if row >= 0:
+                s[row, k] = 1.0
+        shifts.append(s)
+    return shifts
+
+
+def _sparse_reconstruction(n, outer_dim, middle_dim):
+    """The three compressed norms of product_reconstruction from scipy.sparse
+    Kronecker products of the shifts that `cuntz._shift_maps` gives."""
+    fams = [_oracle_shifts(cuntz._shift_maps(n, d)) for d in (outer_dim, middle_dim, outer_dim)]
+    eye1, eyem, eye3 = (sp.eye_array(d) for d in (outer_dim, middle_dim, outer_dim))
+
+    def kron3(a, b, c):
+        return sp.kron(sp.kron(a, b), c, format="csr")
+
+    w = sum(kron3(t, eyem, s.T) for t, s in zip(fams[0], fams[2]))
+    u_prime = sum(kron3(t, c.T, eye3) for t, c in zip(fams[0], fams[1]))
+    u = sum(kron3(eye1, c, s.T) for c, s in zip(fams[1], fams[2]))
+    idx = defect_free_index(*(TruncatedCuntz(n, d) for d in (outer_dim, middle_dim, outer_dim)))
+    eye = sp.eye_array(w.shape[0], format="csr")
+    return [np.linalg.norm(x[idx][:, idx].toarray(), 2)
+            for x in (u_prime @ u - w, u.T @ u - eye, u_prime.T @ u_prime - eye)]
+
+
+class TestColumnMaps:
+    """Shifts, their transposes and their Kronecker products and sums as column
+    maps, against dense matrices built one entry at a time."""
+
+    def test_maps_scatter_the_shifts(self):
+        for n, d in ((1, 4), (2, 8), (3, 10)):
+            fam = TruncatedCuntz(n, d)
+            reference = [np.array([[1.0 if row == n * k + j else 0.0 for k in range(d)]
+                                   for row in range(d)]) for j in range(n)]
+            assert all(np.array_equal(s, r) for s, r in zip(fam.shifts, reference))
+            assert all(np.array_equal(cuntz._dense(cuntz._transpose(m)), s.T)
+                       for m, s in zip(fam.maps, fam.shifts))
+
+    def test_kron_map_is_kron(self):
+        rng = np.random.default_rng(2)
+        maps = [rng.integers(-1, d, size=d) for d in (3, 4, 5)]  # -1: a zero column
+        dense = _oracle_shifts(maps)
+        assert np.array_equal(cuntz._dense(cuntz._kron_map(*maps)),
+                              np.kron(np.kron(dense[0], dense[1]), dense[2]))
+
+    def test_unitarity_defect_is_the_kept_gram_norm(self):
+        # maps with shared rows (up to 4 columns on one row) and columns of no row
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            column_map = rng.integers(-1, 9, size=12)
+            idx = np.sort(rng.choice(12, size=rng.integers(1, 13), replace=False))
+            dense = _oracle_shifts([column_map])[0]
+            reference = np.linalg.norm((dense.T @ dense - np.eye(12))[np.ix_(idx, idx)], 2)
+            assert cuntz._unitarity_defect(column_map, idx) == pytest.approx(
+                reference, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n, d1, d2", [(2, 8, 16), (3, 9, 12), (1, 4, 5)])
+    def test_sum_unitary_is_the_dense_sum(self, n, d1, d2):
+        fam1, fam2 = TruncatedCuntz(n, d1), TruncatedCuntz(n, d2)
+        reference = sum(np.kron(t, s.T) for t, s in zip(_oracle_shifts(fam1.maps),
+                                                         _oracle_shifts(fam2.maps)))
+        w = cuntz_sum_unitary(fam1, fam2)
+        assert w.dtype == complex and np.array_equal(w, reference)
+
+
+def _swap_into_a_zero_column(monkeypatch):
+    """Make every family's S_0 send its column 0 to no row and the first column
+    that had none to row 0.  A swap of two rows that S_0 reaches only relabels
+    the family, and the relations, and so both checks, stay exact."""
+    shift_maps = cuntz._shift_maps
+
+    def swapped(n, d):
+        maps = shift_maps(n, d)
+        k = np.flatnonzero(maps[0] < 0)[0]
+        maps[0, [0, k]] = maps[0, [k, 0]]
+        return maps
+
+    monkeypatch.setattr(cuntz, "_shift_maps", swapped)
+
+
+class TestMutatedShifts:
+    def test_nonsignalling_sees_the_swap(self, monkeypatch):
+        _swap_into_a_zero_column(monkeypatch)
+        assert nonsignalling_check(make_scenario(2, 16, 32, seed=20260810))["max_commutator"] > 0.1
+        sc = make_scenario(2, 8, 16, seed=4)
+        assert nonsignalling_check(sc)["max_commutator"] == pytest.approx(
+            _dense_commutator(sc), rel=1e-13, abs=0.0)
+
+    def test_reconstruction_sees_the_swap(self, monkeypatch):
+        _swap_into_a_zero_column(monkeypatch)
+        rep = product_reconstruction(2, 8, 16)
+        assert max(rep["factorization_residual"], rep["u_unitarity_defect"]) > 0.5
+        assert not rep["pass"]
+
+    @pytest.mark.parametrize("n, outer_dim, middle_dim", [(2, 8, 16), (2, 16, 8), (3, 9, 18)])
+    def test_reconstruction_matches_sparse_oracle(self, monkeypatch, n, outer_dim, middle_dim):
+        assert _sparse_reconstruction(n, outer_dim, middle_dim) == [0.0, 0.0, 0.0]
+        _swap_into_a_zero_column(monkeypatch)
+        rep = product_reconstruction(n, outer_dim, middle_dim)
+        values = [rep[key] for key in ("factorization_residual", "u_unitarity_defect",
+                                       "u_prime_unitarity_defect")]
+        assert values == pytest.approx(_sparse_reconstruction(n, outer_dim, middle_dim),
+                                       rel=1e-13, abs=0.0)
+        assert max(values) >= 1.0
 
 
 def _sequential_alignment(omega, target, rng, iters, restarts):
