@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -67,12 +67,11 @@ def _sum_map(terms) -> np.ndarray:
 class TruncatedCuntz:
     """Shift matrices S_j e_k = e_{nk+j} (zero when nk+j >= D) with the
     subspace where the orthogonal-isometry relations hold exactly; the
-    matrices are scattered from their column maps."""
+    matrices are scattered from their column maps on first use."""
 
     branching: int
     dim: int
     maps: np.ndarray = field(init=False, repr=False)
-    shifts: list = field(init=False, repr=False)
 
     def __post_init__(self):
         n, d = self.branching, self.dim
@@ -81,7 +80,10 @@ class TruncatedCuntz:
         if d < n * n:
             raise DimensionTooSmall(f"dim {d} must be at least n^2 = {n * n}")
         object.__setattr__(self, "maps", _shift_maps(n, d))
-        object.__setattr__(self, "shifts", [_dense(m) for m in self.maps])
+
+    @cached_property
+    def shifts(self) -> list:
+        return [_dense(m) for m in self.maps]
 
     @property
     def defect_free_dim(self) -> int:

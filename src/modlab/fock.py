@@ -7,10 +7,10 @@ factorially suppressed.
 
 Each mode's raising operator a_m^dag is held as one index map: arrays
 (source, target, weight) with a_m^dag |source> = weight |target>, weight
-sqrt(n_m + 1).  Every ladder-built operator is scattered from these maps, one
-term per matrix entry, so it equals the sum of dense ladder matrices bit for
-bit; the particle-number bound gathers phi(chi) psi through them with no matrix
-formed, for a whole stack of (chi, psi, n) trials at once.
+sqrt(n_m + 1).  Every ladder-built operator, dGamma's products too, is scattered
+from these maps one term per matrix entry, so it equals the dense ladder sum bit
+for bit; the particle-number bound gathers phi(chi) psi through them with no
+matrix formed, for a whole stack of (chi, psi, n) trials at once.
 
 A displacement is exp(i phi) of a real symmetric field that is odd under the
 parity (-1)^N, so it takes one real SVD of the field's odd-even block and no
@@ -105,9 +105,6 @@ class TruncatedFock:
         v = np.zeros(self.dim, dtype=complex)
         v[0] = 1.0
         return v
-
-    def raise_op(self, mode: int) -> np.ndarray:
-        return dagger(self.lower[mode])
 
     def particle_degree(self, psi: np.ndarray):
         """The highest particle total psi occupies; over the last axis of a
@@ -254,10 +251,11 @@ def dgamma(tf: TruncatedFock, h) -> np.ndarray:
     if h.shape != (tf.modes, tf.modes):
         raise DimensionMismatch(f"one-particle operator must be {tf.modes}x{tf.modes}")
     out = np.zeros((tf.dim, tf.dim), dtype=complex)
-    for i in range(tf.modes):
-        for j in range(tf.modes):
-            if h[i, j] != 0:
-                out += h[i, j] * (tf.raise_op(i) @ tf.lower[j])
+    # a_j lowers tgt to src, the leading states, which a_i^dag's map raises at entry src
+    for (_, up, w_up), h_row in zip(tf.raising, h):
+        for (src, tgt, w_down), h_ij in zip(tf.raising, h_row):
+            if h_ij != 0:
+                out[up[src], tgt] += h_ij * (w_up[src] * w_down)
     return out
 
 

@@ -401,5 +401,7 @@ def _gaussians(dim: int, rngs: list, columns: int | None = None) -> np.ndarray:
     """One complex Gaussian dim x dim matrix per generator, real part drawn
     first; only its first `columns` columns are formed, but every generator
     draws all 2 dim^2 normals."""
-    x = np.array([r.standard_normal((2, dim, dim)) for r in rngs])[..., :columns]
-    return x[:, 0] + 1j * x[:, 1]
+    x = np.empty((len(rngs), 2, dim, dim))
+    for r, out in zip(rngs, x):
+        r.standard_normal(out=out)
+    return x[:, 0, :, :columns] + 1j * x[:, 1, :, :columns]

@@ -1,8 +1,8 @@
 """Batched check suites over seeded random ensembles.
 
-Each suite returns uniform row dictionaries (one per executed check) plus an
-aggregate summary; the command line writes them out as CSV/JSON and the
-acceptance tests assert on the aggregates.
+Each suite returns its results as columns, one list per CSV column with an
+entry per executed check, plus an aggregate summary; the command line writes
+them out as CSV/JSON and the acceptance tests assert on the aggregates.
 """
 
 from __future__ import annotations
@@ -49,22 +49,24 @@ COHERENT_ENTROPY_TOL = 1e-4  # relative: worst 3.6e-15
 
 @dataclass(frozen=True)
 class SuiteResult:
-    rows: list
+    columns: dict
     summary: dict
 
     @property
     def passed(self) -> bool:
         return bool(self.summary.get("passed", False))
 
+    @property
+    def rows(self) -> list:
+        """One dictionary per check, read off the columns."""
+        return [dict(zip(self.columns, cells)) for cells in zip(*self.columns.values())]
 
-def _finish(rows: list, extra: dict) -> SuiteResult:
-    summary = {
-        "checks": len(rows),
-        "failures": sum(1 for r in rows if not r["pass"]),
-    }
+
+def _finish(columns: dict, extra: dict) -> SuiteResult:
+    summary = {"checks": len(columns["pass"]), "failures": columns["pass"].count(False)}
     summary["passed"] = summary["failures"] == 0
     summary.update(extra)
-    return SuiteResult(rows, summary)
+    return SuiteResult(columns, summary)
 
 
 # --------------------------------------------------------------------------
@@ -119,29 +121,29 @@ def run_findim_suite(seed: int = 0, trials: int = 1000) -> SuiteResult:
                 md.s_reconstruction_residual(),
                 np.linalg.norm(md.Delta - ref, axis=(-2, -1)) / ref_norm])
 
-    rows = []
-    worst: dict[str, float] = {}
-    for trial in range(trials):
-        for (check, tol), residual in zip(FINDIM_CHECKS, residuals[trial].tolist()):
-            rows.append({"check": check, "trial_seed": trial, "residual": residual,
-                         "tolerance": tol, "pass": residual <= tol})
-            worst[check] = max(worst.get(check, 0.0), residual)
-    return _finish(rows, {"suite": "findim", "trials": trials,
-                          "worst_residuals": worst})
+    checks, tols = zip(*FINDIM_CHECKS)
+    # fmax leaves out a nan residual, which fails its gate
+    worst = np.fmax.reduce(residuals, axis=0, initial=0.0).tolist()
+    columns = {"check": list(checks) * trials,
+               "trial_seed": np.repeat(np.arange(trials), len(checks)).tolist(),
+               "residual": residuals.ravel().tolist(), "tolerance": list(tols) * trials,
+               "pass": (residuals <= tols).ravel().tolist()}
+    return _finish(columns, {"suite": "findim", "trials": trials,
+                             "worst_residuals": dict(zip(checks, worst))})
 
 
 def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
                       monotonicity_trials: int = 1000) -> SuiteResult:
     """Nested-algebra entropy inequalities on 2x2 bipartite states and
     monotonicity of the relative entropy under the partial trace."""
-    rows = []
+    columns = {"check": [], "trial_seed": [], "lhs": [], "rhs": [], "margin": [], "pass": []}
 
     def record(reports):
-        for k in range(len(reports[0][1].lhs)):
-            for check, rep in reports:
-                rows.append({"check": check, "trial_seed": int(rep.trial_seed[k]),
-                             "lhs": float(rep.lhs[k]), "rhs": float(rep.rhs[k]),
-                             "margin": float(rep.margin[k]), "pass": bool(rep.passed[k])})
+        # trial by trial, each trial's reports in turn
+        columns["check"] += [check for check, _ in reports] * len(reports[0][1].lhs)
+        for name, attr in zip(list(columns)[1:], ("trial_seed", "lhs", "rhs", "margin", "passed")):
+            stacked = np.column_stack([getattr(rep, attr) for _, rep in reports])
+            columns[name] += stacked.ravel().tolist()
 
     for idx, rngs in _blocks(seed, np.arange(theorem_trials), 4 ** 2):
         rho_ab = modular.random_density(4, rngs)
@@ -154,10 +156,10 @@ def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
         record([("monotonicity", modular.monotonicity_check(
             modular.random_density(4, rngs), modular.random_density(4, rngs), (2, 2),
             trial_seed=idx, tol=THEOREM_MARGIN_TOL))])
-    min_margin = min([math.inf] + [row["margin"] for row in rows])
-    return _finish(rows, {"suite": "theorem", "theorem_trials": theorem_trials,
-                          "monotonicity_trials": monotonicity_trials,
-                          "min_margin": min_margin})
+    min_margin = min([math.inf] + columns["margin"])
+    return _finish(columns, {"suite": "theorem", "theorem_trials": theorem_trials,
+                             "monotonicity_trials": monotonicity_trials,
+                             "min_margin": min_margin})
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +173,7 @@ def run_fock_suite(seed: int = 0, cutoff_n: int = 12) -> SuiteResult:
         raise ParameterViolation(f"cutoff {cutoff_n} is below {MIN_FOCK_CUTOFF}, where the "
                                  f"weyl_relation gate WEYL_TOL = {WEYL_TOL:g} first holds")
     modes = 2  # the coherent-entropy check is built on StandardSubspaceData.two_mode
-    rows = []
+    columns = {"check_name": [], "params": [], "residual": [], "tolerance": [], "pass": []}
     tf = fock.TruncatedFock(modes, cutoff_n)
     rng = np.random.default_rng(seed)
 
@@ -180,9 +182,9 @@ def run_fock_suite(seed: int = 0, cutoff_n: int = 12) -> SuiteResult:
         return scale * v / np.linalg.norm(v)
 
     def record(check, residual, tol, params):
-        rows.append({"check_name": check, "params": params,
-                     "residual": float(residual), "tolerance": tol,
-                     "pass": bool(residual <= tol)})
+        for cells, value in zip(columns.values(), (check, params, float(residual), tol,
+                                                   bool(residual <= tol))):
+            cells.append(value)
 
     pairs = [(np.array([0.5] + [0.0] * (modes - 1), dtype=complex),
               np.array([0.5j] + [0.0] * (modes - 1), dtype=complex))]
@@ -232,4 +234,4 @@ def run_fock_suite(seed: int = 0, cutoff_n: int = 12) -> SuiteResult:
         record("coherent_entropy_random", rep["relative_deviation"], COHERENT_ENTROPY_TOL,
                f"lambda_{lam:.3f}")
 
-    return _finish(rows, {"suite": "fock", "modes": modes, "cutoff": cutoff_n})
+    return _finish(columns, {"suite": "fock", "modes": modes, "cutoff": cutoff_n})

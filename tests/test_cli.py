@@ -321,14 +321,37 @@ class TestFormatting:
 
     def test_write_csv_golden(self, tmp_path):
         path = tmp_path / "r.csv"
-        cli.write_csv(path, [{"a": True, "b": 0.1, "c": "x"},
-                             {"a": np.bool_(False), "c": np.int64(2), "b": -0.0},
-                             {"b": 1e-300}], ["a", "b", "c"])
+        cli.write_csv(path, {"a": [True, np.bool_(False), ""], "b": [0.1, -0.0, 1e-300],
+                             "c": ["x", np.int64(2), ""]})
         assert path.read_bytes() == b"a,b,c\ntrue,0.10000000000000001,x\nfalse,-0,2\n,1e-300,\n"
-        cli.write_csv(path, [{"b": np.float64(1e-300), "a": math.nan}])
+        cli.write_csv(path, {"b": [np.float64(1e-300)], "a": [math.nan]})
         assert path.read_bytes() == b"b,a\n1e-300,nan\n"
-        cli.write_csv(path, [], ["a", "b"])
+        cli.write_csv(path, {"a": [], "b": []})
         assert path.read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("value, text", GOLDEN)
+    def test_write_csv_column_of_one_type(self, tmp_path, value, text):
+        # a column of one type is formatted by one formatter, into _fmt's text
+        path = tmp_path / "r.csv"
+        cli.write_csv(path, {"v": [value] * 3, "w": [value, "", value]})
+        assert path.read_text() == f"v,w\n{text},{text}\n{text},\n{text},{text}\n"
+
+    def test_write_csv_mixed_column(self, tmp_path):
+        # every run of one type in a column keeps _fmt's text for each of its cells
+        path = tmp_path / "r.csv"
+        values, texts = zip(*self.GOLDEN)
+        cli.write_csv(path, {"v": list(values), "w": list(values[::-1])})
+        assert path.read_text() == "v,w\n" + "".join(f"{a},{b}\n"
+                                                     for a, b in zip(texts, texts[::-1]))
+
+    def test_write_csv_floats_read_as_format_spec(self, tmp_path):
+        # every finite magnitude, subnormals and the extremes: the ".17g" text of each
+        rng = np.random.default_rng(0)
+        values = (rng.standard_normal(4000) * 10.0 ** rng.integers(-320, 309, 4000)).tolist()
+        values += [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 123456.0]
+        path = tmp_path / "r.csv"
+        cli.write_csv(path, {"x": values, "y": [np.float64(v) for v in values]})
+        assert path.read_text() == "x,y\n" + "".join(f"{v:.17g},{v:.17g}\n" for v in values)
 
 
 class TestOtherCommands:

@@ -243,6 +243,16 @@ class TestProductReconstruction:
         assert rep["u_prime_unitarity_defect"] <= 1e-12
         assert rep["pass"]
 
+    def test_reads_only_the_column_maps(self, monkeypatch):
+        # the dense shifts are scattered on first use, and this never uses them
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense matrix was scattered")
+
+        monkeypatch.setattr(cuntz, "_dense", refuse)
+        rep = product_reconstruction(2, 8, 16)
+        assert rep["factorization_residual"] == 0.0
+        assert rep["pass"]
+
     def test_largest_factorize_space(self):
         # outer_dim^2 middle_dim = 2^20, the CLI's limit: |idx| = 127 * 7 * 127
         rep = product_reconstruction(2, 256, 16)

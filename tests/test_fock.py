@@ -77,7 +77,7 @@ class TestSpace:
         p = low_projector(tf, tf.cutoff - 1)
         for i in range(2):
             for j in range(2):
-                comm = tf.lower[i] @ tf.raise_op(j) - tf.raise_op(j) @ tf.lower[i]
+                comm = tf.lower[i] @ dagger(tf.lower[j]) - dagger(tf.lower[j]) @ tf.lower[i]
                 expected = np.eye(tf.dim) if i == j else np.zeros((tf.dim, tf.dim))
                 assert np.linalg.norm(p @ (comm - expected) @ p, 2) <= 1e-14
 
@@ -134,6 +134,21 @@ class TestLadderMaps:
             a = dense_create(np.abs(chi)).real
             b = (a[np.ix_(odd, even)] + a[np.ix_(even, odd)].T) / math.sqrt(2.0)
             assert np.array_equal(fock._odd_even_block(tf, np.abs(chi)), b)
+
+        # dGamma(h) = sum_ij h_ij a_i^dag a_j over the nonzero h_ij, one product each
+        for k in range(12):
+            g = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+            h = g + g.conj().T
+            if k % 3 == 1:
+                h[0, -1] = h[-1, 0] = 0.0
+            if k % 3 == 2:
+                h = np.diag(h.real.diagonal())
+            want = np.zeros((tf.dim, tf.dim), dtype=complex)
+            for i in range(modes):
+                for j in range(modes):
+                    if h[i, j] != 0:
+                        want += h[i, j] * (raise_ops[i] @ raise_ops[j].T)
+            assert np.array_equal(dgamma(tf, h), want)
 
 
 class TestSegalField:

@@ -25,6 +25,8 @@ KEEPS = {
     "cuntz.TruncatedCuntz.relation_report": "a claim of the paper that the tests check",
     "field.FieldQuad.refined": "the finer rule that the field tests use as their reference",
     "cutoff.AnalyticCutoff.eta": "the benchmark's tracer wraps it by name",
+    # the commands write columns; the tests and the benchmark's tracer count rows
+    "suites.SuiteResult.rows": "the tests and the benchmark's tracer read it",
 }
 
 def functions():

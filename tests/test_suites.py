@@ -188,6 +188,32 @@ def test_rows_do_not_depend_on_the_trial_count():
     assert suites.run_findim_suite(seed=SEED, trials=40).rows[:len(short)] == short
 
 
+@pytest.mark.parametrize("run", [
+    lambda: suites.run_findim_suite(seed=SEED, trials=TRIALS),
+    lambda: suites.run_theorem_suite(seed=SEED, theorem_trials=TRIALS // 2,
+                                     monotonicity_trials=TRIALS),
+    lambda: suites.run_fock_suite(seed=SEED)], ids=["findim", "theorem", "fock"])
+def test_rows_are_the_columns_zipped(run):
+    # the benchmark's tracer counts len(rows) as the suite's checks
+    result = run()
+    checks = result.summary["checks"]
+    assert {len(cells) for cells in result.columns.values()} == {checks}
+    rows = result.rows
+    assert len(rows) == checks
+    assert all(list(row) == list(result.columns) for row in rows)
+    for name, cells in result.columns.items():
+        assert [row[name] for row in rows] == cells
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_gaussians_are_each_generators_draws(dim):
+    # one preallocated stack, each generator filling its own (2, dim, dim) slot
+    rngs = [np.random.default_rng(SEED + i) for i in range(512)]
+    want = np.array([np.random.default_rng(SEED + i).standard_normal((2, dim, dim))
+                     for i in range(512)])
+    assert np.array_equal(modular._gaussians(dim, rngs), want[:, 0] + 1j * want[:, 1])
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4])
 def test_random_unitary_is_phase_fixed_qr(dim):
     rng = np.random.default_rng(dim)
