@@ -7,6 +7,8 @@ them out as CSV/JSON and the acceptance tests assert on the aggregates.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,26 +82,67 @@ FINDIM_CHECKS = (("klein_positivity", KLEIN_TOL),
                  ("delta_closed_form", CLOSED_FORM_TOL))
 
 
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for each s of a uint64 array, as rows:
+    numpy's hash (bit_generator.pyx) in uint32 arrays, which wrap, a seed's 2 words padded."""
+    def hasher(const, mult):  # numpy's hashmix with its running constant
+        def hashmix(x):
+            nonlocal const
+            x = x ^ const
+            const = const * mult & 0xFFFFFFFF
+            x = x * const
+            return x ^ x >> 16
+        return hashmix
+
+    hash_a = hasher(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
+    zero = np.zeros_like(seeds)  # numpy pads short entropy to its pool of 4 words
+    pool = [hash_a(w.astype(np.uint32)) for w in (seeds & 0xFFFFFFFF, seeds >> 32, zero, zero)]
+    for i, j in itertools.permutations(range(4), 2):  # mix(pool[j], hashmix(pool[i]))
+        y = 0xCA01F9DD * pool[j] - 0x4973F715 * hash_a(pool[i])
+        pool[j] = y ^ y >> 16
+    hash_b = hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+    out = np.column_stack([hash_b(word) for word in pool * 2])  # 8 words, cycling
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _hashed_seed() -> type:
+    """An ISeedSequence handing PCG64 a ready state, built at the first draw, not at import."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64's 4 uint64 words
+            return self.state
+
+    return HashedSeed
+
+
 def _blocks(seed: int, trials: np.ndarray, width: int):
-    """Runs of the trial indices, each with one generator per trial: trial t
-    draws from default_rng(seed + t), as when it runs alone.  Every run is a
-    block of `quadrature.blocks` at `width`, the entries of one trial's
-    largest temporary, which bounds memory whatever the trial count.  A findim trial's
-    is its d^2 x d^2 Tomita map, width d^4: 512, 101 and 32 trials at d = 2, 3
-    and 4.  The theorem and monotonicity trials build no Tomita map; theirs is
-    a d x d matrix at d = 4, width d^2: 512 trials.  A width counts a complex
-    entry as one element, though it holds two floats, so a complex block may
-    reach 2 BLOCK_ELEMENTS floats: a 512-trial theorem block of complex 4 x 4
-    matrices is 128 KiB."""
+    """Runs of the trial indices, each with one generator per trial: trial t draws
+    default_rng(seed + t)'s stream, as when it runs alone, from a PCG64 handed the state
+    that `_seed_states` hashed for the whole run.  Every run is a block of `quadrature.blocks`
+    at `width`, the entries of one trial's largest temporary, which bounds memory whatever
+    the trial count.  A findim trial's is its d^2 x d^2 Tomita map, width d^4: 512, 101 and
+    32 trials at d = 2, 3 and 4.  The theorem and monotonicity trials build no Tomita map;
+    theirs is a d x d matrix at d = 4, width d^2: 512 trials.  A width counts a complex
+    entry as one element, though it holds two floats, so a complex block may reach 2
+    BLOCK_ELEMENTS floats: a 512-trial theorem block of complex 4 x 4 matrices is 128 KiB."""
+    hashed, generator, pcg64 = _hashed_seed(), np.random.Generator, np.random.PCG64
     for blk in blocks(len(trials), width):
         idx = trials[blk]
-        yield idx, [np.random.default_rng(seed + int(t)) for t in idx]
+        states = _seed_states(np.uint64(seed) + idx.astype(np.uint64))
+        yield idx, [generator(pcg64(hashed(state))) for state in states]
 
 
 def run_findim_suite(seed: int = 0, trials: int = 1000) -> SuiteResult:
     """Klein positivity, joint unitary invariance, commutant cancellation,
     polar reconstruction and the closed-form modular operator, on random
     state pairs of dimension 2 to 4 (trial t has dimension 2 + t % 3)."""
+    if not 0 <= seed <= 2 ** 64 - trials:  # a uint64 seed sum would wrap onto other streams
+        raise ParameterViolation(f"the trial seeds from {seed} leave [0, 2**64)")
     residuals = np.empty((trials, len(FINDIM_CHECKS)))
     for dim in (2, 3, 4):
         for idx, rngs in _blocks(seed, np.arange(dim - 2, trials, 3), dim ** 4):
@@ -136,6 +179,8 @@ def run_theorem_suite(seed: int = 0, theorem_trials: int = 500,
                       monotonicity_trials: int = 1000) -> SuiteResult:
     """Nested-algebra entropy inequalities on 2x2 bipartite states and
     monotonicity of the relative entropy under the partial trace."""
+    if not 0 <= seed <= 2 ** 64 - max(theorem_trials, 10_000 + monotonicity_trials):
+        raise ParameterViolation(f"the trial seeds from {seed} leave [0, 2**64)")
     columns = {"check": [], "trial_seed": [], "lhs": [], "rhs": [], "margin": [], "pass": []}
 
     def record(reports):

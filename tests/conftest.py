@@ -47,6 +47,8 @@ SIGNALLING = [["signalling", *action, f"seed={seed}"]
               for seed in (20260810, 0)]
 SUITES = [[group, "suite", f"seed={seed}"] for group in ("findim", "fock")
           for seed in (20260810, 0)]
+# the command line's largest seed, two 32-bit words of entropy
+SUITES += [["findim", "suite", "seed=9223372036854775807", "trials=30"]]
 COMMANDS = SCALAR + CUTOFF + SIGNALLING + SUITES
 
 CHILD = """

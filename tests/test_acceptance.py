@@ -21,6 +21,7 @@ from modlab.field import (
     exact_entropy,
     squeeze_sweep,
 )
+from oracles import box_integral
 
 
 def report(number, label, passed, detail, elapsed, budget):
@@ -88,53 +89,17 @@ def test_criterion_4_cutoff_lemma():
            elapsed, budget)
 
 
-def _bump_sum(bumps, pts):
-    """Value and gradient at pts (n, d) of a sum of bumps
-    amplitude * exp(1 - 1/(1 - s^2)), s^2 = sum_i ((x_i - c_i)/w_i)^2 < 1."""
-    val, grad = np.zeros(pts.shape[0]), np.zeros_like(pts)
-    for b in bumps:
-        w = np.array(b.width)
-        z = (pts - np.array(b.center)) / w
-        s2 = np.sum(z * z, axis=1)
-        inside = s2 < 1.0
-        q = 1.0 - s2[inside]
-        v = b.amplitude * np.exp(1.0 - 1.0 / q)
-        val[inside] += v
-        grad[inside] += (-2.0 * v / q ** 2)[:, None] * z[inside] / w
-    return val, grad
-
-
 # (panels per axis, Gauss order) per dimension; each reproduces the oracle
 # integrals to better than 1e-6 relative, far inside the 1e-4 slope law
 TENSOR_RULE = {1: (16, 16), 2: (8, 16), 3: (4, 12)}
 
 
-def _box_integral(bumps, density):
-    """int density(x, value, grad) d^d x over the bumps' joint support box, by
-    a composite tensor Gauss-Legendre rule; shares no code with modlab.field."""
-    if not bumps:
-        return 0.0
-    d = len(bumps[0].center)
-    panels, order = TENSOR_RULE[d]
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    axes, wts = [], []
-    for i in range(d):
-        edges = np.linspace(min(b.center[i] - b.width[i] for b in bumps),
-                            max(b.center[i] + b.width[i] for b in bumps), panels + 1)
-        half = 0.5 * np.diff(edges)[:, None]
-        axes.append((edges[:-1, None] + half * (nodes + 1.0)).ravel())
-        wts.append((half * weights).ravel())
-    pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    w = np.prod(np.meshgrid(*wts, indexing="ij"), axis=0).ravel()
-    val, grad = _bump_sum(bumps, pts)
-    return float(w @ density(pts, val, grad))
-
-
 def _field_energy(g):
     """int (|grad g0|^2 + m^2 g0^2 + g1^2) d^d x."""
     m2 = g.mass ** 2
-    return (_box_integral(g.g0, lambda x, v, gr: np.sum(gr * gr, axis=1) + m2 * v * v)
-            + _box_integral(g.g1, lambda x, v, gr: v * v))
+    return (box_integral(g.g0, lambda x, v, gr: np.sum(gr * gr, axis=1) + m2 * v * v,
+                         TENSOR_RULE)
+            + box_integral(g.g1, lambda x, v, gr: v * v, TENSOR_RULE))
 
 
 def _cone_gap_oracle(g, r, eps):
@@ -149,9 +114,9 @@ def _cone_gap_oracle(g, r, eps):
     def dbeta(x):
         return (r_p - r_m) / 2.0 - np.sum(x * x, axis=1) * inv / 2.0
 
-    total = _box_integral(g.g0, lambda x, v, gr: dbeta(x) * np.sum(gr * gr, axis=1)
-                          + (d - 1) / 2.0 * inv * v * v)
-    total += _box_integral(g.g1, lambda x, v, gr: dbeta(x) * v * v)
+    total = box_integral(g.g0, lambda x, v, gr: dbeta(x) * np.sum(gr * gr, axis=1)
+                         + (d - 1) / 2.0 * inv * v * v, TENSOR_RULE)
+    total += box_integral(g.g1, lambda x, v, gr: dbeta(x) * v * v, TENSOR_RULE)
     return 0.5 * math.pi * total
 
 

@@ -518,26 +518,30 @@ class TestSuitesThroughCli:
         assert run(["fock", "suite"]) == 1
 
 
-def scipy_modules_after(statement):
-    """The scipy modules a fresh interpreter holds after running statement."""
+def modules_after(statement, package="scipy"):
+    """The modules of `package` (scipy by default) that a fresh interpreter holds
+    after running statement."""
     import modlab
     src = str(Path(modlab.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, sys.argv[1]); {statement}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+            "print(sorted(m for m in sys.modules if (m + '.').startswith(sys.argv[2] + '.')))")
+    out = subprocess.run([sys.executable, "-c", code, src, package], capture_output=True,
                          text=True, check=True).stdout
     return out.strip().splitlines()[-1]
 
 
 def test_import_loads_no_scipy():
     # every command pays the package import; scipy is imported where it is used,
-    # and no scipy module at all, scipy.sparse included, loads with the package
-    assert scipy_modules_after("import modlab") == "[]"
+    # and no scipy module at all, scipy.sparse included, loads with the package.
+    # Nor does numpy.random: the seeded suites and the commands that draw load it
+    assert modules_after("import modlab.cli") == "[]"
+    assert modules_after("import modlab.cli", "numpy.random") == "[]"
+    assert modules_after("import numpy.random", "numpy.random") != "[]"
 
 
 def test_cutoff_minimize_loads_no_scipy():
     # the discrete minimizer is a closed form in numpy
-    assert scipy_modules_after(
+    assert modules_after(
         "from modlab.cli import main; assert main(['cutoff', 'minimize']) == 0") == "[]"
 
 
@@ -550,7 +554,7 @@ SIGNALLING_COMMANDS = [["signalling", "check"], ["signalling", "factorize"],
 def test_suite_loads_no_scipy(command):
     # the Fock ladder maps, displacements and modular data are plain numpy, and
     # so are the shift families' column maps and the kept-block commutators
-    assert scipy_modules_after(
+    assert modules_after(
         f"from modlab.cli import main; assert main({command!r}) == 0") == "[]"
 
 

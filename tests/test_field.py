@@ -31,6 +31,7 @@ from modlab.field import (
     tau0,
 )
 from modlab.quadrature import integrate_1d
+from oracles import box_integral, bump_sum
 
 
 def interior_wedge_data(mass):
@@ -88,22 +89,6 @@ def radial_sections(g, rho):
     return {"A": area * v * v, "B": area * v * dv, "C": area * dv * dv, "Q": area * v1 * v1}
 
 
-def _bump_sum(bumps, pts):
-    """Value and gradient at pts (n, d) of a sum of bumps
-    amplitude * exp(1 - 1/(1 - s^2)), s^2 = sum_i ((x_i - c_i)/w_i)^2 < 1."""
-    val, grad = np.zeros(pts.shape[0]), np.zeros_like(pts)
-    for b in bumps:
-        w = np.array(b.width)
-        z = (pts - np.array(b.center)) / w
-        s2 = np.sum(z * z, axis=1)
-        inside = s2 < 1.0
-        q = 1.0 - s2[inside]
-        v = b.amplitude * np.exp(1.0 - 1.0 / q)
-        val[inside] += v
-        grad[inside] += (-2.0 * v / q ** 2)[:, None] * z[inside] / w
-    return val, grad
-
-
 # (panels per axis, Gauss order) per dimension; on the wedge presets the d = 1
 # and d = 2 rules reach 1e-11 relative against refined rules, far inside the
 # tolerances below, and the d = 1 rule resolves a t = 3 transition across the
@@ -113,33 +98,12 @@ def _bump_sum(bumps, pts):
 TENSOR_RULE = {1: (128, 16), 2: (16, 16), 3: (6, 12)}
 
 
-def box_integral(bumps, density):
-    """int density(x, value, grad) d^d x over the bumps' joint support box, by
-    a composite tensor Gauss-Legendre rule; shares no code with modlab.field."""
-    if not bumps:
-        return 0.0
-    d = len(bumps[0].center)
-    panels, order = TENSOR_RULE[d]
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    axes, wts = [], []
-    for i in range(d):
-        edges = np.linspace(min(b.center[i] - b.width[i] for b in bumps),
-                            max(b.center[i] + b.width[i] for b in bumps), panels + 1)
-        half = 0.5 * np.diff(edges)[:, None]
-        axes.append((edges[:-1, None] + half * (nodes + 1.0)).ravel())
-        wts.append((half * weights).ravel())
-    pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    w = np.prod(np.meshgrid(*wts, indexing="ij"), axis=0).ravel()
-    val, grad = _bump_sum(bumps, pts)
-    return float(w @ density(pts, val, grad))
-
-
 def weighted_energy(g, weight):
     """int weight(x) (|grad g0|^2 + m^2 g0^2 + g1^2) d^d x."""
     m2 = g.mass ** 2
     return (box_integral(g.g0, lambda x, v, gr: weight(x) * (np.sum(gr * gr, axis=1)
-                                                            + m2 * v * v))
-            + box_integral(g.g1, lambda x, v, gr: weight(x) * v * v))
+                                                            + m2 * v * v), TENSOR_RULE)
+            + box_integral(g.g1, lambda x, v, gr: weight(x) * v * v, TENSOR_RULE))
 
 
 def field_energy(g):
@@ -191,7 +155,7 @@ class TestBumpFunction:
         rng = np.random.default_rng(0)
         pts = np.column_stack([rng.uniform(-0.2, 1.2, 40), rng.uniform(-1.3, 0.7, 40)])
         value, grad = profile_at(b, pts)
-        ref_value, ref_grad = _bump_sum([b], pts)
+        ref_value, ref_grad = bump_sum([b], pts)
         assert np.allclose(value, ref_value, rtol=1e-14, atol=0.0)
         assert np.allclose(grad, ref_grad, rtol=1e-13, atol=0.0)
         eps = 1e-6
@@ -257,7 +221,7 @@ class TestExactCone:
         h = exact_entropy(g, Ball(r))
 
         def weighted(x):
-            grad = _bump_sum(g.g0, x[:, None])[1][:, 0]
+            grad = bump_sum(g.g0, x[:, None])[1][:, 0]
             return (r * r - x * x) / (2 * r) * grad * grad
 
         ref = integrate_1d(weighted, -0.7, 0.7, splits=[-0.4, 0.0, 0.4], order=16,
@@ -338,7 +302,8 @@ class TestOffCentreData:
             eta, _, beta = cutoff_and_weight(x)
             return beta * (eta * v) ** 2
 
-        ref = 0.5 * math.pi * (box_integral(g.g0, g0_density) + box_integral(g.g1, g1_density))
+        ref = 0.5 * math.pi * (box_integral(g.g0, g0_density, TENSOR_RULE)
+                               + box_integral(g.g1, g1_density, TENSOR_RULE))
         assert entropy_bound(g, Wedge(), "lower", prof, eps).value == pytest.approx(ref, rel=1e-9)
 
 
@@ -432,7 +397,8 @@ class TestEntropyBound:
             eta, _, beta = cutoff_and_weight(x)
             return beta * eta * eta * v * v
 
-        ref = 0.5 * math.pi * (box_integral(g.g0, g0_density) + box_integral(g.g1, g1_density))
+        ref = 0.5 * math.pi * (box_integral(g.g0, g0_density, TENSOR_RULE)
+                               + box_integral(g.g1, g1_density, TENSOR_RULE))
         assert entropy_bound(g, Ball(r), "lower", prof, eps).value == pytest.approx(ref, rel=1e-8)
 
     def test_positivity_up_to_quadrature_error(self):
@@ -539,8 +505,8 @@ class TestOuterRule:
         def density(y):
             (eta,), (prime,) = prof.eta_and_prime(sign * (y / eps + sign))
             eta = eta if sign > 0 else 1.0 - eta
-            (v0,), ((d0,),) = _bump_sum(g.g0, np.array([[y]]))
-            (v1,), _ = _bump_sum(g.g1, np.array([[y]]))
+            (v0,), ((d0,),) = bump_sum(g.g0, np.array([[y]]))
+            (v1,), _ = bump_sum(g.g1, np.array([[y]]))
             grad = prime / eps * v0 + eta * d0
             return (y - shift) * (grad * grad + eta * eta * (m2 * v0 * v0 + v1 * v1))
 
@@ -624,7 +590,7 @@ class TestTau0:
         g = InitialData((BumpFunction((0.5,), (1.0,)),), (), 1, 0.0)
         prof = tau0(g, Wedge())
         for x in (0.0, 0.4, 1.2):
-            assert prof(x) == pytest.approx(_bump_sum(g.g0, np.array([[x]]))[0][0] ** 2,
+            assert prof(x) == pytest.approx(bump_sum(g.g0, np.array([[x]]))[0][0] ** 2,
                                             abs=1e-14)
 
     def test_fubini_normalization(self):
@@ -635,7 +601,7 @@ class TestTau0:
         # the strip 0.7 <= x^1 <= 2.3 is the x^1-range of supp g0, so the strip
         # integral of g0^2 is its integral over the support box
         assert g.support_box()[0] == pytest.approx((0.7, 2.3))
-        rhs = box_integral(g.g0, lambda x, v, gr: v * v)
+        rhs = box_integral(g.g0, lambda x, v, gr: v * v, TENSOR_RULE)
         assert abs(lhs - rhs) <= 1e-9 * rhs
 
     def test_cone_radial_normalization(self):

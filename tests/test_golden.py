@@ -8,7 +8,8 @@ more with an `r=` override.  `scalar flow` runs on the wedge and on the cone,
 and `cutoff energy`, `cutoff limit` (from a config file) and `cutoff minimize`
 at their defaults.  `signalling check`, `signalling factorize` and `signalling
 gap` at d_factor 26, 32 and 64 run at their other defaults, and `findim suite`
-and `fock suite` at theirs, each at the acceptance seed 20260810 and at seed 0.
+and `fock suite` at theirs, each at the acceptance seed 20260810 and at seed 0;
+`findim suite` also runs 30 trials from the command line's largest seed, 2**63 - 1.
 The table runs once per session, in the traced child interpreter that the
 reachability test reads too, each command into its own directory; the digests
 of the results.csv, summary.json and plot.txt it writes must equal the
@@ -71,7 +72,7 @@ def test_signalling_artifacts_match_the_golden_table(table_run):
 
 
 def test_suite_artifacts_match_the_golden_table(table_run):
-    assert len(SUITES) == 4
+    assert len(SUITES) == 5
     assert_golden(table_run, SUITES)
 
 

@@ -247,3 +247,65 @@ def test_thin_unitary_is_leading_columns(dim, stack):
 def test_thin_unitary_refuses_columns_outside_the_dimension(columns):
     with pytest.raises(ParameterViolation):
         random_unitary(5, np.random.default_rng(SEED), columns=columns)
+
+
+# a two-word seed, the command line's largest seed and its largest monotonicity seed
+HASHED_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 63 - 1 + 1_010_000]
+
+
+def test_hashed_states_are_seed_sequence_states():
+    states = suites._seed_states(np.array(HASHED_SEEDS, dtype=np.uint64))
+    for seed, state in zip(HASHED_SEEDS, states):
+        want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert state.dtype == want.dtype and np.array_equal(state, want)
+
+
+@pytest.mark.parametrize("seed", HASHED_SEEDS)
+def test_block_generators_draw_default_rng_streams(seed):
+    # two blocks of 2 trials: each generator is default_rng(seed + t)'s stream
+    runs = list(suites._blocks(seed, np.arange(4), quadrature.BLOCK_ELEMENTS // 2))
+    assert [idx.tolist() for idx, _ in runs] == [[0, 1], [2, 3]]
+    for idx, rngs in runs:
+        for t, rng in zip(idx, rngs):
+            want = np.random.default_rng(seed + int(t)).standard_normal(64)
+            assert np.array_equal(rng.standard_normal(64), want)
+
+
+def test_suites_construct_no_default_rng(monkeypatch):
+    made = []
+
+    def spy(*args, _default_rng=np.random.default_rng, **kwargs):
+        made.append(args)
+        return _default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    suites.run_findim_suite(SEED, 30)
+    suites.run_theorem_suite(SEED, 15, 30)
+    assert made == []
+    np.random.default_rng(SEED)  # the spy counts
+    assert made == [(SEED,)]
+
+
+LAST = 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("seed, trials", [(-1, 3), (LAST - 1, 3), (LAST + 1, 1)])
+def test_findim_suite_refuses_seeds_outside_uint64(seed, trials):
+    with pytest.raises(ParameterViolation):
+        suites.run_findim_suite(seed, trials)
+
+
+# the last monotonicity seed is seed + 10_000 + monotonicity_trials - 1, and the
+# last theorem seed seed + theorem_trials - 1: each of the last two cases reaches 2**64
+@pytest.mark.parametrize("seed, theorem_trials, monotonicity_trials", [
+    (-1, 1, 1), (LAST - 10_000 - 2, 1, 4), (LAST - 10_001, 10_003, 0)])
+def test_theorem_suite_refuses_seeds_outside_uint64(seed, theorem_trials, monotonicity_trials):
+    with pytest.raises(ParameterViolation):
+        suites.run_theorem_suite(seed, theorem_trials, monotonicity_trials)
+
+
+def test_suites_run_up_to_the_last_uint64_seed():
+    # the last trial draws default_rng(2**64 - 1), with no wrap onto seed 0
+    assert suites.run_findim_suite(LAST - 2, 3).rows == findim_reference(LAST - 2, 3)
+    seed = LAST - 10_000 - 2
+    assert suites.run_theorem_suite(seed, 1, 3).rows == theorem_reference(seed, 1, 3)
