@@ -167,9 +167,10 @@ class AnalyticCutoff:
         q = (1.0 / (self.t * (1.0 - 1.0 / self.s) + 1.0)) ** 2
         n = np.count_nonzero(m * q ** np.arange(m.size) / (1.0 - q)
                              > 1e-17 * min(1.0, self.kernel.c_s))
-        # np.polyval, highest power first: numpy.polynomial costs ~1 MB at import
-        self._prime_coeffs = m[:n][::-1]
-        self._eta_coeffs = np.concatenate(([0.0], m[1:n] / (2.0 * np.arange(1, n))))[::-1]
+        # the eta and eta' series as (n, 2, 1) rows, highest power first, for
+        # one Horner pass (numpy.polynomial costs ~1 MB at import)
+        eta_coeffs = np.concatenate(([0.0], m[1:n] / (2.0 * np.arange(1, n))))
+        self._coeffs = np.stack([eta_coeffs, m[:n]], axis=1)[::-1, :, None]
         # the band memo of `quadrature.memo_rows`, replaced whole on each miss
         self._band = (np.empty(0), {})
 
@@ -186,8 +187,12 @@ class AnalyticCutoff:
         """eta and eta' on the middle piece, from the moment series above."""
         chi, anti = self.kernel.in_window(x)
         rr = (1.0 / self.t / (x + 1.0)) ** 2
-        return (anti - np.polyval(self._eta_coeffs, rr) / self.kernel.c_s,
-                chi * np.polyval(self._prime_coeffs, rr))
+        # Horner on both rows at once: np.polyval's steps y = y * rr + c after
+        # its first, 0 * rr + c_0, which is exactly c_0
+        series = self._coeffs[0]
+        for c in self._coeffs[1:]:
+            series = series * rr + c
+        return anti - series[0] / self.kernel.c_s, chi * series[1]
 
     def _convolve(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """eta and eta' on the bands: only y in the clip window (lo, hi) =

@@ -128,8 +128,11 @@ class Ball:
         if not 1e-100 <= self.radius <= 1e100:
             raise GeometryViolation(f"ball radius {self.radius!r} must lie in [1e-100, 1e100]")
 
-    def weight(self, pts: np.ndarray) -> np.ndarray:
-        return (self.radius * self.radius - np.sum(pts * pts, axis=-1)) / (2.0 * self.radius)
+
+def _ball_weight(radius, rho: np.ndarray) -> np.ndarray:
+    """The ball weight (r^2 - rho^2)/(2r) at radii rho; r may be a column of
+    radii, one row per lane."""
+    return (radius * radius - rho * rho) / (2.0 * radius)
 
 
 Region = Wedge | Ball
@@ -207,12 +210,12 @@ def _slice_grid(bumps: Sequence[BumpFunction], x1: np.ndarray, d: int,
 
 def _on_axes(bumps: Sequence[BumpFunction], axes: list[np.ndarray]):
     """Value and per-axis gradient of a bump sum on broadcasting coordinates."""
-    value, grad = 0.0, [0.0] * len(axes)
+    value = grad = None
     for b in bumps:
         z = [(x - c) / w for x, c, w in zip(axes, b.center, b.width)]
-        v, f = b.profile(sum(zi * zi for zi in z))
-        value = value + v
-        grad = [gi + zi / w * f for gi, zi, w in zip(grad, z, b.width)]
+        v, f = b.profile(reduce(add, (zi * zi for zi in z)))
+        g = [zi / w * f for zi, w in zip(z, b.width)]
+        value, grad = (v, g) if value is None else (value + v, list(map(add, grad, g)))
     return value, grad
 
 
@@ -236,8 +239,10 @@ def _wedge_sections(g: InitialData, x1: np.ndarray, quad: FieldQuad) -> dict:
         if g.g0:
             axes, w = _slice_grid(g.g0, x, d, quad.cross_order)
             g0, (d1, *perp) = _on_axes(g.g0, axes)
-            for key, f in (("A", g0 * g0), ("B", g0 * d1), ("C", d1 * d1),
-                           ("P", sum((p * p for p in perp), np.zeros_like(d1)))):
+            terms = {"A": g0 * g0, "B": g0 * d1, "C": d1 * d1}
+            if perp:
+                terms["P"] = reduce(add, (p * p for p in perp))
+            for key, f in terms.items():
                 out[key][blk] = integral(f, w)
         if g.g1:
             axes, w = _slice_grid(g.g1, x, d, quad.cross_order)
@@ -427,10 +432,11 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
         def weight(y):
             return y - shift
     else:
-        curvature = np.array([jacobian_power / (2.0 * v.radius) for v in balls])[:, None]
+        radius = np.array([v.radius for v in balls])[:, None]
+        curvature = jacobian_power / (2.0 * radius)
 
         def weight(y):
-            return np.stack([v.weight(y[:, None]) for v in balls])
+            return _ball_weight(radius, y)
 
     def integrand(y):
         eta, etap = np.ones((len(lanes), y.size)), np.zeros((len(lanes), y.size))

@@ -9,8 +9,11 @@ One rule serves a vector of integrands ("lanes") on one shared panel set: an
 integrand may return a (lanes, m) array, and a panel is accepted only when
 every lane passes its own test (DCUHRE's common subdivision: Berntsen, Espelid
 & Genz, ACM TOMS 17, 1991).  A round's nodes go to the integrand in one call,
-or in calls of `BLOCK_ELEMENTS // lanes` nodes when more.  Accumulation is in
-fixed panel order so results are bit-stable run to run.
+or in calls of `BLOCK_ELEMENTS // lanes` nodes when more.  A round is
+whole-array over lanes: each rule sum is one stacked matrix-vector product on
+the (lanes, panels, 2n+1) values, which gives every lane the product that a
+one-lane call takes.  Accumulation is in fixed panel order so results are
+bit-stable run to run.
 """
 
 from __future__ import annotations
@@ -203,18 +206,17 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         fx = np.concatenate([np.asarray(f(x[blk]), dtype=float).reshape(width, -1)
                              for blk in blocks(x.size, width)], axis=1)
         fx = fx.reshape(width, lo.size, -1)
-        # lane by lane, each the matrix-vector product of the scalar rule
-        fine = np.stack([half * (fl @ w_k) for fl in fx])
-        coarse = np.stack([half * (fl[:, 1::2] @ w_g) for fl in fx])
+        fine = half * (fx @ w_k)
+        coarse = half * (fx[:, :, 1::2] @ w_g)
         err = np.abs(fine - coarse)
         scale = np.maximum(np.abs(fine), np.maximum(accepted_abs, 1e-300)[:, None])
         passed = err <= np.maximum(ABS_TOL, rel_tol * scale)
         ok = np.all(passed, axis=0) | (hi - lo < min_width)
-        rounding = np.stack([gamma * half[ok] * (np.abs(fl[ok]) @ w_k) for fl in fx])
+        rounding = gamma * half[ok] * (np.abs(fx[:, ok]) @ w_k)
         done_lo.append(lo[ok])
         done_val.append(fine[:, ok])
         done_err.append(err[:, ok] + rounding)
-        accepted_abs += [np.sum(np.abs(v)) for v in fine[:, ok]]
+        accepted_abs += np.abs(fine[:, ok]).sum(axis=1)
         mid = 0.5 * (lo[~ok] + hi[~ok])
         lo = np.concatenate([lo[~ok], mid])
         hi = np.concatenate([mid, hi[~ok]])

@@ -6,6 +6,8 @@ public data classes (test_oracles checks its imports), so an error in the field
 code cannot reach the values it is checked against.
 """
 
+import math
+
 import numpy as np
 
 
@@ -45,3 +47,31 @@ def box_integral(bumps, density, rule):
     w = np.prod(np.meshgrid(*wts, indexing="ij"), axis=0).ravel()
     val, grad = bump_sum(bumps, pts)
     return float(w @ density(pts, val, grad))
+
+
+def weighted_energy(g, weight, rule):
+    """int weight(x) (|grad g0|^2 + m^2 g0^2 + g1^2) d^d x of the data g, by
+    box_integral with `rule`."""
+    m2 = g.mass ** 2
+    return (box_integral(g.g0, lambda x, v, gr: weight(x) * (np.sum(gr * gr, axis=1)
+                                                            + m2 * v * v), rule)
+            + box_integral(g.g1, lambda x, v, gr: weight(x) * v * v, rule))
+
+
+def cone_gap(g, r, eps, rule):
+    """Weight-difference oracle for the interior cone gap: (pi/2) times the
+    integral of the closed-form difference of the squeezed weights against
+    the data, for data supported inside the inner ball, by box_integral with
+    `rule`."""
+    r_p, r_m = r + 2.0 * eps, r - 2.0 * eps
+    assert all(np.linalg.norm(b.center) + max(b.width) < r_m for b in g.g0 + g.g1)
+    d = g.dimension
+    inv = 1.0 / r_p - 1.0 / r_m
+
+    def dbeta(x):
+        return (r_p - r_m) / 2.0 - np.sum(x * x, axis=1) * inv / 2.0
+
+    total = box_integral(g.g0, lambda x, v, gr: dbeta(x) * np.sum(gr * gr, axis=1)
+                         + (d - 1) / 2.0 * inv * v * v, rule)
+    total += box_integral(g.g1, lambda x, v, gr: dbeta(x) * v * v, rule)
+    return 0.5 * math.pi * total

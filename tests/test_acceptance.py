@@ -21,7 +21,7 @@ from modlab.field import (
     exact_entropy,
     squeeze_sweep,
 )
-from oracles import box_integral
+from oracles import cone_gap, weighted_energy
 
 
 def report(number, label, passed, detail, elapsed, budget):
@@ -94,32 +94,6 @@ def test_criterion_4_cutoff_lemma():
 TENSOR_RULE = {1: (16, 16), 2: (8, 16), 3: (4, 12)}
 
 
-def _field_energy(g):
-    """int (|grad g0|^2 + m^2 g0^2 + g1^2) d^d x."""
-    m2 = g.mass ** 2
-    return (box_integral(g.g0, lambda x, v, gr: np.sum(gr * gr, axis=1) + m2 * v * v,
-                         TENSOR_RULE)
-            + box_integral(g.g1, lambda x, v, gr: v * v, TENSOR_RULE))
-
-
-def _cone_gap_oracle(g, r, eps):
-    """Weight-difference oracle for the interior cone gap: (pi/2) times the
-    integral of the closed-form difference of the squeezed weights against
-    the data, for data supported inside the inner ball."""
-    r_p, r_m = r + 2.0 * eps, r - 2.0 * eps
-    assert all(np.linalg.norm(b.center) + max(b.width) < r_m for b in g.g0 + g.g1)
-    d = g.dimension
-    inv = 1.0 / r_p - 1.0 / r_m
-
-    def dbeta(x):
-        return (r_p - r_m) / 2.0 - np.sum(x * x, axis=1) * inv / 2.0
-
-    total = box_integral(g.g0, lambda x, v, gr: dbeta(x) * np.sum(gr * gr, axis=1)
-                         + (d - 1) / 2.0 * inv * v * v, TENSOR_RULE)
-    total += box_integral(g.g1, lambda x, v, gr: dbeta(x) * v * v, TENSOR_RULE)
-    return 0.5 * math.pi * total
-
-
 def test_criterion_5_squeeze_theorems():
     budget = 600.0
     start = time.time()
@@ -145,9 +119,10 @@ def test_criterion_5_squeeze_theorems():
             hm = entropy_bound(interior, region, "lower", prof, eps)
             gap = hp.value - hm.value
             if isinstance(region, Ball):
-                expected = _cone_gap_oracle(interior, region.radius, eps)
+                expected = cone_gap(interior, region.radius, eps, TENSOR_RULE)
             else:
-                expected = eps * 2.0 * math.pi * _field_energy(interior)
+                expected = eps * 2.0 * math.pi * weighted_energy(interior, lambda x: 1.0,
+                                                                 TENSOR_RULE)
             if abs(gap - expected) > 1e-4 * expected:
                 failures.append(
                     f"{label} eps={eps}: gap dev {abs(gap - expected) / expected:.2e}")

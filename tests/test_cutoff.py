@@ -305,6 +305,29 @@ class TestFusedEvaluation:
         for values in (eta, prime):
             assert np.max(np.abs(values[n:2 * n] + values[2 * n:3 * n] - 2 * values[:n])) <= 1e-14
 
+    # the criteria's schedule, the least t, the largest s, and a t so large
+    # that the series keeps one term
+    @pytest.mark.parametrize("s, t", [(1.8, 40.0), (1.6, 100.0), (1.5, 200.0),
+                                      (1.2, t_threshold(1.2)),
+                                      (MAX_SHARPNESS, MAX_SHARPNESS + 10.0), (1.5, 1e17)])
+    def test_series_is_bitwise_the_polyval_formula(self, s, t):
+        # the moment series of the class docstring, written out with np.polyval
+        prof, m = eta_st(s, t), cutoff._even_moments()
+        q = (1.0 / (t * (1.0 - 1.0 / s) + 1.0)) ** 2
+        n = np.count_nonzero(m * q ** np.arange(m.size) / (1.0 - q)
+                             > 1e-17 * min(1.0, prof.kernel.c_s))
+        prime_coeffs = m[:n][::-1]
+        eta_coeffs = np.concatenate(([0.0], m[1:n] / (2.0 * np.arange(1, n))))[::-1]
+        inner = 1.0 / s - 1.0 / t
+        x = np.concatenate([np.linspace(-inner, inner, 203)[1:-1],
+                            np.nextafter([-inner, inner], 0.0)])
+        chi, anti = prof.kernel.in_window(x)
+        rr = (1.0 / t / (x + 1.0)) ** 2
+        eta, prime = prof.eta_and_prime(x)
+        assert np.array_equal(eta, anti - np.polyval(eta_coeffs, rr) / prof.kernel.c_s)
+        assert np.array_equal(prime, chi * np.polyval(prime_coeffs, rr))
+        assert (n == 1) == (t == 1e17)
+
     @pytest.mark.parametrize("s, t", [(1.5, 200.0), (1.01, 101.0), (1.2, t_threshold(1.2)),
                                       (MAX_SHARPNESS, MAX_SHARPNESS + 10.0)])
     def test_continuous_at_the_seams(self, s, t):

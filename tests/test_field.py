@@ -31,7 +31,7 @@ from modlab.field import (
     tau0,
 )
 from modlab.quadrature import integrate_1d
-from oracles import box_integral, bump_sum
+from oracles import box_integral, bump_sum, weighted_energy
 
 
 def interior_wedge_data(mass):
@@ -96,19 +96,6 @@ def radial_sections(g, rho):
 # (373,248 points) reaches about 1e-5 on the off-centre data, inside the 1e-4
 # it is used with
 TENSOR_RULE = {1: (128, 16), 2: (16, 16), 3: (6, 12)}
-
-
-def weighted_energy(g, weight):
-    """int weight(x) (|grad g0|^2 + m^2 g0^2 + g1^2) d^d x."""
-    m2 = g.mass ** 2
-    return (box_integral(g.g0, lambda x, v, gr: weight(x) * (np.sum(gr * gr, axis=1)
-                                                            + m2 * v * v), TENSOR_RULE)
-            + box_integral(g.g1, lambda x, v, gr: weight(x) * v * v, TENSOR_RULE))
-
-
-def field_energy(g):
-    """int |grad g0|^2 + m^2 g0^2 + g1^2 over R^d."""
-    return weighted_energy(g, lambda x: 1.0)
 
 
 def profile_at(b, pts):
@@ -274,12 +261,12 @@ class TestOffCentreData:
     def test_wedge_exact_matches_tensor_rule_d3(self):
         # moved into x^1 > 0.25, so the wedge integral is the box integral
         g = off_centre_data(3, shift=0.95, mass=0.7)
-        ref = 0.5 * math.pi * weighted_energy(g, lambda x: x[:, 0])
+        ref = 0.5 * math.pi * weighted_energy(g, lambda x: x[:, 0], TENSOR_RULE)
         assert exact_entropy(g, Wedge()).value == pytest.approx(ref, rel=1e-4)
 
     def test_wedge_exact_matches_tensor_rule_d1(self):
         g = off_centre_data(1, shift=0.95, mass=0.7)
-        ref = 0.5 * math.pi * weighted_energy(g, lambda x: x[:, 0])
+        ref = 0.5 * math.pi * weighted_energy(g, lambda x: x[:, 0], TENSOR_RULE)
         assert exact_entropy(g, Wedge()).value == pytest.approx(ref, rel=1e-9)
 
     def test_wedge_lower_bound_across_the_data_matches_tensor_rule_d1(self):
@@ -324,7 +311,7 @@ class TestEntropyBound:
         hp = entropy_bound(g, Wedge(), "upper", prof, eps)
         hm = entropy_bound(g, Wedge(), "lower", prof, eps)
         gap = hp.value - hm.value
-        expected = 4.0 * eps * 0.5 * math.pi * field_energy(g)
+        expected = 4.0 * eps * 0.5 * math.pi * weighted_energy(g, lambda x: 1.0, TENSOR_RULE)
         assert abs(gap - expected) <= 1e-6 * expected
         assert hm.value <= h.value <= hp.value
 
@@ -336,7 +323,8 @@ class TestEntropyBound:
         eps = 0.01
 
         def weighted(sign):
-            return 0.5 * math.pi * weighted_energy(g, lambda x: x[:, 0] + sign * 2 * eps)
+            return 0.5 * math.pi * weighted_energy(g, lambda x: x[:, 0] + sign * 2 * eps,
+                                                   TENSOR_RULE)
 
         hp = entropy_bound(g, Wedge(), "upper", prof, eps)
         hm = entropy_bound(g, Wedge(), "lower", prof, eps)
@@ -418,7 +406,7 @@ class TestEntropyBound:
     def test_interior_gap_linearity_grid(self):
         g = preset_data("wedge", 2, 1.0, "interior")
         prof = eta_st(1.5, 200)
-        expected_slope = 2.0 * math.pi * field_energy(g)
+        expected_slope = 2.0 * math.pi * weighted_energy(g, lambda x: 1.0, TENSOR_RULE)
         for eps in (4e-3, 2e-3, 1e-3):
             hp = entropy_bound(g, Wedge(), "upper", prof, eps)
             hm = entropy_bound(g, Wedge(), "lower", prof, eps)
@@ -551,12 +539,14 @@ class TestOuterRule:
 
 class TestRegions:
     def test_ball_weight_positive_inside(self):
-        ball = Ball(1.0)
         rng = np.random.default_rng(5)
-        inside = rng.uniform(-0.5, 0.5, (50, 3))
-        assert np.all(ball.weight(inside) > 0.0)
-        boundary = np.array([[1.0, 0.0, 0.0]])
-        assert ball.weight(boundary)[0] == 0.0
+        inside = np.linalg.norm(rng.uniform(-0.5, 0.5, (50, 3)), axis=1)
+        assert np.all(field._ball_weight(1.0, inside) > 0.0)
+        assert field._ball_weight(1.0, np.array([1.0]))[0] == 0.0
+        # one row per lane's radius, as the weighted integral takes them
+        radii = np.array([[1.0], [0.5]])
+        assert np.array_equal(field._ball_weight(radii, inside),
+                              [field._ball_weight(r, inside) for r in (1.0, 0.5)])
 
     def test_ball_radius_guard(self):
         with pytest.raises(GeometryViolation):
@@ -912,10 +902,19 @@ def band_rows(monkeypatch):
     return calls
 
 
-def test_criterion_5_convolves_each_band_point_once_per_profile(band_rows):
+def test_criterion_5_convolves_each_band_point_once_per_profile(band_rows, section_calls,
+                                                                monkeypatch):
     # one squeeze benchmark pass: criterion 5 on every preset, then criterion
     # 4's energy; each builds its own profiles, so a second pass convolves as
     # many rows as the first, and no profile convolves a point twice
+    integrals, integrate = [], field.integrate_1d
+
+    def counted(f, *args, **kwargs):
+        points = []
+        integrals.append(points)
+        return integrate(lambda y: points.append(y.size) or f(y), *args, **kwargs)
+    monkeypatch.setattr(field, "integrate_1d", counted)
+
     def criterion_5():
         prof = eta_st(1.5, 200.0)
         for geometry, d, mass in CRITERION_5_CONFIGS:
@@ -936,10 +935,18 @@ def test_criterion_5_convolves_each_band_point_once_per_profile(band_rows):
 
     criterion_5()
     first = list(band_rows)
+    del section_calls[:], integrals[:]
     criterion_5()
     rows = [sum(x.size for _, x in calls) for calls in (first, band_rows[len(first):])]
     # 12,180 rows a pass before the band memo
     assert rows == [2332, 2332]
+    # the work of a warm pass: the section nodes of the wedge presets (d = 1,
+    # 2) and of the cone (the one d = 3 preset), and the field integrals, their
+    # integrand calls and points
+    assert [evaluated([c for c in section_calls if (c[0].dimension == 3) == cone])
+            for cone in (False, True)] == [12940, 2443]
+    assert (len(integrals), sum(map(len, integrals)), sum(map(sum, integrals))) \
+        == (75, 269, 40293)
     for prof in {id(p): p for p, _ in first}.values():
         x = np.concatenate([x for p, x in first if p is prof])
         assert np.unique(x).size == x.size

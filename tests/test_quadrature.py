@@ -167,6 +167,21 @@ class TestLanes:
         assert integrate_1d(lambda x: f(x)[None], 0.0, 1.0, splits=splits,
                             rel_tol=1e-12, lanes=1) == [scalar]
 
+    @pytest.mark.parametrize("k", [2, 7, 17])
+    def test_copies_of_one_integrand_give_the_one_lane_result(self, k):
+        # a round's rule sums are stacked matrix-vector products over (lanes,
+        # panels, nodes), one per lane, so k equal lanes round as one lane
+        # does, also where the cap cuts a round into calls of BLOCK_ELEMENTS // k
+        # nodes; the chirp refines every panel, the kink some panels further
+        def f(x):
+            return np.cos(3000.0 * x) * np.exp(x) + kinked(x)
+        one = integrate_1d(lambda x: f(x)[None], 0.0, 1.0, rel_tol=1e-10, lanes=1)
+        sizes = []
+        stacked = integrate_1d(recording(lambda x: np.stack([f(x)] * k), sizes), 0.0, 1.0,
+                               rel_tol=1e-10, lanes=k)
+        assert max(sizes) == BLOCK_ELEMENTS // k
+        assert stacked == one * k
+
     def test_each_lane_within_its_error_of_its_scalar_integral(self):
         # the kinked lanes refine towards their seeded kinks at 0.3 and 0.6, the
         # smooth one stops early; on their shared panels each keeps its own
