@@ -451,7 +451,9 @@ def _weighted_integral(g: InitialData, region: Region, quad: FieldQuad,
         dens = (etap * etap * s["A"] + 2.0 * eta * etap * s["B"]
                 + eta * eta * (s["C"] + s.get("P", 0.0) + m2 * s["A"] + s["Q"]))
         out = weight(y) * dens + curvature * eta * eta * s["A"]
-        return np.where((y >= lo) & (y <= hi), y ** jacobian_power * out, 0.0)
+        if jacobian_power:  # on wedges y ** 0 is 1.0, and 1.0 * out is out
+            out = y ** jacobian_power * out
+        return np.where((y >= lo) & (y <= hi), out, 0.0)
 
     res = integrate_1d(integrand, a, b, splits=splits, order=quad.outer_order,
                        rel_tol=quad.rel_tol, max_panels=len(lanes) * quad.max_panels,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -119,14 +120,19 @@ def _dense_commutator(sc):
 
 
 class TestNonSignalling:
-    @pytest.mark.parametrize("kind", ["haar", "product", "cuntz_sum"])
-    def test_matches_dense_reference(self, kind):
+    # at branching 3, q1 = 2 and q2 = 8, so the reshapes of M into (q1, q2, |idx|)
+    # are checked where the two kept dimensions differ
+    @pytest.mark.parametrize("kind, n, d1, d2, seed", [
+        *(pytest.param(kind, 2, 8, 16, 4, id=kind) for kind in ("haar", "product", "cuntz_sum")),
+        *(pytest.param(kind, 3, 9, 27, 5, id=f"{kind}-branching3")
+          for kind in ("haar", "product", "cuntz_sum"))])
+    def test_matches_dense_reference(self, kind, n, d1, d2, seed):
         rng = np.random.default_rng(17)
-        sc = make_scenario(2, 8, 16, seed=4)  # w is the shift-sum unitary
+        sc = make_scenario(n, d1, d2, seed=seed)  # w is the shift-sum unitary
         if kind == "haar":
-            sc = dataclasses.replace(sc, w=random_unitary(8 * 16, rng))
+            sc = dataclasses.replace(sc, w=random_unitary(d1 * d2, rng))
         elif kind == "product":
-            sc = dataclasses.replace(sc, w=kron(random_unitary(8, rng), random_unitary(16, rng)))
+            sc = dataclasses.replace(sc, w=kron(random_unitary(d1, rng), random_unitary(d2, rng)))
         reference = _dense_commutator(sc)
         assert abs(nonsignalling_check(sc)["max_commutator"] - reference) <= 1e-12
         if kind == "haar":
@@ -157,6 +163,22 @@ class TestNonSignalling:
         rep = nonsignalling_check(make_scenario(n, d1, d2, seed))
         assert rep["max_commutator"] == 0.0
         assert rep["commutation_defect"] == 0.0
+
+    def test_traced_peak_is_a_few_kept_blocks(self):
+        # one generator pair at a time on the kept block: a warm check holds at
+        # most 12 complex |idx| x |idx| blocks (2,067 KiB); stacking the
+        # commutators of all 3 x 3 pairs takes about 6.3 MiB
+        sc = make_scenario(2, 16, 32, seed=20260810)
+        kept = defect_free_index(sc.alice_family, sc.charlie_family).size
+        nonsignalling_check(sc)
+        tracemalloc.start()
+        try:
+            nonsignalling_check(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == 105
+        assert peak <= 12 * kept * kept * np.dtype(complex).itemsize
 
     def test_sum_is_isometric_on_good_states(self):
         fam = TruncatedCuntz(2, 32)
