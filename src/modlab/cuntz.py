@@ -335,8 +335,8 @@ def align_product(omega: np.ndarray, target: np.ndarray, rng: np.random.Generato
     The restarts run together on (restarts, |R| or |C|, k) stacks.  Their
     starting points are drawn first, u then u' for each restart in turn, as
     the first k columns of Haar unitaries (`random_unitary(d, rng,
-    columns=k)`), so rng gives each restart the bits it would give one run
-    after another.
+    columns=k)`, 2 d k normals each), so rng gives each restart the bits it
+    would give one run after another.
     """
     k = _leading_block(omega)
     omega = omega[:k, :k]
@@ -375,9 +375,9 @@ def norm_gap_experiment(epsilon: float, samples: int, d_factor: int = 32,
     Each sample draws u, then u', from the one generator.  Omega is zero
     outside its leading k x k block (`_leading_block`), so each sample keeps
     only the first k columns of its unitaries (`random_unitary(...,
-    columns=k)`), which are all that u' Omega u^T reads.  The samples are
-    stacked in blocks of `quadrature.blocks(samples, 2 d^2)`: each unitary
-    still draws its 2 d^2 normals, so no stack draws more than 2
+    columns=k)`), which are all that u' Omega u^T reads, and draws only
+    their 2 d k normals.  The samples are stacked in blocks of
+    `quadrature.blocks(samples, 2 d k)`, so no stack draws more than 2
     BLOCK_ELEMENTS floats (or one sample's two unitaries).  The alignment
     (`align_product`) takes its polar steps on the 14 rows and 6 columns
     where the target is nonzero, at every d_factor.
@@ -396,7 +396,7 @@ def norm_gap_experiment(epsilon: float, samples: int, d_factor: int = 32,
     k = _leading_block(omega)
     rng = np.random.default_rng(seed)
     min_gap = math.inf
-    for block in blocks(samples, 2 * d_factor * d_factor):
+    for block in blocks(samples, 2 * d_factor * k):
         pairs = random_unitary(d_factor, [rng] * (2 * len(range(samples)[block])), columns=k)
         min_gap = min(min_gap, _min_product_gap(omega[:k, :k], target,
                                                 pairs[1::2], pairs[::2]))

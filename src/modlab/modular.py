@@ -383,10 +383,9 @@ def random_unitary(dim: int, rng: np.random.Generator | list,
     """Haar unitary via QR of a complex Gaussian with phase-fixed diagonal; a
     list of generators draws a stack, one unitary per generator.
 
-    With `columns = k` only the first k columns are returned, as the QR of the
-    Gaussian's first k columns (Mezzadri, Notices AMS 54, 2007): the same bits
-    as `random_unitary(dim, rng)[..., :k]`, and each generator still advances
-    by the 2 dim^2 normals of a full unitary.
+    With `columns = k` only a Haar unitary's first k columns are drawn, as the
+    QR of a dim x k complex Gaussian, which has their law (Mezzadri, Notices
+    AMS 54, 2007): each generator advances by 2 dim k normals, not 2 dim^2.
     """
     if columns is not None and not 1 <= columns <= dim:
         raise ParameterViolation(f"columns must lie in 1..{dim}, got {columns}")
@@ -398,10 +397,10 @@ def random_unitary(dim: int, rng: np.random.Generator | list,
 
 
 def _gaussians(dim: int, rngs: list, columns: int | None = None) -> np.ndarray:
-    """One complex Gaussian dim x dim matrix per generator, real part drawn
-    first; only its first `columns` columns are formed, but every generator
-    draws all 2 dim^2 normals."""
-    x = np.empty((len(rngs), 2, dim, dim))
+    """One complex Gaussian dim x columns matrix per generator (dim x dim by
+    default), real part drawn first, each part row-major; every generator
+    draws only the normals it forms."""
+    x = np.empty((len(rngs), 2, dim, columns or dim))
     for r, out in zip(rngs, x):
         r.standard_normal(out=out)
-    return x[:, 0, :, :columns] + 1j * x[:, 1, :, :columns]
+    return x[:, 0] + 1j * x[:, 1]

@@ -226,9 +226,9 @@ def run_fock_suite(seed: int = 0, cutoff_n: int = 12) -> SuiteResult:
         v = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
         return scale * v / np.linalg.norm(v)
 
-    def record(check, residual, tol, params):
+    def record(check, residual, tol, params, ok=None):
         for cells, value in zip(columns.values(), (check, params, float(residual), tol,
-                                                   bool(residual <= tol))):
+                                                   bool(residual <= tol if ok is None else ok))):
             cells.append(value)
 
     pairs = [(np.array([0.5] + [0.0] * (modes - 1), dtype=complex),
@@ -265,7 +265,10 @@ def run_fock_suite(seed: int = 0, cutoff_n: int = 12) -> SuiteResult:
     chis = np.array([rand_amp(0.5) for _ in trials])
     rep = fock.number_estimate_check(tf, chis, np.array(psi_list[1:])[trials % 3],
                                      1 + trials % 4)
-    record("particle_number_bound", float(np.count_nonzero(~rep["pass"])), 0.0, "100_trials")
+    # the worst trial's share of its bound; the verdict is the trials' own,
+    # which allow lhs the 1e-12 slack of number_estimate_check
+    record("particle_number_bound", np.max(rep["lhs"] / rep["bound"]), 1.0, "100_trials",
+           np.all(rep["pass"]))
 
     ssd = fock.StandardSubspaceData.two_mode(2.0)
     rep = fock.coherent_entropy_check(tf, ssd, np.array([0.0, 0.2]),

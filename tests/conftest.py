@@ -45,6 +45,8 @@ SIGNALLING = [["signalling", *action, f"seed={seed}"]
               for action in (["check"], ["factorize"], ["gap", "d_factor=26"],
                              ["gap", "d_factor=32"], ["gap", "d_factor=64"])
               for seed in (20260810, 0)]
+# the schema's largest d_factor, once
+SIGNALLING += [["signalling", "gap", "d_factor=256", "seed=20260810"]]
 SUITES = [[group, "suite", f"seed={seed}"] for group in ("findim", "fock")
           for seed in (20260810, 0)]
 # the command line's largest seed, two 32-bit words of entropy

@@ -31,6 +31,10 @@ from modlab.errors import DimensionTooSmall, ParameterViolation
 from modlab.linalg import dagger, kron
 from modlab.modular import random_unitary
 from modlab.quadrature import BLOCK_ELEMENTS
+from oracles import padded_unitary
+
+# the generator that pads a thin draw to the full unitary of the references
+PAD_SEED = 99
 
 
 class TestTruncatedCuntz:
@@ -436,9 +440,11 @@ def _sequential_alignment(omega, target, rng, iters, restarts):
 
 def _full_alignment(omega, target, rng, iters, restarts):
     """The alternating polar alignment on full d x d unitaries, each step a
-    full SVD of a d x d matrix."""
-    d = omega.shape[0]
-    starts = random_unitary(d, [rng] * (2 * restarts))
+    full SVD of a d x d matrix.  Each start is the full unitary whose first k
+    columns are align_product's thin start (`padded_unitary`)."""
+    d, k = omega.shape[0], cuntz._leading_block(omega)
+    pad = np.random.default_rng(PAD_SEED)
+    starts = np.array([padded_unitary(d, rng, k, pad) for _ in range(2 * restarts)])
     u, u_prime = starts[::2], starts[1::2]
     for _ in range(iters):
         uu, _, vv = np.linalg.svd(target @ np.conj(u) @ dagger(omega))
@@ -449,15 +455,18 @@ def _full_alignment(omega, target, rng, iters, restarts):
 
 
 def _sequential_norm_gap(epsilon, samples, d_factor, seed):
-    """The min_gap of norm_gap_experiment, drawing one sample after another."""
+    """The min_gap of norm_gap_experiment, drawing one sample after another,
+    each of its unitaries the full one whose first k columns are the sample's
+    thin draw (`padded_unitary`)."""
     fam = TruncatedCuntz(2, d_factor)
     omega, _ = cuntz._reference_state(fam, epsilon, i_max=12)
     target = cuntz._apply_w(omega, fam)
-    rng = np.random.default_rng(seed)
+    k = cuntz._leading_block(omega)
+    rng, pad = np.random.default_rng(seed), np.random.default_rng(PAD_SEED)
     gap = math.inf
     for _ in range(samples):
-        u = random_unitary(d_factor, rng)
-        u_prime = random_unitary(d_factor, rng)
+        u = padded_unitary(d_factor, rng, k, pad)
+        u_prime = padded_unitary(d_factor, rng, k, pad)
         gap = min(gap, float(np.linalg.norm(u_prime @ omega @ u.T - target)))
     return min(gap, _sequential_alignment(omega, target, rng, 60, 4))
 
@@ -474,9 +483,9 @@ class TestStackedSampling:
 
     @pytest.mark.parametrize("d_factor", [26, 32, 64])
     def test_norm_gap_equals_sequential(self, d_factor):
-        # 9 samples: blocks of 6 at d = 26, 4 at d = 32 (the last one short), 1 at d = 64
-        rep = norm_gap_experiment(0.01, samples=9, d_factor=d_factor, seed=5)
-        assert rep["min_gap"] == _sequential_norm_gap(0.01, 9, d_factor, seed=5)
+        # 25 samples: blocks of 13 at d = 26, 10 at d = 32 (the last one short), 5 at d = 64
+        rep = norm_gap_experiment(0.01, samples=25, d_factor=d_factor, seed=5)
+        assert rep["min_gap"] == _sequential_norm_gap(0.01, 25, d_factor, seed=5)
 
     @pytest.mark.parametrize("d_factor", [26, 32, 64])
     def test_alignment_equals_sequential(self, d_factor):
@@ -591,20 +600,20 @@ class TestDecompositionCounts:
             u = random_unitary(dim, rng, columns=columns)
             sizes.append(u.size)
             kept.append(columns)
-            drawn.append(2 * dim * dim * len(rng))  # each unitary draws 2 dim^2 normals
+            drawn.append(2 * dim * columns * len(rng))  # each unitary draws 2 dim k normals
             return u
 
         monkeypatch.setattr(cuntz, "random_unitary", spy)
         for d_factor in (26, 32, 64):
-            norm_gap_experiment(0.01, samples=9, d_factor=d_factor, adversarial=False)
+            norm_gap_experiment(0.01, samples=25, d_factor=d_factor, adversarial=False)
         assert kept == [12] * len(sizes)
         assert max(drawn) <= 2 * BLOCK_ELEMENTS
-        assert sizes == ([12 * 26 * 12, 6 * 26 * 12] + [8 * 32 * 12] * 2 + [2 * 32 * 12]
-                         + [2 * 64 * 12] * 9)
+        assert sizes == ([26 * 26 * 12, 24 * 26 * 12] + [20 * 32 * 12] * 2 + [10 * 32 * 12]
+                         + [10 * 64 * 12] * 5)
 
     def test_qr_calls(self, monkeypatch):
-        # the 200 samples QR only the 12 columns Omega reaches, in 50 stacks of
-        # 4 pairs; the alignment's 4 restarts start from one more such stack
+        # the 200 samples QR only the 12 columns Omega reaches, in 20 stacks of
+        # 10 pairs; the alignment's 4 restarts start from one stack of 4 pairs
         calls = []
         qr = np.linalg.qr
 
@@ -614,4 +623,4 @@ class TestDecompositionCounts:
 
         monkeypatch.setattr(np.linalg, "qr", spy)
         norm_gap_experiment(0.01, samples=200, d_factor=32, seed=20260810)
-        assert calls == [(8, 32, 12)] * 51
+        assert calls == [(20, 32, 12)] * 20 + [(8, 32, 12)]

@@ -9,6 +9,7 @@ and `cutoff energy`, `cutoff limit` (from a config file) and `cutoff minimize`
 at their defaults.  `signalling check`, `signalling factorize` and `signalling
 gap` at d_factor 26, 32 and 64 run at their other defaults, and `findim suite`
 and `fock suite` at theirs, each at the acceptance seed 20260810 and at seed 0;
+`signalling gap` also runs at the largest d_factor, 256, at seed 20260810;
 `findim suite` also runs 30 trials from the command line's largest seed, 2**63 - 1.
 The table runs once per session, in the traced child interpreter that the
 reachability test reads too, each command into its own directory; the digests
@@ -67,7 +68,7 @@ def test_cutoff_artifacts_match_the_golden_table(table_run):
 
 
 def test_signalling_artifacts_match_the_golden_table(table_run):
-    assert len(SIGNALLING) == 10
+    assert len(SIGNALLING) == 11
     assert_golden(table_run, SIGNALLING)
 
 

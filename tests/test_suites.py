@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modlab import modular, quadrature, suites
+from modlab import fock, modular, quadrature, suites
 from modlab.errors import ParameterViolation
 from modlab.linalg import dagger
 from modlab.modular import (
@@ -17,6 +17,7 @@ from modlab.modular import (
     rel_entropy_dm,
     theorem_entropy_bounds,
 )
+from oracles import padded_unitary
 
 SEED = 20260810
 TRIALS = 7
@@ -188,6 +189,32 @@ def test_rows_do_not_depend_on_the_trial_count():
     assert suites.run_findim_suite(seed=SEED, trials=40).rows[:len(short)] == short
 
 
+@pytest.mark.parametrize("slack", [0.0, 5e-13], ids=["drawn", "within_the_slack"])
+def test_particle_number_row_is_the_worst_share_of_its_bound(monkeypatch, slack):
+    # the row reports the largest lhs / bound of the 100 trials against 1, and
+    # its verdict is the trials' own: a trial past its bound by less than the
+    # 1e-12 slack still passes
+    reports = []
+    check = fock.number_estimate_check
+
+    def spy(*args):
+        rep = check(*args)
+        if slack:
+            rep["lhs"][7] = rep["bound"][7] + slack
+            rep["pass"] = rep["lhs"] <= rep["bound"] + 1e-12
+        reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(fock, "number_estimate_check", spy)
+    rows = [row for row in suites.run_fock_suite(seed=SEED).rows
+            if row["check_name"] == "particle_number_bound"]
+    (rep,) = reports
+    assert [(row["residual"], row["tolerance"], row["pass"]) for row in rows] == [
+        (np.max(rep["lhs"] / rep["bound"]), 1.0, bool(np.all(rep["pass"])))]
+    assert rows[0]["pass"]
+    assert rows[0]["residual"] > 1.0 if slack else 0.6 < rows[0]["residual"] < 0.7
+
+
 @pytest.mark.parametrize("run", [
     lambda: suites.run_findim_suite(seed=SEED, trials=TRIALS),
     lambda: suites.run_theorem_suite(seed=SEED, theorem_trials=TRIALS // 2,
@@ -226,21 +253,54 @@ def test_random_unitary_is_phase_fixed_qr(dim):
     assert np.linalg.norm(dagger(u) @ u - np.eye(dim)) <= 1e-13
 
 
-@pytest.mark.parametrize("dim", [2, 5, 26, 32, 64])
+@pytest.mark.parametrize("dim", [2, 5, 26, 32, 64, 256])
 @pytest.mark.parametrize("stack", [False, True])
 def test_thin_unitary_is_leading_columns(dim, stack):
-    # columns=k QRs only the Gaussian's first k columns: the same bits as the
-    # full unitary's first k columns, and the generators end where they would
+    # columns=k QRs a dim x k Gaussian: the bits of the first k columns of the
+    # full unitary whose Gaussian pads it with normals from another generator;
+    # k is 1, a third, the norm-gap samples' 12 and all, where they fit; at 256
+    # only 12, since at k = 85 LAPACK's blocked QR rounds the full one otherwise
     n = 8 if stack else 1
-    for k in sorted({1, dim // 3, dim} - {0}):
-        full_rngs = [np.random.default_rng(SEED + i) for i in range(n)]
-        thin_rngs = [np.random.default_rng(SEED + i) for i in range(n)]
-        full = random_unitary(dim, full_rngs if stack else full_rngs[0])
-        thin = random_unitary(dim, thin_rngs if stack else thin_rngs[0], columns=k)
-        assert thin.shape == full.shape[:-1] + (k,)
-        assert np.array_equal(thin, full[..., :k])
-        for a, b in zip(full_rngs, thin_rngs):
-            assert a.standard_normal() == b.standard_normal()
+    ks = [12] if dim == 256 else sorted({1, dim // 3, 12, dim} & set(range(1, dim + 1)))
+    for k in ks:
+        rngs = [np.random.default_rng(SEED + i) for i in range(n)]
+        thin = random_unitary(dim, rngs if stack else rngs[0], columns=k)
+        full = np.array([padded_unitary(dim, np.random.default_rng(SEED + i), k,
+                                        np.random.default_rng(i))[:, :k] for i in range(n)])
+        assert np.array_equal(thin, full if stack else full[0])
+
+
+@pytest.mark.parametrize("dim, columns", [(5, 2), (32, 12), (26, 26), (4, None)])
+@pytest.mark.parametrize("stack", [False, True])
+def test_unitary_draws_two_normals_per_entry(dim, columns, stack):
+    # each generator advances by exactly 2 dim k normals, 2 dim^2 for a full unitary
+    n = 3 if stack else 1
+    rngs = [np.random.default_rng(SEED + i) for i in range(n)]
+    random_unitary(dim, rngs if stack else rngs[0], columns=columns)
+    for i, rng in enumerate(rngs):
+        want = np.random.default_rng(SEED + i)
+        want.standard_normal(2 * dim * (columns or dim))
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_thin_draw_is_haar():
+    # 4000 draws of a Haar unitary's first 12 of 32 columns.  Each |Q_ij|^2 is
+    # Beta(1, d - 1), of mean 1/d and variance (d - 1) / (d^2 (d + 1)), and each
+    # Q_ij has mean 0 and E|Q_ij|^2 = 1/d; every entry's sample means lie within
+    # 5 standard errors of these (a chance of 6e-7 each, 2e-4 over 384 entries,
+    # to miss when the law holds).  Without the phase fix Re Q_00 < 0 always.
+    n, d, k = 4000, 32, 12
+    q = random_unitary(d, [np.random.default_rng(SEED)] * n, columns=k)
+    assert np.max(np.abs(dagger(q) @ q - np.eye(k))) <= 1e-14
+    square_se = np.sqrt((d - 1) / (d * d * (d + 1)) / n)
+    assert np.max(np.abs(np.mean(np.abs(q) ** 2, axis=0) - 1 / d)) <= 5 * square_se
+    assert np.max(np.abs(np.mean(q, axis=0))) <= 5 * np.sqrt(1 / (d * n))
+    # the phase fix: R = Q^dag G is upper triangular with a positive real diagonal
+    x = np.random.default_rng(SEED).standard_normal((n, 2, d, k))
+    r = dagger(q) @ (x[:, 0] + 1j * x[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.max(np.abs(diag / np.abs(diag) - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.tril(r, -1))) <= 1e-13
 
 
 @pytest.mark.parametrize("columns", [0, 6])
